@@ -1,30 +1,30 @@
-//! Scheduler harness: the persistent work-claiming pool vs. the
-//! per-call-spawn scheduler it replaced, measured on the three workloads
-//! the pool was built for and emitted machine-readable.
+//! Scheduler harness: the persistent work-claiming pool, measured on the
+//! three workloads it was built for and emitted machine-readable.
 //!
-//! Workloads (each at widths 1, 2, 4; `pool` = persistent workers with
-//! chunk claiming, `spawn` = the legacy `std::thread::scope` scheduler the
-//! shim kept behind [`rayon::set_legacy_spawn_scheduler`]):
+//! Workloads (each at widths 1, 2, 4):
 //!
 //! * **repeat_loop** — the same small masked multiply issued repeatedly;
-//!   per-call thread spawn/join latency dominates, which is exactly what
-//!   persistent parked workers eliminate;
+//!   per-call dispatch latency dominates, which is what persistent parked
+//!   workers keep low;
 //! * **skewed_kernel** — one masked multiply over an R-MAT graph
 //!   (`a = 0.57` hub rows); chunk claiming keeps workers busy where static
 //!   splitting strands them behind the hub chunk;
 //! * **batch** — an engine op batch drained by pool workers
-//!   ([`engine::Context::run_batch_collect`]) vs. the old scope-spawned
-//!   worker loop reproduced inline.
+//!   ([`engine::Context::run_batch_collect`]).
+//!
+//! The committed `BENCH_scheduler.json` also holds `spawn/*` rows: the
+//! per-call `std::thread::scope` scheduler the pool replaced, measured
+//! before that scheduler was deleted. They are the record of the
+//! pool-vs-spawn verdict; this harness no longer produces them.
 //!
 //! Samples are taken through the criterion shim (min/median/mean); all
 //! measurements are written to `BENCH_scheduler.json` (repo root when run
-//! from there) so the perf trajectory is tracked in-tree, plus a console
-//! ratio table. Run with
+//! from there) plus a console table. Run with
 //! `cargo run --release -p bench --bin bench_scheduler [--quick]`.
 
 use std::time::Duration;
 
-use bench::{banner, legacy_spawn_batch, scheduler_workloads, HarnessArgs};
+use bench::{banner, scheduler_workloads, HarnessArgs};
 use criterion::{reports_to_json, take_reports, BenchmarkId, Criterion};
 use engine::Context;
 use masked_spgemm::{masked_spgemm, thread_pool, Algorithm, Phases};
@@ -37,7 +37,7 @@ fn main() {
     let args = HarnessArgs::parse();
     banner(
         "bench_scheduler",
-        "persistent pool vs per-call spawn scheduling",
+        "persistent work-claiming pool scheduling",
         &args,
     );
     let sr = PlusTimes::<f64>::new();
@@ -66,63 +66,48 @@ fn main() {
 
     for &width in &WIDTHS {
         let pool = thread_pool(width);
-        for legacy in [false, true] {
-            let mode = if legacy { "spawn" } else { "pool" };
-            rayon::set_legacy_spawn_scheduler(legacy);
-
-            group.bench_with_input(
-                BenchmarkId::new("repeat_loop", format!("{mode}/w{width}")),
-                &rep_iters,
-                |b, &iters| {
-                    b.iter(|| {
-                        pool.install(|| {
-                            let mut nnz = 0usize;
-                            for _ in 0..iters {
-                                let c = masked_spgemm(
-                                    Algorithm::Msa,
-                                    Phases::One,
-                                    false,
-                                    sr,
-                                    &rep_m,
-                                    &rep_a,
-                                    &rep_a,
-                                )
-                                .expect("dims agree");
-                                nnz = c.nnz();
-                            }
-                            nnz
-                        })
-                    })
-                },
-            );
-
-            group.bench_with_input(
-                BenchmarkId::new("skewed_kernel", format!("{mode}/w{width}")),
-                &(),
-                |b, _| {
-                    b.iter(|| {
-                        pool.install(|| {
-                            masked_spgemm(
+        group.bench_with_input(
+            BenchmarkId::new("repeat_loop", format!("pool/w{width}")),
+            &rep_iters,
+            |b, &iters| {
+                b.iter(|| {
+                    pool.install(|| {
+                        let mut nnz = 0usize;
+                        for _ in 0..iters {
+                            let c = masked_spgemm(
                                 Algorithm::Msa,
                                 Phases::One,
                                 false,
                                 sr,
-                                &skew,
-                                &skew,
-                                &skew,
+                                &rep_m,
+                                &rep_a,
+                                &rep_a,
                             )
+                            .expect("dims agree");
+                            nnz = c.nnz();
+                        }
+                        nnz
+                    })
+                })
+            },
+        );
+
+        group.bench_with_input(
+            BenchmarkId::new("skewed_kernel", format!("pool/w{width}")),
+            &(),
+            |b, _| {
+                b.iter(|| {
+                    pool.install(|| {
+                        masked_spgemm(Algorithm::Msa, Phases::One, false, sr, &skew, &skew, &skew)
                             .expect("dims agree")
                             .nnz()
-                        })
                     })
-                },
-            );
-        }
-        rayon::set_legacy_spawn_scheduler(false);
+                })
+            },
+        );
 
-        // Batch: engine (ops drained by the context's pool workers) vs.
-        // the old scope-spawned worker loop, both forced to serial MSA
-        // per product with per-worker reused scratch.
+        // Batch: ops drained by the context's pool workers, forced to
+        // serial MSA per product with per-worker reused scratch.
         let ctx = Context::with_threads(width);
         let ha = ctx.insert(batch_a.clone());
         let ops: Vec<engine::MaskedOp> = batch_masks
@@ -145,11 +130,6 @@ fn main() {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("batch", format!("spawn/w{width}")),
-            &(),
-            |b, _| b.iter(|| legacy_spawn_batch(&batch_masks, &batch_a, width)),
-        );
     }
     group.finish();
 
@@ -168,31 +148,14 @@ fn main() {
         reports.len()
     );
 
-    // Console ratio table: pool time / spawn time per workload × width
-    // (< 1.0 means the pool wins).
-    let find = |name: &str| -> Option<f64> {
-        reports
-            .iter()
-            .find(|r| r.label == name)
-            .map(|r| r.sample.min.as_secs_f64())
-    };
-    let mut table = Table::new(&["workload", "width", "pool_s", "spawn_s", "pool/spawn"]);
-    for workload in ["repeat_loop", "skewed_kernel", "batch"] {
-        for &width in &WIDTHS {
-            let (Some(pool_s), Some(spawn_s)) = (
-                find(&format!("{workload}/pool/w{width}")),
-                find(&format!("{workload}/spawn/w{width}")),
-            ) else {
-                continue;
-            };
-            table.push(vec![
-                workload.to_string(),
-                width.to_string(),
-                format!("{pool_s:.6}"),
-                format!("{spawn_s:.6}"),
-                format!("{:.3}", pool_s / spawn_s),
-            ]);
-        }
+    // Console table: best time per workload × width.
+    let mut table = Table::new(&["measurement", "min_s", "median_s"]);
+    for r in &reports {
+        table.push(vec![
+            r.label.clone(),
+            format!("{:.6}", r.sample.min.as_secs_f64()),
+            format!("{:.6}", r.sample.median.as_secs_f64()),
+        ]);
     }
     println!("{}", table.to_console());
     table

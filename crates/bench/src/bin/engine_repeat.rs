@@ -1,6 +1,6 @@
 //! Engine acceptance harness: repeated-multiply loops, k-truss peeling,
-//! heterogeneous streamed batches, and the pool scheduler — engine path
-//! vs. direct calls, persistent pool vs. per-call spawn.
+//! heterogeneous streamed batches, BFS levels, and the pool scheduler's
+//! skew guard — engine path vs. direct calls.
 //!
 //! Four engine-vs-direct measurements, each best-of-`reps`:
 //!
@@ -22,15 +22,9 @@
 //!    `masked_spgevm` loop; the engine must be no slower and its per-level
 //!    vector planning must hit the fingerprint cache.
 //!
-//! Then the scheduler checks (ISSUE 3):
+//! Then the scheduler check:
 //!
-//! 6. **pool vs spawn** — repeat-loop, skewed-kernel (R-MAT `a = 0.57`
-//!    hub rows), and batch workloads at a forced width of 4, persistent
-//!    pool vs. the legacy per-call `std::thread::scope` scheduler. The
-//!    pool must be ≥10% faster on the repeat and skewed loops (where
-//!    per-call spawn/join latency dominates) and no worse than the
-//!    10%-tolerance bar on the batch;
-//! 7. **skew regression guard** — the parallel kernel on the skewed graph
+//! 6. **skew regression guard** — the parallel kernel on the skewed graph
 //!    must land within 1.5× of what ideal static splitting predicts from
 //!    a balanced same-work input (balanced time scaled by the flop
 //!    ratio); a scheduler that let the hub chunk strand a worker would
@@ -39,12 +33,13 @@
 //! The acceptance bar (ISSUE 1, carried forward): the engine path must be
 //! no slower than direct calls on the repeated-multiply loops. The harness
 //! prints a ratio table and exits nonzero if the engine regresses beyond
-//! 10%, if peel planning shows no fingerprint-cache reuse, or if a
-//! scheduler check fails.
+//! 10%, if peel planning shows no fingerprint-cache reuse, or if the skew
+//! guard fails. (The pool-vs-spawn comparison is recorded in the committed
+//! `BENCH_scheduler.json`.)
 //!
 //! Run with `cargo run --release -p bench --bin engine_repeat [--quick]`.
 
-use bench::{banner, legacy_spawn_batch, scheduler_workloads, HarnessArgs};
+use bench::{banner, scheduler_workloads, HarnessArgs};
 use engine::{Context, SemiringKind};
 use graph_algos::{bfs, bfs_auto, ktruss, ktruss_auto, Direction, Scheme};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
@@ -318,91 +313,14 @@ fn main() {
         failed = true;
     }
 
-    // 6. Scheduler: persistent pool vs per-call spawn at a forced width of
-    //    4 (widths differ in scheduling, not results — the serial path is
-    //    shared, so width 1 would compare identical code). Sizes are fixed
-    //    rather than preset-scaled: the quantity under test is per-call
-    //    dispatch overhead and claim balancing, not kernel throughput.
+    // 6. Skew regression guard at a forced width of 4 (the serial path is
+    //    shared, so width 1 would not exercise claim balancing).
     let sr_t = PlusTimes::<f64>::new();
     let sched_reps = args.reps.max(5);
     let pool4 = masked_spgemm::thread_pool(4);
-    let (rep_a, rep_m) = scheduler_workloads::repeat_pair();
-    // Scale 7 keeps each skewed multiply small enough that per-call
-    // dispatch overhead is the dominant term the gate discriminates on.
-    let skew = scheduler_workloads::skew_graph(7);
-    let time_loop = |mask: &CsrMatrix<f64>, a: &CsrMatrix<f64>, iters: usize, legacy: bool| {
-        rayon::set_legacy_spawn_scheduler(legacy);
-        let (_, m) = profile::best_of(sched_reps, || {
-            pool4.install(|| {
-                let mut nnz = 0usize;
-                for _ in 0..iters {
-                    nnz = masked_spgemm(Algorithm::Msa, Phases::One, false, sr_t, mask, a, a)
-                        .expect("dims agree")
-                        .nnz();
-                }
-                nnz
-            })
-        });
-        rayon::set_legacy_spawn_scheduler(false);
-        m.secs()
-    };
-    let repeat_pool = time_loop(&rep_m, &rep_a, 10, false);
-    let repeat_spawn = time_loop(&rep_m, &rep_a, 10, true);
-    let skew_pool = time_loop(&skew, &skew, 12, false);
-    let skew_spawn = time_loop(&skew, &skew, 12, true);
-
-    // Batch workload: engine pool-drained batch vs the pre-pool scoped
-    // worker loop, same erased semiring and fixed algorithm on both sides.
-    let bctx = Context::with_threads(4);
-    let bh = bctx.insert(rep_a.clone());
-    let bmasks: Vec<CsrMatrix<f64>> = scheduler_workloads::batch_masks(rep_a.nrows(), 16);
-    let bops: Vec<engine::MaskedOp> = bmasks
-        .iter()
-        .map(|m| {
-            bctx.op(bctx.insert(m.clone()), bh, bh)
-                .algorithm(Algorithm::Msa)
-                .build()
-        })
-        .collect();
-    let (_, m) = profile::best_of(sched_reps, || {
-        bctx.run_batch_collect(&bops)
-            .into_iter()
-            .map(|r| r.expect("well-shaped").nnz())
-            .sum::<usize>()
-    });
-    let batch_pool = m.secs();
-    let (_, m) = profile::best_of(sched_reps, || legacy_spawn_batch(&bmasks, &rep_a, 4));
-    let batch_spawn = m.secs();
-
-    let mut sched_table = Table::new(&["workload", "pool_s", "spawn_s", "pool/spawn", "bar"]);
-    for (name, pool_s, spawn_s, bar) in [
-        ("repeat_loop", repeat_pool, repeat_spawn, 0.90),
-        ("skewed_loop", skew_pool, skew_spawn, 0.90),
-        ("batch", batch_pool, batch_spawn, 1.10),
-    ] {
-        let ratio = pool_s / spawn_s;
-        sched_table.push(vec![
-            name.to_string(),
-            format!("{pool_s:.6}"),
-            format!("{spawn_s:.6}"),
-            format!("{ratio:.3}"),
-            format!("<= {bar:.2}"),
-        ]);
-        if ratio > bar {
-            eprintln!("FAIL: scheduler workload {name}: pool/spawn = {ratio:.3} > {bar:.2}");
-            failed = true;
-        }
-    }
-    println!("{}", sched_table.to_console());
-    sched_table
-        .write_csv(args.out_dir.join("engine_repeat_scheduler.csv"))
-        .expect("write csv");
-
-    // 7. Skew regression guard: scale a balanced input's parallel time by
-    //    the flop ratio to get what ideal static splitting would predict,
-    //    and require the skewed kernel to land within 1.5× of it. Uses a
-    //    larger hub graph than the loop above so the single-multiply
-    //    timings are well out of the noise floor.
+    //    Scale a balanced input's parallel time by the flop ratio to get
+    //    what ideal static splitting would predict, and require the skewed
+    //    kernel to land within 1.5× of it.
     let guard_scale = args.pick(9u32, 10, 12);
     let skew = scheduler_workloads::skew_graph(guard_scale);
     let balanced = scheduler_workloads::balanced_counterpart(&skew);
@@ -441,6 +359,5 @@ fn main() {
     println!("engine-planned BFS is no slower than the direct masked_spgevm loop ✓");
     println!("k-truss peel planning reuses fingerprint-cached plans ✓");
     println!("BFS level planning reuses fingerprint-cached vector plans ✓");
-    println!("pool scheduler beats per-call spawn on repeat/skew, holds parity on batch ✓");
     println!("skewed kernel stays within 1.5x of ideal static splitting ✓");
 }

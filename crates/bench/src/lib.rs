@@ -235,47 +235,6 @@ pub mod scheduler_workloads {
     }
 }
 
-/// The batch executor exactly as it worked before the pool migration: one
-/// freshly spawned scoped thread per worker, an atomic op cursor, and mpsc
-/// delivery to the caller — kept as the measured baseline for the
-/// scheduler harnesses (`bench_scheduler`, `engine_repeat`). Runs `M_i ⊙
-/// (A·A)` per mask on the engine's erased plus-times semiring with fixed
-/// MSA, so engine-batch comparisons differ only in scheduling; returns the
-/// summed output nnz.
-pub fn legacy_spawn_batch(masks: &[CsrMatrix<f64>], a: &CsrMatrix<f64>, workers: usize) -> usize {
-    use masked_spgemm::{DynSemiring, ScratchSet, SemiringKind};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-
-    let sr = DynSemiring::new(SemiringKind::PlusTimes);
-    let cursor = AtomicUsize::new(0);
-    let workers = workers.min(masks.len()).max(1);
-    let (tx, rx) = mpsc::channel::<(usize, usize)>();
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let mut scratch: ScratchSet<DynSemiring> = ScratchSet::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= masks.len() {
-                        break;
-                    }
-                    let c = scratch
-                        .run(Algorithm::Msa, false, sr, &masks[i], a, a, None)
-                        .expect("dims agree");
-                    if tx.send((i, c.nnz())).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        rx.iter().map(|(_, nnz)| nnz).sum()
-    })
-}
-
 /// Run a performance-profile experiment over the evaluation suite:
 /// materialize every suite graph up to `max_n` vertices, call `measure`
 /// (which returns one best-of-reps time per scheme, `None` = excluded),

@@ -21,10 +21,9 @@
 //! typed kernels is within noise for the workloads in
 //! `bench/engine_repeat`.
 //!
-//! [`DynSemiring`] is the historical `f64`-only erased semiring, kept as an
-//! alias for `DynLane<f64>`; counting semirings on that lane accumulate
-//! exact integers up to 2⁵³, far beyond any mask population this crate can
-//! represent (indices are `u32`).
+//! Counting semirings on the `f64` lane accumulate exact integers up to
+//! 2⁵³, far beyond any mask population this crate can represent (indices
+//! are `u32`).
 
 use std::marker::PhantomData;
 
@@ -278,10 +277,6 @@ pub struct DynLane<T> {
     _lane: PhantomData<T>,
 }
 
-/// The `f64` lane's erased semiring — the historical type the engine's
-/// heterogeneous batches were built on.
-pub type DynSemiring = DynLane<f64>;
-
 impl<T: LaneValue> DynLane<T> {
     /// Erased semiring evaluating `kind` on lane `T`.
     pub fn new(kind: SemiringKind) -> Self {
@@ -339,20 +334,20 @@ mod tests {
     fn scalar_ops_match_typed_semirings() {
         let (a, b) = (2.5f64, -4.0f64);
         let pt = PlusTimes::<f64>::new();
-        let d = DynSemiring::new(SemiringKind::PlusTimes);
+        let d = DynLane::<f64>::new(SemiringKind::PlusTimes);
         assert_eq!(d.mul(a, b), pt.mul(a, b));
         assert_eq!(d.add(a, b), pt.add(a, b));
         let pp = PlusPair::<f64, f64, f64>::new();
-        let d = DynSemiring::new(SemiringKind::PlusPair);
+        let d = DynLane::<f64>::new(SemiringKind::PlusPair);
         assert_eq!(d.mul(a, b), pp.mul(a, b));
         let pf = PlusFirst::<f64, f64>::new();
-        let d = DynSemiring::new(SemiringKind::PlusFirst);
+        let d = DynLane::<f64>::new(SemiringKind::PlusFirst);
         assert_eq!(d.mul(a, b), pf.mul(a, b));
         let ps = PlusSecond::<f64, f64>::new();
-        let d = DynSemiring::new(SemiringKind::PlusSecond);
+        let d = DynLane::<f64>::new(SemiringKind::PlusSecond);
         assert_eq!(d.mul(a, b), ps.mul(a, b));
         let mp = MinPlus::<f64>::new();
-        let d = DynSemiring::new(SemiringKind::MinPlus);
+        let d = DynLane::<f64>::new(SemiringKind::MinPlus);
         assert_eq!(d.mul(a, b), mp.mul(a, b));
         assert_eq!(d.add(a, b), mp.add(a, b));
         assert_eq!(d.add(b, a), mp.add(b, a));
@@ -427,7 +422,7 @@ mod tests {
                 alg,
                 Phases::One,
                 false,
-                DynSemiring::new(SemiringKind::PlusTimes),
+                DynLane::<f64>::new(SemiringKind::PlusTimes),
                 &m,
                 &a,
                 &b,
@@ -448,7 +443,7 @@ mod tests {
                 alg,
                 Phases::One,
                 false,
-                DynSemiring::new(SemiringKind::PlusPair),
+                DynLane::<f64>::new(SemiringKind::PlusPair),
                 &m,
                 &a,
                 &b,
@@ -489,8 +484,8 @@ mod tests {
     #[test]
     fn names_and_kind_roundtrip() {
         for kind in SemiringKind::ALL {
-            assert_eq!(DynSemiring::new(kind).kind(), kind);
-            assert_eq!(DynSemiring::from(kind).kind(), kind);
+            assert_eq!(DynLane::<f64>::new(kind).kind(), kind);
+            assert_eq!(DynLane::<f64>::from(kind).kind(), kind);
             assert!(!kind.name().is_empty());
         }
         for value in ValueKind::ALL {

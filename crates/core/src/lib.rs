@@ -55,7 +55,6 @@
 pub mod accum;
 pub mod algos;
 pub mod api;
-pub mod dcsr_exec;
 pub mod dynsr;
 pub mod estimate;
 pub mod exec;
@@ -65,8 +64,7 @@ pub mod scratch;
 pub mod spgevm;
 
 pub use api::{masked_spgemm, masked_spgemm_csc, Algorithm, MaskedSpGemm, Phases};
-pub use dcsr_exec::masked_spgemm_dcsr;
-pub use dynsr::{DynLane, DynSemiring, LaneValue, SemiringKind, ValueKind};
+pub use dynsr::{DynLane, LaneValue, SemiringKind, ValueKind};
 pub use estimate::{flops, flops_masked, flops_per_row};
 pub use exec::thread_pool;
 pub use hybrid::{hybrid_choices, hybrid_masked_spgemm, HybridConfig};

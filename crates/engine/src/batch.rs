@@ -40,38 +40,26 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-use masked_spgemm::{masked_spgevm_csc, Algorithm, DynLane, LaneValue, ScratchSet, ValueKind};
-use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
+use masked_spgemm::{masked_spgevm_csc, Algorithm, DynLane};
+use sparse::{CscMatrix, CsrMatrix, SparseError, SparseVec};
 
-use crate::context::{Context, MatrixHandle, ValueMat, ValueVec};
+use crate::context::{Context, ValueMat};
+use crate::lane::{on_variant, with_lane, Lane, LaneScratch};
 use crate::op::{FromOpOutput, MaskedOp, OpOutput, Operands, ResultSink, OPERAND_LANE_MISMATCH};
 use crate::plan::{Choice, Plan};
 
-/// One masked multiply in a legacy homogeneous batch: `C = M ⊙ (A·B)` or
-/// `¬M ⊙ (A·B)` on the batch-wide semiring.
-#[deprecated(
-    since = "0.3.0",
-    note = "describe operations with `MaskedOp` (via `Context::op(..).build()`), \
-            which carries its own semiring, value lane, and overrides"
-)]
-#[derive(Copy, Clone, Debug)]
-pub struct BatchOp {
-    /// Mask handle.
-    pub mask: MatrixHandle,
-    /// Mask polarity.
-    pub complemented: bool,
-    /// Left operand handle.
-    pub a: MatrixHandle,
-    /// Right operand handle.
-    pub b: MatrixHandle,
+/// A batch entry resolved to the data a worker needs, on any lane.
+trait Prepared: Send + Sync {
+    /// Run on the worker's scratch and wrap the result in its lane's
+    /// output variant.
+    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError>;
 }
 
-/// A matrix-product batch entry resolved to the data a worker needs:
-/// the mask in its **native** stored lane (kernels read only its pattern),
-/// operand `Arc`s on the op's lane (the stored matrices themselves when
-/// the lanes agree — no canonical copy), a fixed algorithm, and the per-op
-/// erased semiring.
-struct PreparedMat<T: LaneValue> {
+/// A matrix-product batch entry: the mask in its **native** stored lane
+/// (kernels read only its pattern), operand `Arc`s on the op's lane (the
+/// stored matrices themselves when the lanes agree — no canonical copy), a
+/// fixed algorithm, and the per-op erased semiring.
+struct PreparedMat<T: Lane> {
     sr: DynLane<T>,
     mask: ValueMat,
     a: Arc<CsrMatrix<T>>,
@@ -81,32 +69,25 @@ struct PreparedMat<T: LaneValue> {
     complemented: bool,
 }
 
-impl<T: LaneValue> PreparedMat<T> {
-    fn run(&self, scratch: &mut ScratchSet<DynLane<T>>) -> Result<CsrMatrix<T>, SparseError> {
-        macro_rules! go {
-            ($mask:expr) => {
-                scratch.run(
-                    self.algorithm,
-                    self.complemented,
-                    self.sr,
-                    $mask,
-                    &self.a,
-                    &self.b,
-                    self.b_csc.as_deref(),
-                )
-            };
-        }
-        match &self.mask {
-            ValueMat::Bool(m) => go!(m.as_ref()),
-            ValueMat::I64(m) => go!(m.as_ref()),
-            ValueMat::F64(m) => go!(m.as_ref()),
-        }
+impl<T: Lane> Prepared for PreparedMat<T> {
+    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError> {
+        let scratch = T::scratch(scratch);
+        on_variant!(&self.mask, ValueMat, m => scratch.run(
+            self.algorithm,
+            self.complemented,
+            self.sr,
+            m.as_ref(),
+            &self.a,
+            &self.b,
+            self.b_csc.as_deref(),
+        ))
+        .map(T::mat_output)
     }
 }
 
 /// A vector-product batch entry: the mask pattern, the typed operand
 /// vector, and `B` in the form the fixed algorithm consumes.
-struct PreparedVec<T: LaneValue> {
+struct PreparedVec<T: Lane> {
     sr: DynLane<T>,
     mask: SparseVec<()>,
     u: Arc<SparseVec<T>>,
@@ -116,17 +97,16 @@ struct PreparedVec<T: LaneValue> {
     complemented: bool,
 }
 
-impl<T: LaneValue> PreparedVec<T> {
-    /// Push products run through the worker's reused per-lane scratch
-    /// (ROADMAP follow-on: SpGEVM accumulators were rebuilt per call); the
+impl<T: Lane> Prepared for PreparedVec<T> {
+    /// Push products run through the worker's reused per-lane scratch; the
     /// pull path carries no accumulator.
-    fn run(&self, scratch: &mut ScratchSet<DynLane<T>>) -> Result<SparseVec<T>, SparseError> {
+    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError> {
         if self.algorithm == Algorithm::Inner {
             let csc = self.b_csc.as_ref().expect("pull plan materialized CSC");
             masked_spgevm_csc(self.complemented, self.sr, &self.mask, &self.u, csc)
         } else {
             let view = self.b_view.as_ref().expect("push plan materialized view");
-            scratch.run_vec(
+            T::scratch(scratch).run_vec(
                 self.algorithm,
                 self.complemented,
                 self.sr,
@@ -136,48 +116,7 @@ impl<T: LaneValue> PreparedVec<T> {
                 None,
             )
         }
-    }
-}
-
-/// One resolved batch entry of any operand kind and lane.
-enum PreparedAny {
-    MatF64(PreparedMat<f64>),
-    MatI64(PreparedMat<i64>),
-    MatBool(PreparedMat<bool>),
-    VecF64(PreparedVec<f64>),
-    VecI64(PreparedVec<i64>),
-    VecBool(PreparedVec<bool>),
-}
-
-impl PreparedAny {
-    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError> {
-        match self {
-            PreparedAny::MatF64(p) => p.run(&mut scratch.f64).map(OpOutput::MatF64),
-            PreparedAny::MatI64(p) => p.run(&mut scratch.i64).map(OpOutput::MatI64),
-            PreparedAny::MatBool(p) => p.run(&mut scratch.boolean).map(OpOutput::MatBool),
-            PreparedAny::VecF64(p) => p.run(&mut scratch.f64).map(OpOutput::VecF64),
-            PreparedAny::VecI64(p) => p.run(&mut scratch.i64).map(OpOutput::VecI64),
-            PreparedAny::VecBool(p) => p.run(&mut scratch.boolean).map(OpOutput::VecBool),
-        }
-    }
-}
-
-/// One reusable kernel scratch set per value lane — what each batch worker
-/// holds for its lifetime. Lanes a batch never touches stay empty (the
-/// kernels inside a `ScratchSet` are built on first use per family).
-struct LaneScratch {
-    f64: ScratchSet<DynLane<f64>>,
-    i64: ScratchSet<DynLane<i64>>,
-    boolean: ScratchSet<DynLane<bool>>,
-}
-
-impl LaneScratch {
-    fn new() -> Self {
-        LaneScratch {
-            f64: ScratchSet::new(),
-            i64: ScratchSet::new(),
-            boolean: ScratchSet::new(),
-        }
+        .map(T::vec_output)
     }
 }
 
@@ -208,61 +147,48 @@ pub(crate) fn fixed_algorithm(plan: &Plan) -> Algorithm {
 impl Context {
     /// Resolve one descriptor for batch execution: plan it, fix the
     /// algorithm, and materialize the lane views the workers will read.
-    fn prepare_any(&self, op: &MaskedOp) -> Result<PreparedAny, SparseError> {
+    fn prepare_any(&self, op: &MaskedOp) -> Result<Box<dyn Prepared>, SparseError> {
         let plan = self.resolve_plan(op)?;
-        let algorithm = fixed_algorithm(&plan);
-        match op.operands {
-            Operands::MatMat { mask, a, b } => {
-                macro_rules! prep {
-                    ($variant:ident, $view:ident, $csc:ident) => {
-                        Ok(PreparedAny::$variant(PreparedMat {
-                            sr: DynLane::new(op.semiring),
-                            // Native mask — no lane cast for a pattern-only
-                            // operand.
-                            mask: self.value_mat(mask),
-                            a: self.$view(a),
-                            b: self.$view(b),
-                            // Materialize the cached CSC only when the plan
-                            // actually pulls.
-                            b_csc: (algorithm == Algorithm::Inner).then(|| self.$csc(b)),
-                            algorithm,
-                            complemented: op.complemented,
-                        }))
-                    };
-                }
-                match op.value {
-                    ValueKind::F64 => prep!(MatF64, f64_view, csc),
-                    ValueKind::I64 => prep!(MatI64, i64_view, i64_csc),
-                    ValueKind::Bool => prep!(MatBool, bool_view, bool_csc),
-                }
-            }
+        with_lane!(op.value, T => self.prepare::<T>(op, fixed_algorithm(&plan)))
+    }
+
+    fn prepare<T: Lane>(
+        &self,
+        op: &MaskedOp,
+        algorithm: Algorithm,
+    ) -> Result<Box<dyn Prepared>, SparseError> {
+        let sr = DynLane::new(op.semiring);
+        // Materialize the cached CSC only when the plan actually pulls.
+        let pull = algorithm == Algorithm::Inner;
+        Ok(match op.operands {
+            Operands::MatMat { mask, a, b } => Box::new(PreparedMat::<T> {
+                sr,
+                // Native mask — no lane cast for a pattern-only operand.
+                mask: self.value_mat(mask),
+                a: self.view(a),
+                b: self.view(b),
+                b_csc: pull.then(|| self.lane_csc(b)),
+                algorithm,
+                complemented: op.complemented,
+            }),
             Operands::VecMat { mask, u, b } => {
-                let mask_pat = self.vector(mask).pattern();
-                macro_rules! prep {
-                    ($variant:ident, $uv:ident, $view:ident, $csc:ident) => {
-                        Ok(PreparedAny::$variant(PreparedVec {
-                            sr: DynLane::new(op.semiring),
-                            mask: mask_pat,
-                            u: $uv,
-                            b_view: (algorithm != Algorithm::Inner).then(|| self.$view(b)),
-                            b_csc: (algorithm == Algorithm::Inner).then(|| self.$csc(b)),
-                            algorithm,
-                            complemented: op.complemented,
-                        }))
-                    };
-                }
-                match (op.value, self.vector(u)) {
-                    (ValueKind::F64, ValueVec::F64(uv)) => prep!(VecF64, uv, f64_view, csc),
-                    (ValueKind::I64, ValueVec::I64(uv)) => prep!(VecI64, uv, i64_view, i64_csc),
-                    (ValueKind::Bool, ValueVec::Bool(uv)) => {
-                        prep!(VecBool, uv, bool_view, bool_csc)
-                    }
-                    // Lane agreement was validated by `resolve_plan`;
-                    // reaching here means a concurrent lane change.
-                    _ => Err(SparseError::Unsupported(OPERAND_LANE_MISMATCH)),
-                }
+                let mask = self.vector(mask).pattern();
+                // Lane agreement was validated by `resolve_plan`; a
+                // mismatch here means a concurrent lane change.
+                let u = T::native_vec(&self.vector(u))
+                    .cloned()
+                    .ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?;
+                Box::new(PreparedVec {
+                    sr,
+                    mask,
+                    u,
+                    b_view: (!pull).then(|| self.view(b)),
+                    b_csc: pull.then(|| self.lane_csc(b)),
+                    algorithm,
+                    complemented: op.complemented,
+                })
             }
-        }
+        })
     }
 
     /// The shared batch scaffold: the context's pool workers drain an
@@ -358,11 +284,11 @@ impl Context {
     ///
     /// [`AccumMode::MergeInto`]: crate::AccumMode::MergeInto
     pub fn for_each_result<T: FromOpOutput>(&self, ops: &[MaskedOp], mut sink: impl ResultSink<T>) {
-        let prepared: Vec<Result<PreparedAny, SparseError>> =
+        let prepared: Vec<Result<Box<dyn Prepared>, SparseError>> =
             ops.iter().map(|op| self.prepare_any(op)).collect();
         self.stream_indexed(
             prepared.len(),
-            LaneScratch::new,
+            LaneScratch::default,
             |scratch, i| match &prepared[i] {
                 Err(e) => Err(e.clone()),
                 Ok(p) => p.run(scratch),
@@ -403,71 +329,5 @@ impl Context {
     /// [`Context::run_batch_outputs`] for mixed-kind batches).
     pub fn run_batch_collect(&self, ops: &[MaskedOp]) -> Vec<Result<CsrMatrix<f64>, SparseError>> {
         self.collect_batch(ops)
-    }
-
-    /// Execute all `ops` concurrently on one typed semiring; results arrive
-    /// in input order.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build `MaskedOp`s with `Context::op` and use \
-                `run_batch_collect` (or stream with `for_each_result`)"
-    )]
-    #[allow(deprecated)]
-    pub fn run_batch<S>(&self, sr: S, ops: &[BatchOp]) -> Vec<Result<CsrMatrix<S::C>, SparseError>>
-    where
-        S: Semiring<A = f64, B = f64> + Send + Sync,
-        S::C: Default + Send + Sync,
-    {
-        struct Prepared<S: Semiring> {
-            sr: S,
-            mask: Arc<CsrMatrix<f64>>,
-            a: Arc<CsrMatrix<f64>>,
-            b: Arc<CsrMatrix<f64>>,
-            b_csc: Option<Arc<CscMatrix<S::B>>>,
-            algorithm: Algorithm,
-            complemented: bool,
-        }
-        let prepared: Vec<Result<Prepared<S>, SparseError>> = ops
-            .iter()
-            .map(|op| {
-                self.plan(op.mask, op.complemented, op.a, op.b).map(|plan| {
-                    let algorithm = fixed_algorithm(&plan);
-                    Prepared {
-                        sr,
-                        mask: self.matrix(op.mask),
-                        a: self.matrix(op.a),
-                        b: self.matrix(op.b),
-                        b_csc: (algorithm == Algorithm::Inner).then(|| self.csc(op.b)),
-                        algorithm,
-                        complemented: op.complemented,
-                    }
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<Result<CsrMatrix<S::C>, SparseError>>> =
-            (0..ops.len()).map(|_| None).collect();
-        self.stream_indexed(
-            prepared.len(),
-            ScratchSet::<S>::new,
-            |scratch, i| match &prepared[i] {
-                Err(e) => Err(e.clone()),
-                Ok(p) => scratch.run(
-                    p.algorithm,
-                    p.complemented,
-                    p.sr,
-                    &p.mask,
-                    &p.a,
-                    &p.b,
-                    p.b_csc.as_deref(),
-                ),
-            },
-            |i, result| {
-                slots[i] = Some(result);
-            },
-        );
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every op delivered"))
-            .collect()
     }
 }

@@ -1,18 +1,20 @@
 //! The [`Context`]: matrix registry, budgeted auxiliary cache, and
 //! execution entry points.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use masked_spgemm::{
-    hybrid_masked_spgemm, masked_spgemm, masked_spgemm_csc, Algorithm, DynLane, HybridConfig,
-    LaneValue, Phases, ScratchSet, ValueKind,
+    hybrid_masked_spgemm, masked_spgemm, masked_spgemm_csc, Algorithm, HybridConfig, LaneValue,
+    Phases, ScratchSet, ValueKind,
 };
 use sparse::transpose::transpose;
 use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError, SparseVec};
 
+use crate::lane::{on_variant, Lane, LaneScratch};
 use crate::plan::{self, Choice, Plan};
 
 /// Handle to a matrix registered in a [`Context`].
@@ -48,20 +50,12 @@ pub enum ValueVec {
 impl ValueVec {
     /// Dimension (number of addressable positions).
     pub fn dim(&self) -> usize {
-        match self {
-            ValueVec::Bool(v) => v.dim(),
-            ValueVec::I64(v) => v.dim(),
-            ValueVec::F64(v) => v.dim(),
-        }
+        on_variant!(self, ValueVec, v => v.dim())
     }
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        match self {
-            ValueVec::Bool(v) => v.nnz(),
-            ValueVec::I64(v) => v.nnz(),
-            ValueVec::F64(v) => v.nnz(),
-        }
+        on_variant!(self, ValueVec, v => v.nnz())
     }
 
     /// Which value lane the entries live on.
@@ -76,38 +70,12 @@ impl ValueVec {
     /// Sorted indices of stored entries (the pattern — what a mask operand
     /// contributes regardless of lane).
     pub fn indices(&self) -> &[sparse::Idx] {
-        match self {
-            ValueVec::Bool(v) => v.indices(),
-            ValueVec::I64(v) => v.indices(),
-            ValueVec::F64(v) => v.indices(),
-        }
+        on_variant!(self, ValueVec, v => v.indices())
     }
 
     /// Pattern-only copy (for mask operands of SpGEVM kernels).
     pub fn pattern(&self) -> SparseVec<()> {
-        match self {
-            ValueVec::Bool(v) => v.pattern(),
-            ValueVec::I64(v) => v.pattern(),
-            ValueVec::F64(v) => v.pattern(),
-        }
-    }
-}
-
-impl From<SparseVec<bool>> for ValueVec {
-    fn from(v: SparseVec<bool>) -> Self {
-        ValueVec::Bool(Arc::new(v))
-    }
-}
-
-impl From<SparseVec<i64>> for ValueVec {
-    fn from(v: SparseVec<i64>) -> Self {
-        ValueVec::I64(Arc::new(v))
-    }
-}
-
-impl From<SparseVec<f64>> for ValueVec {
-    fn from(v: SparseVec<f64>) -> Self {
-        ValueVec::F64(Arc::new(v))
+        on_variant!(self, ValueVec, v => v.pattern())
     }
 }
 
@@ -137,11 +105,7 @@ pub enum ValueMat {
 impl ValueMat {
     /// `(nrows, ncols)`.
     pub fn shape(&self) -> (usize, usize) {
-        match self {
-            ValueMat::Bool(m) => m.shape(),
-            ValueMat::I64(m) => m.shape(),
-            ValueMat::F64(m) => m.shape(),
-        }
+        on_variant!(self, ValueMat, m => m.shape())
     }
 
     /// Number of rows.
@@ -156,11 +120,7 @@ impl ValueMat {
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        match self {
-            ValueMat::Bool(m) => m.nnz(),
-            ValueMat::I64(m) => m.nnz(),
-            ValueMat::F64(m) => m.nnz(),
-        }
+        on_variant!(self, ValueMat, m => m.nnz())
     }
 
     /// Which value lane the entries live on.
@@ -176,31 +136,19 @@ impl ValueMat {
     /// lane's actual width ([`ValueKind::value_bytes`] — 1 byte/nnz for
     /// `bool`, not `f64` width).
     pub fn bytes(&self) -> usize {
-        let structure = match self {
-            ValueMat::Bool(m) => m.structure_bytes(),
-            ValueMat::I64(m) => m.structure_bytes(),
-            ValueMat::F64(m) => m.structure_bytes(),
-        };
+        let structure = on_variant!(self, ValueMat, m => m.structure_bytes());
         structure + self.nnz() * self.value_kind().value_bytes()
     }
 
     /// Row pointers — the structure is lane-independent, so structural
     /// consumers (planner, flop counting) read it without dispatching.
     pub(crate) fn rowptr(&self) -> &[usize] {
-        match self {
-            ValueMat::Bool(m) => m.rowptr(),
-            ValueMat::I64(m) => m.rowptr(),
-            ValueMat::F64(m) => m.rowptr(),
-        }
+        on_variant!(self, ValueMat, m => m.rowptr())
     }
 
     /// Column indices of all stored entries, row-major (lane-independent).
     pub(crate) fn colidx(&self) -> &[Idx] {
-        match self {
-            ValueMat::Bool(m) => m.colidx(),
-            ValueMat::I64(m) => m.colidx(),
-            ValueMat::F64(m) => m.colidx(),
-        }
+        on_variant!(self, ValueMat, m => m.colidx())
     }
 
     /// Column indices of row `i`.
@@ -215,75 +163,23 @@ impl ValueMat {
     }
 
     fn max_row_nnz(&self) -> usize {
-        match self {
-            ValueMat::Bool(m) => m.max_row_nnz(),
-            ValueMat::I64(m) => m.max_row_nnz(),
-            ValueMat::F64(m) => m.max_row_nnz(),
-        }
+        on_variant!(self, ValueMat, m => m.max_row_nnz())
     }
 
     fn nonempty_rows(&self) -> usize {
-        match self {
-            ValueMat::Bool(m) => m.nonempty_rows(),
-            ValueMat::I64(m) => m.nonempty_rows(),
-            ValueMat::F64(m) => m.nonempty_rows(),
-        }
+        on_variant!(self, ValueMat, m => m.nonempty_rows())
     }
 
     /// Native-lane transpose (the lane travels with the structure).
     fn transposed(&self) -> ValueMat {
-        match self {
-            ValueMat::Bool(m) => ValueMat::Bool(Arc::new(transpose(m))),
-            ValueMat::I64(m) => ValueMat::I64(Arc::new(transpose(m))),
-            ValueMat::F64(m) => ValueMat::F64(Arc::new(transpose(m))),
-        }
+        on_variant!(self, ValueMat, m => ValueMat::from(transpose(m.as_ref())))
     }
 
     /// Cast to lane `T` (see [`LaneValue`]'s cast rules). Callers are
     /// expected to have taken the zero-copy native path already when
     /// `T::KIND == self.value_kind()`.
     fn cast<T: LaneValue>(&self) -> CsrMatrix<T> {
-        match self {
-            ValueMat::Bool(m) => m.map_values(T::cast_from),
-            ValueMat::I64(m) => m.map_values(T::cast_from),
-            ValueMat::F64(m) => m.map_values(T::cast_from),
-        }
-    }
-}
-
-impl From<CsrMatrix<bool>> for ValueMat {
-    fn from(m: CsrMatrix<bool>) -> Self {
-        ValueMat::Bool(Arc::new(m))
-    }
-}
-
-impl From<CsrMatrix<i64>> for ValueMat {
-    fn from(m: CsrMatrix<i64>) -> Self {
-        ValueMat::I64(Arc::new(m))
-    }
-}
-
-impl From<CsrMatrix<f64>> for ValueMat {
-    fn from(m: CsrMatrix<f64>) -> Self {
-        ValueMat::F64(Arc::new(m))
-    }
-}
-
-impl From<Arc<CsrMatrix<bool>>> for ValueMat {
-    fn from(m: Arc<CsrMatrix<bool>>) -> Self {
-        ValueMat::Bool(m)
-    }
-}
-
-impl From<Arc<CsrMatrix<i64>>> for ValueMat {
-    fn from(m: Arc<CsrMatrix<i64>>) -> Self {
-        ValueMat::I64(m)
-    }
-}
-
-impl From<Arc<CsrMatrix<f64>>> for ValueMat {
-    fn from(m: Arc<CsrMatrix<f64>>) -> Self {
-        ValueMat::F64(m)
+        on_variant!(self, ValueMat, m => m.map_values(T::cast_from))
     }
 }
 
@@ -297,40 +193,32 @@ struct VecEntry {
 }
 
 /// An evictable auxiliary slot: built on demand, dropped under memory
-/// pressure, rebuilt on the next request.
-type Slot<T> = RwLock<Option<Arc<T>>>;
+/// pressure, rebuilt on the next request. The value is type-erased so one
+/// array holds every [`AuxKind`]; the kind fixes the stored type (see
+/// [`AuxKind`]), and [`Entry::aux`] downcasts back to it.
+type Slot = RwLock<Option<Arc<dyn Any + Send + Sync>>>;
 
 /// One registered matrix plus lazily-computed auxiliaries.
 ///
 /// The matrix itself is stored **natively typed** ([`ValueMat`]); the
 /// heavyweight auxiliaries — per-lane cast views and CSC forms, the
 /// native-lane transpose, the degree vector — live in evictable [`Slot`]s
-/// accounted against the context's byte budget, and cheap scalar
-/// statistics stay in `OnceLock`s. A cast/CSC slot exists per lane, but
-/// the slot of the *stored* lane is never populated: requests for the
-/// native lane are served zero-copy from `matrix` itself.
+/// (one per [`AuxKind`]) accounted against the context's byte budget, and
+/// cheap scalar statistics stay in `OnceLock`s. A cast slot exists per
+/// lane, but the slot of the *stored* lane is never populated: requests
+/// for the native lane are served zero-copy from `matrix` itself.
 /// [`Context::update_typed`] replaces the whole entry, which is what makes
 /// invalidation correct by construction: stale auxiliaries (every lane's)
 /// are unreachable, not flagged.
 pub(crate) struct Entry {
     pub(crate) matrix: ValueMat,
     pub(crate) version: u64,
-    /// Cross-lane cast views in CSR form, one slot per non-native lane.
-    cast_bool: Slot<CsrMatrix<bool>>,
-    cast_i64: Slot<CsrMatrix<i64>>,
-    cast_f64: Slot<CsrMatrix<f64>>,
-    /// CSC forms per lane (the stored lane's slot holds the CSC of the
-    /// native matrix; others hold the CSC of the lane's cast view).
-    csc_bool: Slot<CscMatrix<bool>>,
-    csc_i64: Slot<CscMatrix<i64>>,
-    csc_f64: Slot<CscMatrix<f64>>,
-    /// Native-lane transpose.
-    transposed: Slot<ValueMat>,
+    /// Evictable auxiliaries, indexed by [`AuxKind::index`].
+    aux: [Slot; AuxKind::COUNT],
     /// Registered handle for the transpose, so engine operations can use
     /// `Aᵀ` as an operand with its own cached auxiliaries. Owned by this
     /// entry: removed alongside it on update/remove.
     transpose_handle: OnceLock<MatrixHandle>,
-    row_degrees: Slot<Vec<u32>>,
     max_row_nnz: OnceLock<usize>,
     nonempty_rows: OnceLock<usize>,
     plan_class: OnceLock<u64>,
@@ -341,15 +229,8 @@ impl Entry {
         Entry {
             matrix,
             version,
-            cast_bool: RwLock::new(None),
-            cast_i64: RwLock::new(None),
-            cast_f64: RwLock::new(None),
-            csc_bool: RwLock::new(None),
-            csc_i64: RwLock::new(None),
-            csc_f64: RwLock::new(None),
-            transposed: RwLock::new(None),
+            aux: Default::default(),
             transpose_handle: OnceLock::new(),
-            row_degrees: RwLock::new(None),
             max_row_nnz: OnceLock::new(),
             nonempty_rows: OnceLock::new(),
             plan_class: OnceLock::new(),
@@ -366,43 +247,69 @@ impl Entry {
             .get_or_init(|| self.matrix.nonempty_rows())
     }
 
-    fn clear_aux(&self, kind: AuxKind) {
-        match kind {
-            AuxKind::Cast(ValueKind::Bool) => {
-                *self.cast_bool.write().expect("bool cast slot lock") = None
+    fn slot(&self, kind: AuxKind) -> &Slot {
+        &self.aux[kind.index()]
+    }
+
+    /// The resident value of `kind`'s slot, if built.
+    fn aux<T: Any + Send + Sync>(&self, kind: AuxKind) -> Option<Arc<T>> {
+        let value = self.slot(kind).read().expect("aux slot lock").clone()?;
+        Some(value.downcast().expect("aux slot holds its kind's type"))
+    }
+
+    /// Publish `built` into `kind`'s slot unless a racing builder got there
+    /// first. Returns the resident value and whether `built` is it.
+    fn publish<T: Any + Send + Sync>(&self, kind: AuxKind, built: Arc<T>) -> (Arc<T>, bool) {
+        let mut slot = self.slot(kind).write().expect("aux slot lock");
+        match &*slot {
+            Some(existing) => {
+                let existing = existing.clone().downcast();
+                (existing.expect("aux slot holds its kind's type"), false)
             }
-            AuxKind::Cast(ValueKind::I64) => {
-                *self.cast_i64.write().expect("i64 cast slot lock") = None
+            None => {
+                *slot = Some(built.clone());
+                (built, true)
             }
-            AuxKind::Cast(ValueKind::F64) => {
-                *self.cast_f64.write().expect("f64 cast slot lock") = None
-            }
-            AuxKind::Csc(ValueKind::Bool) => {
-                *self.csc_bool.write().expect("bool csc slot lock") = None
-            }
-            AuxKind::Csc(ValueKind::I64) => {
-                *self.csc_i64.write().expect("i64 csc slot lock") = None
-            }
-            AuxKind::Csc(ValueKind::F64) => {
-                *self.csc_f64.write().expect("f64 csc slot lock") = None
-            }
-            AuxKind::Transpose => *self.transposed.write().expect("transpose slot lock") = None,
-            AuxKind::RowDegrees => *self.row_degrees.write().expect("degrees slot lock") = None,
         }
+    }
+
+    fn has_aux(&self, kind: AuxKind) -> bool {
+        self.slot(kind).read().expect("aux slot lock").is_some()
+    }
+
+    fn clear_aux(&self, kind: AuxKind) {
+        *self.slot(kind).write().expect("aux slot lock") = None;
     }
 }
 
-/// Which evictable auxiliary a ledger record tracks. Cast views and CSC
-/// forms are tracked *per lane*, which is what lets eviction, status
-/// reporting, and invalidation reason about exactly one lane's slot.
+/// Which evictable auxiliary a ledger record tracks, and so which type its
+/// slot holds. Cast views and CSC forms are tracked *per lane*, which is
+/// what lets eviction, status reporting, and invalidation reason about
+/// exactly one lane's slot.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 enum AuxKind {
-    /// Cross-lane CSR cast view on the given lane.
+    /// Cross-lane CSR cast view on the given lane (`CsrMatrix<T>`).
     Cast(ValueKind),
-    /// CSC form on the given lane.
+    /// CSC form on the given lane (`CscMatrix<T>`).
     Csc(ValueKind),
+    /// Native-lane transpose (`ValueMat`).
     Transpose,
+    /// Row populations (`Vec<u32>`).
     RowDegrees,
+}
+
+impl AuxKind {
+    const COUNT: usize = 2 * ValueKind::ALL.len() + 2;
+
+    fn index(self) -> usize {
+        let lanes = ValueKind::ALL.len();
+        match self {
+            AuxKind::Cast(k) => k as usize,
+            AuxKind::Csc(k) => lanes + k as usize,
+            AuxKind::Transpose => 2 * lanes,
+            AuxKind::RowDegrees => 2 * lanes + 1,
+        }
+    }
 }
 
 /// Byte accounting for the evictable auxiliaries, LRU-stamped.
@@ -594,43 +501,13 @@ pub struct Context {
     /// path (batch workers hold their own sets). Guarded by `try_lock`
     /// with a transient-scratch fallback, so concurrent single ops never
     /// block each other — they just skip the reuse.
-    pub(crate) vec_scratch: VecScratch,
-}
-
-/// One reusable erased-semiring SpGEVM scratch set per value lane.
-pub(crate) struct VecScratch {
-    pub(crate) bool_: Mutex<ScratchSet<DynLane<bool>>>,
-    pub(crate) i64_: Mutex<ScratchSet<DynLane<i64>>>,
-    pub(crate) f64_: Mutex<ScratchSet<DynLane<f64>>>,
-}
-
-impl VecScratch {
-    fn new() -> Self {
-        VecScratch {
-            bool_: Mutex::new(ScratchSet::new()),
-            i64_: Mutex::new(ScratchSet::new()),
-            f64_: Mutex::new(ScratchSet::new()),
-        }
-    }
+    pub(crate) vec_scratch: Mutex<LaneScratch>,
 }
 
 impl Default for Context {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Heap footprint of a CSR matrix for the aux-cache ledger — delegates to
-/// [`CsrMatrix::heap_bytes`], which bills values at the *actual* stored
-/// lane's width (a `bool` cast view costs 1 byte/nnz, not `f64` width).
-fn csr_bytes<T>(m: &CsrMatrix<T>) -> usize {
-    m.heap_bytes()
-}
-
-/// Heap footprint of a CSC matrix for the aux-cache ledger (same
-/// per-stored-lane accounting as [`csr_bytes`]).
-fn csc_bytes<T>(m: &CscMatrix<T>) -> usize {
-    m.heap_bytes()
 }
 
 /// Quantize a count to ~1.5× steps (most-significant bit plus the bit
@@ -673,7 +550,7 @@ impl Context {
             plan_cache: Mutex::new(PlanCacheState::new()),
             aux_ledger: Mutex::new(AuxLedger::new()),
             serial_cutoff: RwLock::new(0.0),
-            vec_scratch: VecScratch::new(),
+            vec_scratch: Mutex::default(),
         }
     }
 
@@ -1014,11 +891,7 @@ impl Context {
         };
         mix(e.vec.dim() as u64);
         mix(log_bucket(e.vec.nnz()));
-        mix(match e.vec.value_kind() {
-            ValueKind::Bool => 1,
-            ValueKind::I64 => 2,
-            ValueKind::F64 => 3,
-        });
+        mix(1 + e.vec.value_kind() as u64);
         h
     }
 
@@ -1141,31 +1014,21 @@ impl Context {
     /// have been [`Context::transposed_for_promote`], whose value is
     /// deliberately uncharged (owned by a registry entry); a loser's
     /// late charge would double-bill those bytes.
-    fn cached_aux<T: Send + Sync>(
+    fn cached_aux<T: Any + Send + Sync>(
         &self,
         handle: MatrixHandle,
         kind: AuxKind,
-        slot: impl for<'a> Fn(&'a Entry) -> &'a Slot<T>,
         build: impl FnOnce(&Entry) -> T,
         bytes: impl FnOnce(&T) -> usize,
     ) -> Arc<T> {
         let e = self.entry(handle);
-        if let Some(v) = slot(&e).read().expect("aux slot lock").clone() {
+        if let Some(v) = e.aux(kind) {
             self.touch_aux(handle, kind);
             return v;
         }
         let built = Arc::new(build(&e));
         let nbytes = bytes(&built);
-        let (out, published) = {
-            let mut s = slot(&e).write().expect("aux slot lock");
-            match &*s {
-                Some(existing) => (existing.clone(), false), // lost a build race
-                None => {
-                    *s = Some(built.clone());
-                    (built, true)
-                }
-            }
-        };
+        let (out, published) = e.publish(kind, built);
         if published {
             self.charge_aux(handle, e.version, kind, nbytes);
         } else {
@@ -1174,38 +1037,46 @@ impl Context {
         out
     }
 
-    /// The `bool`-lane CSR form of the matrix: the native storage itself
-    /// (zero-copy) when the entry was registered on the `bool` lane,
-    /// otherwise the cached cast view (`v != 0` per entry) built on first
-    /// call, dropped under budget pressure, and rebuilt on demand — what
-    /// boolean-semiring operations (BFS frontier expansion) multiply
-    /// against.
-    pub fn bool_view(&self, handle: MatrixHandle) -> Arc<CsrMatrix<bool>> {
-        if let ValueMat::Bool(m) = &self.entry(handle).matrix {
+    /// The lane-`T` CSR form of the matrix: the native storage itself
+    /// (zero-copy) when the entry is stored on lane `T`, otherwise the
+    /// cached cast view built on first call, dropped under budget
+    /// pressure, and rebuilt on demand.
+    pub(crate) fn view<T: Lane>(&self, handle: MatrixHandle) -> Arc<CsrMatrix<T>> {
+        if let Some(m) = T::native_mat(&self.entry(handle).matrix) {
             return m.clone();
         }
         self.cached_aux(
             handle,
-            AuxKind::Cast(ValueKind::Bool),
-            |e| &e.cast_bool,
+            AuxKind::Cast(T::KIND),
             |e| e.matrix.cast(),
-            csr_bytes,
+            CsrMatrix::heap_bytes,
         )
+    }
+
+    /// Cached CSC form on lane `T`. The CSR form is fetched inside the
+    /// build closure, so a resident CSC is served without touching (or
+    /// rebuilding) the cast slot; on the stored lane this is the CSC of
+    /// the native storage.
+    pub(crate) fn lane_csc<T: Lane>(&self, handle: MatrixHandle) -> Arc<CscMatrix<T>> {
+        self.cached_aux(
+            handle,
+            AuxKind::Csc(T::KIND),
+            |_| CscMatrix::from_csr(&self.view::<T>(handle)),
+            CscMatrix::heap_bytes,
+        )
+    }
+
+    /// The `bool`-lane CSR form (native zero-copy or cached cast, `v != 0`
+    /// per entry) — what boolean-semiring operations (BFS frontier
+    /// expansion) multiply against.
+    pub fn bool_view(&self, handle: MatrixHandle) -> Arc<CsrMatrix<bool>> {
+        self.view(handle)
     }
 
     /// The `i64`-lane CSR form (native zero-copy or cached cast; `f64`
     /// values truncate) — the operand of exact integer-semiring operations.
     pub fn i64_view(&self, handle: MatrixHandle) -> Arc<CsrMatrix<i64>> {
-        if let ValueMat::I64(m) = &self.entry(handle).matrix {
-            return m.clone();
-        }
-        self.cached_aux(
-            handle,
-            AuxKind::Cast(ValueKind::I64),
-            |e| &e.cast_i64,
-            |e| e.matrix.cast(),
-            csr_bytes,
-        )
+        self.view(handle)
     }
 
     /// The `f64`-lane CSR form (native zero-copy or cached cast) — the
@@ -1213,54 +1084,23 @@ impl Context {
     /// matrices only ever pay for this when an `f64`-lane operation
     /// actually asks for them.
     pub fn f64_view(&self, handle: MatrixHandle) -> Arc<CsrMatrix<f64>> {
-        if let ValueMat::F64(m) = &self.entry(handle).matrix {
-            return m.clone();
-        }
-        self.cached_aux(
-            handle,
-            AuxKind::Cast(ValueKind::F64),
-            |e| &e.cast_f64,
-            |e| e.matrix.cast(),
-            csr_bytes,
-        )
+        self.view(handle)
     }
 
     /// Cached CSC form on the `f64` lane (built from the `f64` view on
     /// first call, dropped under budget pressure, rebuilt on demand).
     pub fn csc(&self, handle: MatrixHandle) -> Arc<CscMatrix<f64>> {
-        self.cached_aux(
-            handle,
-            AuxKind::Csc(ValueKind::F64),
-            |e| &e.csc_f64,
-            |_| CscMatrix::from_csr(&self.f64_view(handle)),
-            csc_bytes,
-        )
+        self.lane_csc(handle)
     }
 
-    /// Cached CSC form on the `bool` lane (pull-based boolean ops). The
-    /// CSR form is fetched inside the build closure, so a resident CSC is
-    /// served without touching (or rebuilding) the cast slot; for natively
-    /// `bool` matrices this is the CSC of the native storage.
+    /// Cached CSC form on the `bool` lane (pull-based boolean ops).
     pub fn bool_csc(&self, handle: MatrixHandle) -> Arc<CscMatrix<bool>> {
-        self.cached_aux(
-            handle,
-            AuxKind::Csc(ValueKind::Bool),
-            |e| &e.csc_bool,
-            |_| CscMatrix::from_csr(&self.bool_view(handle)),
-            csc_bytes,
-        )
+        self.lane_csc(handle)
     }
 
-    /// Cached CSC form on the `i64` lane (pull-based integer ops; see
-    /// [`Context::bool_csc`] for the lazy-view discipline).
+    /// Cached CSC form on the `i64` lane (pull-based integer ops).
     pub fn i64_csc(&self, handle: MatrixHandle) -> Arc<CscMatrix<i64>> {
-        self.cached_aux(
-            handle,
-            AuxKind::Csc(ValueKind::I64),
-            |e| &e.csc_i64,
-            |_| CscMatrix::from_csr(&self.i64_view(handle)),
-            csc_bytes,
-        )
+        self.lane_csc(handle)
     }
 
     /// Cached native-lane transpose (built on first call, dropped under
@@ -1270,9 +1110,8 @@ impl Context {
         (*self.cached_aux(
             handle,
             AuxKind::Transpose,
-            |e| &e.transposed,
             |e| e.matrix.transposed(),
-            |t| t.bytes(),
+            ValueMat::bytes,
         ))
         .clone()
     }
@@ -1299,23 +1138,15 @@ impl Context {
     /// [`Context::transposed_mat`] managed to charge is dropped (evicting
     /// the slot would free nothing once the entry pins the Arc).
     fn transposed_for_promote(&self, e: &Entry, handle: MatrixHandle) -> ValueMat {
-        let resident = e.transposed.read().expect("transpose slot lock").clone();
-        let out = match resident {
-            Some(t) => (*t).clone(),
+        let t = match e.aux::<ValueMat>(AuxKind::Transpose) {
+            Some(t) => t,
             None => {
-                let built = Arc::new(e.matrix.transposed());
-                let mut s = e.transposed.write().expect("transpose slot lock");
-                match &*s {
-                    Some(existing) => (**existing).clone(), // lost a build race
-                    None => {
-                        *s = Some(built.clone());
-                        (*built).clone()
-                    }
-                }
+                e.publish(AuxKind::Transpose, Arc::new(e.matrix.transposed()))
+                    .0
             }
         };
         self.uncharge_aux(handle, AuxKind::Transpose);
-        out
+        (*t).clone()
     }
 
     /// Handle for the cached transpose, registered on first call and owned
@@ -1365,13 +1196,12 @@ impl Context {
         self.cached_aux(
             handle,
             AuxKind::RowDegrees,
-            |e| &e.row_degrees,
             |e| {
                 (0..e.matrix.nrows())
                     .map(|i| e.matrix.row_nnz(i) as u32)
                     .collect()
             },
-            |d| d.len() * mem::size_of::<u32>(),
+            |d: &Vec<u32>| d.len() * mem::size_of::<u32>(),
         )
     }
 
@@ -1392,24 +1222,18 @@ impl Context {
     /// [`AuxStatus`] for the per-lane cast semantics).
     pub fn aux_status(&self, handle: MatrixHandle) -> AuxStatus {
         let e = self.entry(handle);
-        let has_csc = match e.matrix.value_kind() {
-            ValueKind::Bool => e.csc_bool.read().expect("csc slot lock").is_some(),
-            ValueKind::I64 => e.csc_i64.read().expect("csc slot lock").is_some(),
-            ValueKind::F64 => e.csc_f64.read().expect("csc slot lock").is_some(),
-        };
-        let status = AuxStatus {
+        AuxStatus {
             version: e.version,
-            has_csc,
-            has_transpose: e.transposed.read().expect("transpose slot lock").is_some(),
-            has_row_degrees: e.row_degrees.read().expect("degrees slot lock").is_some(),
-            has_bool_view: e.cast_bool.read().expect("bool cast slot lock").is_some(),
-            has_i64_view: e.cast_i64.read().expect("i64 cast slot lock").is_some(),
-            has_f64_view: e.cast_f64.read().expect("f64 cast slot lock").is_some(),
-            has_bool_csc: e.csc_bool.read().expect("bool csc slot lock").is_some(),
-            has_i64_csc: e.csc_i64.read().expect("i64 csc slot lock").is_some(),
-            has_f64_csc: e.csc_f64.read().expect("f64 csc slot lock").is_some(),
-        };
-        status
+            has_csc: e.has_aux(AuxKind::Csc(e.matrix.value_kind())),
+            has_transpose: e.has_aux(AuxKind::Transpose),
+            has_row_degrees: e.has_aux(AuxKind::RowDegrees),
+            has_bool_view: e.has_aux(AuxKind::Cast(ValueKind::Bool)),
+            has_i64_view: e.has_aux(AuxKind::Cast(ValueKind::I64)),
+            has_f64_view: e.has_aux(AuxKind::Cast(ValueKind::F64)),
+            has_bool_csc: e.has_aux(AuxKind::Csc(ValueKind::Bool)),
+            has_i64_csc: e.has_aux(AuxKind::Csc(ValueKind::I64)),
+            has_f64_csc: e.has_aux(AuxKind::Csc(ValueKind::F64)),
+        }
     }
 
     /// The structural fingerprint class of the matrix behind `handle` —
@@ -1435,11 +1259,7 @@ impl Context {
             // The stored kind tags the class: a natively-bool operand and
             // its f64 twin resolve operands differently (zero-copy vs
             // cast), so their plans must not alias.
-            mix(match e.matrix.value_kind() {
-                ValueKind::Bool => 1,
-                ValueKind::I64 => 2,
-                ValueKind::F64 => 3,
-            });
+            mix(1 + e.matrix.value_kind() as u64);
             h
         })
     }
@@ -1579,7 +1399,7 @@ impl Context {
 
     /// Run one masked SpGEMM under an explicit plan against caller-supplied
     /// typed operand views — the lane-generic core every execution entry
-    /// point (the `f64` handle path and the typed-lane dispatch in
+    /// point ([`Context::run_with`] and the typed-lane dispatch in
     /// [`crate::MaskedOp`] execution) shares. The mask is consumed in its
     /// **native** storage (the kernels only read its pattern, so no lane
     /// cast is ever built for a mask operand); `b_csc` is invoked only when
@@ -1603,11 +1423,7 @@ impl Context {
         S::B: Clone,
         S::C: Default + Send + Sync,
     {
-        match mask {
-            ValueMat::Bool(m) => self.execute_mat_views_masked(plan, sr, m, a, b, b_csc),
-            ValueMat::I64(m) => self.execute_mat_views_masked(plan, sr, m, a, b, b_csc),
-            ValueMat::F64(m) => self.execute_mat_views_masked(plan, sr, m, a, b, b_csc),
-        }
+        on_variant!(mask, ValueMat, m => self.execute_mat_views_masked(plan, sr, m, a, b, b_csc))
     }
 
     /// [`Context::execute_mat_views`] monomorphized per mask lane (the
@@ -1665,68 +1481,6 @@ impl Context {
         }
     }
 
-    /// Run one masked SpGEMM under an explicit plan (row-parallel kernels
-    /// on the context's pool, cached auxiliaries) on the canonical `f64`
-    /// lane.
-    pub(crate) fn execute_planned<S>(
-        &self,
-        plan: &Plan,
-        sr: S,
-        mask: MatrixHandle,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring<A = f64, B = f64>,
-        S::C: Default + Send + Sync,
-    {
-        let mask_vm = self.value_mat(mask);
-        let (av, bv) = (self.f64_view(a), self.f64_view(b));
-        self.execute_mat_views(plan, sr, &mask_vm, &av, &bv, &mut || self.csc(b))
-    }
-
-    /// Run one masked SpGEMM under an explicit plan.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build a `MaskedOp` with `Context::op` and set explicit \
-                `algorithm`/`phases` overrides instead"
-    )]
-    pub fn run_planned<S>(
-        &self,
-        plan: &Plan,
-        sr: S,
-        mask: MatrixHandle,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring<A = f64, B = f64>,
-        S::C: Default + Send + Sync,
-    {
-        self.execute_planned(plan, sr, mask, a, b)
-    }
-
-    /// Plan and run one masked SpGEMM: `C = M ⊙ (A·B)` (or `¬M ⊙`).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Context::op(mask, a, b).semiring(...).run()`"
-    )]
-    pub fn masked_spgemm<S>(
-        &self,
-        sr: S,
-        mask: MatrixHandle,
-        complemented: bool,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring<A = f64, B = f64>,
-        S::C: Default + Send + Sync,
-    {
-        let plan = self.plan(mask, complemented, a, b)?;
-        self.execute_planned(&plan, sr, mask, a, b)
-    }
-
     /// Run with a forced algorithm and phase discipline (bypasses the
     /// planner but still uses cached auxiliaries). The typed-semiring
     /// counterpart of `Context::op(..).algorithm(..).phases(..).run()`.
@@ -1746,6 +1500,8 @@ impl Context {
         S::C: Default + Send + Sync,
     {
         let plan = Plan::fixed(algorithm, phases, complemented);
-        self.execute_planned(&plan, sr, mask, a, b)
+        let mask = self.value_mat(mask);
+        let (av, bv) = (self.f64_view(a), self.f64_view(b));
+        self.execute_mat_views(&plan, sr, &mask, &av, &bv, &mut || self.csc(b))
     }
 }

@@ -72,18 +72,17 @@
 mod batch;
 mod calibrate;
 mod context;
+mod lane;
 mod op;
 mod plan;
 
-#[allow(deprecated)]
-pub use batch::BatchOp;
 pub use calibrate::Calibration;
 pub use context::{
     AuxCacheStats, AuxStatus, Context, MatrixHandle, MatrixStats, PlanCacheStats, ValueMat,
     ValueVec, VectorHandle,
 };
 pub use masked_spgemm::{
-    Algorithm, DynLane, DynSemiring, HybridConfig, LaneValue, Phases, SemiringKind, ValueKind,
+    Algorithm, DynLane, HybridConfig, LaneValue, Phases, SemiringKind, ValueKind,
 };
 pub use op::{
     AccumMode, AccumMonoid, AccumTarget, FromOpOutput, MaskedOp, OpBuilder, OpOutput, Operands,

@@ -55,13 +55,11 @@ use masked_spgemm::{
     masked_spgevm_csc, Algorithm, DynLane, LaneValue, Phases, ScratchSet, SemiringKind, ValueKind,
 };
 use sparse::ewise::ewise_union;
-use sparse::{
-    BoolAndOr, CscMatrix, CsrMatrix, MinPlus, PlusFirst, PlusPair, PlusSecond, PlusTimes, Semiring,
-    SparseError, SparseVec,
-};
-use std::sync::{Arc, Mutex};
+use sparse::{CsrMatrix, Semiring, SparseError, SparseVec};
+use std::sync::Arc;
 
 use crate::context::{Context, MatrixHandle, ValueMat, ValueVec, VectorHandle};
+use crate::lane::{with_lane, Lane, TypedProduct};
 use crate::plan::{self, Choice, Plan};
 
 /// Uniform error text: the semiring kind is not defined on the value lane.
@@ -262,12 +260,7 @@ impl OpOutput {
     /// preserved), or `None` for matrix results — the bridge between an
     /// executed frontier step and [`Context::update_vec`].
     pub fn into_vec(self) -> Option<ValueVec> {
-        match self {
-            OpOutput::VecF64(v) => Some(ValueVec::from(v)),
-            OpOutput::VecI64(v) => Some(ValueVec::from(v)),
-            OpOutput::VecBool(v) => Some(ValueVec::from(v)),
-            _ => None,
-        }
+        with_lane!(self.value_kind(), T => T::take_vec(self).map(|v| T::wrap_vec(Arc::new(v))))
     }
 }
 
@@ -288,26 +281,6 @@ impl FromOpOutput for OpOutput {
         Ok(output)
     }
 }
-
-macro_rules! impl_from_output {
-    ($t:ty, $variant:ident) => {
-        impl FromOpOutput for $t {
-            fn from_output(output: OpOutput) -> Result<Self, SparseError> {
-                match output {
-                    OpOutput::$variant(v) => Ok(v),
-                    _ => Err(SparseError::Unsupported(OUTPUT_KIND_MISMATCH)),
-                }
-            }
-        }
-    };
-}
-
-impl_from_output!(CsrMatrix<f64>, MatF64);
-impl_from_output!(CsrMatrix<i64>, MatI64);
-impl_from_output!(CsrMatrix<bool>, MatBool);
-impl_from_output!(SparseVec<f64>, VecF64);
-impl_from_output!(SparseVec<i64>, VecI64);
-impl_from_output!(SparseVec<bool>, VecBool);
 
 /// Fluent constructor for [`MaskedOp`], obtained from [`Context::op`] or
 /// [`Context::vec_op`].
@@ -654,14 +627,14 @@ impl Context {
     /// rebuilding their accumulator per call.
     pub fn run_op_out(&self, op: &MaskedOp) -> Result<OpOutput, SparseError> {
         let plan = self.resolve_plan(op)?;
-        let out = match op.operands {
-            Operands::MatMat { mask, a, b } => match op.value {
-                ValueKind::F64 => OpOutput::MatF64(self.run_mat_f64(&plan, op, mask, a, b)?),
-                ValueKind::I64 => OpOutput::MatI64(self.run_mat_i64(&plan, op, mask, a, b)?),
-                ValueKind::Bool => OpOutput::MatBool(self.run_mat_bool(&plan, op, mask, a, b)?),
-            },
-            Operands::VecMat { mask, u, b } => self.run_vec_out(&plan, op, mask, u, b)?,
-        };
+        let out = with_lane!(op.value, T => match op.operands {
+            Operands::MatMat { mask, a, b } => {
+                T::mat_output(self.run_mat::<T>(&plan, op, mask, a, b)?)
+            }
+            Operands::VecMat { mask, u, b } => {
+                T::vec_output(self.run_vec::<T>(&plan, op, mask, u, b)?)
+            }
+        });
         self.apply_accum(op, out)
     }
 
@@ -671,171 +644,77 @@ impl Context {
         FromOpOutput::from_output(self.run_op_out(op)?)
     }
 
-    fn run_mat_f64(
+    /// Execute a planned matrix product on lane `T` with the typed semiring
+    /// the descriptor names. Operand resolution is native-first: the mask
+    /// is consumed in its stored lane (kernels read only its pattern), and
+    /// the lane views are the stored matrices themselves when the entries
+    /// were registered on this lane — zero-copy, no canonical detour.
+    fn run_mat<T: Lane>(
         &self,
         plan: &Plan,
         op: &MaskedOp,
         mask: MatrixHandle,
         a: MatrixHandle,
         b: MatrixHandle,
-    ) -> Result<CsrMatrix<f64>, SparseError> {
-        // Operand resolution is native-first: the mask is consumed in its
-        // stored lane (kernels read only its pattern), and the `f64` views
-        // are the stored matrices themselves when the entries were
-        // registered on this lane — zero-copy, no canonical detour.
-        let mm = self.value_mat(mask);
-        let (av, bv) = (self.f64_view(a), self.f64_view(b));
-        macro_rules! go {
-            ($sr:expr) => {
-                self.execute_mat_views(plan, $sr, &mm, &av, &bv, &mut || self.csc(b))
-            };
-        }
-        match op.semiring {
-            SemiringKind::PlusTimes => go!(PlusTimes::<f64>::new()),
-            SemiringKind::PlusPair => go!(PlusPair::<f64, f64, f64>::new()),
-            SemiringKind::PlusFirst => go!(PlusFirst::<f64>::new()),
-            SemiringKind::PlusSecond => go!(PlusSecond::<f64, f64>::new()),
-            SemiringKind::MinPlus => go!(MinPlus::<f64>::new()),
-            SemiringKind::BoolAndOr => Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED)),
-        }
+    ) -> Result<CsrMatrix<T>, SparseError> {
+        let product = MatProduct {
+            ctx: self,
+            plan,
+            mask: self.value_mat(mask),
+            a: self.view(a),
+            b: self.view(b),
+            b_handle: b,
+        };
+        T::typed_product(op.semiring, product)?
     }
 
-    fn run_mat_i64(
-        &self,
-        plan: &Plan,
-        op: &MaskedOp,
-        mask: MatrixHandle,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<i64>, SparseError> {
-        let mm = self.value_mat(mask);
-        let (av, bv) = (self.i64_view(a), self.i64_view(b));
-        macro_rules! go {
-            ($sr:expr) => {
-                self.execute_mat_views(plan, $sr, &mm, &av, &bv, &mut || self.i64_csc(b))
-            };
-        }
-        match op.semiring {
-            SemiringKind::PlusTimes => go!(PlusTimes::<i64>::new()),
-            SemiringKind::PlusPair => go!(PlusPair::<i64, i64, i64>::new()),
-            SemiringKind::PlusFirst => go!(PlusFirst::<i64>::new()),
-            SemiringKind::PlusSecond => go!(PlusSecond::<i64, i64>::new()),
-            SemiringKind::MinPlus => go!(MinPlus::<i64>::new()),
-            SemiringKind::BoolAndOr => Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED)),
-        }
-    }
-
-    fn run_mat_bool(
-        &self,
-        plan: &Plan,
-        op: &MaskedOp,
-        mask: MatrixHandle,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<bool>, SparseError> {
-        match op.semiring {
-            SemiringKind::BoolAndOr => {
-                let mm = self.value_mat(mask);
-                let (av, bv) = (self.bool_view(a), self.bool_view(b));
-                self.execute_mat_views(plan, BoolAndOr, &mm, &av, &bv, &mut || self.bool_csc(b))
-            }
-            _ => Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED)),
-        }
-    }
-
-    fn run_vec_out(
-        &self,
-        plan: &Plan,
-        op: &MaskedOp,
-        mask: VectorHandle,
-        u: VectorHandle,
-        b: MatrixHandle,
-    ) -> Result<OpOutput, SparseError> {
-        let mask_pat = self.vector(mask).pattern();
-        match (op.value, self.vector(u)) {
-            (ValueKind::Bool, ValueVec::Bool(uv)) => self
-                .run_vec_lane(
-                    plan,
-                    op,
-                    &mask_pat,
-                    &uv,
-                    b,
-                    |ctx, h| ctx.bool_view(h),
-                    |ctx, h| ctx.bool_csc(h),
-                    &self.vec_scratch.bool_,
-                )
-                .map(OpOutput::VecBool),
-            (ValueKind::I64, ValueVec::I64(uv)) => self
-                .run_vec_lane(
-                    plan,
-                    op,
-                    &mask_pat,
-                    &uv,
-                    b,
-                    |ctx, h| ctx.i64_view(h),
-                    |ctx, h| ctx.i64_csc(h),
-                    &self.vec_scratch.i64_,
-                )
-                .map(OpOutput::VecI64),
-            (ValueKind::F64, ValueVec::F64(uv)) => self
-                .run_vec_lane(
-                    plan,
-                    op,
-                    &mask_pat,
-                    &uv,
-                    b,
-                    |ctx, h| ctx.f64_view(h),
-                    |ctx, h| ctx.csc(h),
-                    &self.vec_scratch.f64_,
-                )
-                .map(OpOutput::VecF64),
-            // Lane agreement was validated; reaching here means the vector
-            // was concurrently replaced with another lane.
-            _ => Err(SparseError::Unsupported(OPERAND_LANE_MISMATCH)),
-        }
-    }
-
-    /// Execute a planned vector-operand product on one lane, reading `B`
-    /// through the lane accessors (`view_of` in CSR form for push kernels,
-    /// `csc_of` for the pull path — both served from the context's aux
-    /// cache, built only when the plan actually needs them).
+    /// Execute a planned vector-operand product on lane `T`, reading `B`
+    /// from the context's aux cache (the CSR view for push kernels, the
+    /// CSC form for the pull path — each built only when the plan needs
+    /// it).
     ///
     /// Push products run through the context's **reusable per-lane
     /// [`ScratchSet`]** ([`DynLane`] erasure, bit-identical to the typed
     /// semirings), so a BFS that issues one product per level stops
     /// rebuilding its `O(ncols)` accumulator every level. The pull path
     /// (`Inner`) carries no accumulator and writes its dots directly.
-    #[allow(clippy::too_many_arguments)]
-    fn run_vec_lane<T>(
+    fn run_vec<T: Lane>(
         &self,
         plan: &Plan,
         op: &MaskedOp,
-        mask: &SparseVec<()>,
-        u: &SparseVec<T>,
+        mask: VectorHandle,
+        u: VectorHandle,
         b: MatrixHandle,
-        view_of: impl Fn(&Context, MatrixHandle) -> Arc<CsrMatrix<T>>,
-        csc_of: impl Fn(&Context, MatrixHandle) -> Arc<CscMatrix<T>>,
-        scratch: &Mutex<ScratchSet<DynLane<T>>>,
-    ) -> Result<SparseVec<T>, SparseError>
-    where
-        T: LaneValue,
-    {
+    ) -> Result<SparseVec<T>, SparseError> {
+        let mask = self.vector(mask).pattern();
+        let u = self.vector(u);
+        // Lane agreement was validated; a mismatch here means the vector
+        // was concurrently replaced with another lane.
+        let u = T::native_vec(&u).ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?;
         let sr = DynLane::<T>::new(op.semiring);
         let algorithm = match plan.choice {
             Choice::Fixed(alg) => alg,
             Choice::Hybrid => Algorithm::Msa, // vec plans are never hybrid
         };
         if algorithm == Algorithm::Inner {
-            let csc = csc_of(self, b);
-            return masked_spgevm_csc(plan.complemented, sr, mask, u, &csc);
+            let csc = self.lane_csc::<T>(b);
+            return masked_spgevm_csc(plan.complemented, sr, &mask, u, &csc);
         }
-        let view = view_of(self, b);
-        match scratch.try_lock() {
-            Ok(mut set) => set.run_vec(algorithm, plan.complemented, sr, mask, u, &view, None),
-            // Another single op holds the lane's scratch right now: run on
+        let view = self.view::<T>(b);
+        match self.vec_scratch.try_lock() {
+            Ok(mut set) => T::scratch(&mut set).run_vec(
+                algorithm,
+                plan.complemented,
+                sr,
+                &mask,
+                u,
+                &view,
+                None,
+            ),
+            // Another single op holds the scratch right now: run on
             // transient scratch rather than serializing behind it.
             Err(_) => {
-                ScratchSet::new().run_vec(algorithm, plan.complemented, sr, mask, u, &view, None)
+                ScratchSet::new().run_vec(algorithm, plan.complemented, sr, &mask, u, &view, None)
             }
         }
     }
@@ -849,111 +728,90 @@ impl Context {
         let AccumMode::MergeInto(target, monoid) = op.accum else {
             return Ok(out);
         };
-        match target {
-            AccumTarget::Mat(handle) => {
-                macro_rules! merge_mat {
-                    ($c:expr, $existing:expr, $custom:expr, $variant:ident) => {{
-                        let (c, existing) = ($c, $existing);
-                        if existing.shape() != c.shape() {
-                            return Err(SparseError::DimMismatch {
-                                op: "accumulate_into",
-                                lhs: existing.shape(),
-                                rhs: c.shape(),
-                            });
-                        }
-                        let merged = ewise_union(
-                            existing.as_ref(),
-                            &c,
-                            |x, y| apply_monoid(monoid, op.semiring, $custom, *x, *y),
-                            |x| *x,
-                            |y| *y,
-                        );
-                        self.update_typed(handle, merged.clone());
-                        Ok(OpOutput::$variant(merged))
-                    }};
-                }
-                // Validation pinned the target's stored lane to the op's
-                // lane; reaching a mismatch means a concurrent lane change.
-                match (out, self.value_mat(handle)) {
-                    (OpOutput::MatF64(c), ValueMat::F64(e)) => merge_mat!(
-                        c,
-                        e,
-                        match monoid {
-                            AccumMonoid::CustomF64(f) => Some(f),
-                            _ => None,
-                        },
-                        MatF64
-                    ),
-                    (OpOutput::MatI64(c), ValueMat::I64(e)) => merge_mat!(
-                        c,
-                        e,
-                        match monoid {
-                            AccumMonoid::CustomI64(f) => Some(f),
-                            _ => None,
-                        },
-                        MatI64
-                    ),
-                    (OpOutput::MatBool(c), ValueMat::Bool(e)) => merge_mat!(
-                        c,
-                        e,
-                        match monoid {
-                            AccumMonoid::CustomBool(f) => Some(f),
-                            _ => None,
-                        },
-                        MatBool
-                    ),
-                    _ => Err(SparseError::Unsupported(ACCUM_TARGET_MISMATCH)),
-                }
-            }
-            AccumTarget::Vec(handle) => {
-                macro_rules! merge_vec {
-                    ($v:expr, $existing:expr, $custom:expr, $variant:ident) => {{
-                        let (v, existing) = ($v, $existing);
-                        if existing.dim() != v.dim() {
-                            return Err(SparseError::DimMismatch {
-                                op: "accumulate_into_vec",
-                                lhs: (1, existing.dim()),
-                                rhs: (1, v.dim()),
-                            });
-                        }
-                        let merged = existing.union_with(&v, |x, y| {
-                            apply_monoid(monoid, op.semiring, $custom, x, y)
-                        });
-                        self.update_vec(handle, merged.clone());
-                        Ok(OpOutput::$variant(merged))
-                    }};
-                }
-                match (out, self.vector(handle)) {
-                    (OpOutput::VecF64(v), ValueVec::F64(e)) => merge_vec!(
-                        v,
-                        e,
-                        match monoid {
-                            AccumMonoid::CustomF64(f) => Some(f),
-                            _ => None,
-                        },
-                        VecF64
-                    ),
-                    (OpOutput::VecI64(v), ValueVec::I64(e)) => merge_vec!(
-                        v,
-                        e,
-                        match monoid {
-                            AccumMonoid::CustomI64(f) => Some(f),
-                            _ => None,
-                        },
-                        VecI64
-                    ),
-                    (OpOutput::VecBool(v), ValueVec::Bool(e)) => merge_vec!(
-                        v,
-                        e,
-                        match monoid {
-                            AccumMonoid::CustomBool(f) => Some(f),
-                            _ => None,
-                        },
-                        VecBool
-                    ),
-                    _ => Err(SparseError::Unsupported(ACCUM_TARGET_MISMATCH)),
-                }
-            }
+        with_lane!(out.value_kind(), T => match target {
+            AccumTarget::Mat(handle) => self.merge_mat::<T>(op, handle, monoid, out),
+            AccumTarget::Vec(handle) => self.merge_vec::<T>(op, handle, monoid, out),
+        })
+    }
+
+    /// Merge a lane-`T` matrix product into the matrix behind `handle`.
+    fn merge_mat<T: Lane>(
+        &self,
+        op: &MaskedOp,
+        handle: MatrixHandle,
+        monoid: AccumMonoid,
+        out: OpOutput,
+    ) -> Result<OpOutput, SparseError> {
+        // Validation pinned the target's stored lane to the op's lane;
+        // reaching a mismatch means a concurrent lane change.
+        let mismatch = SparseError::Unsupported(ACCUM_TARGET_MISMATCH);
+        let c = T::take_mat(out).ok_or(mismatch.clone())?;
+        let target = self.value_mat(handle);
+        let existing = T::native_mat(&target).ok_or(mismatch)?;
+        if existing.shape() != c.shape() {
+            return Err(SparseError::DimMismatch {
+                op: "accumulate_into",
+                lhs: existing.shape(),
+                rhs: c.shape(),
+            });
         }
+        let custom = T::custom_monoid(monoid);
+        let merged = ewise_union(
+            existing.as_ref(),
+            &c,
+            |x, y| apply_monoid(monoid, op.semiring, custom, *x, *y),
+            |x| *x,
+            |y| *y,
+        );
+        self.update_typed(handle, T::wrap_mat(Arc::new(merged.clone())));
+        Ok(T::mat_output(merged))
+    }
+
+    /// Merge a lane-`T` vector product into the vector behind `handle`.
+    fn merge_vec<T: Lane>(
+        &self,
+        op: &MaskedOp,
+        handle: VectorHandle,
+        monoid: AccumMonoid,
+        out: OpOutput,
+    ) -> Result<OpOutput, SparseError> {
+        let mismatch = SparseError::Unsupported(ACCUM_TARGET_MISMATCH);
+        let v = T::take_vec(out).ok_or(mismatch.clone())?;
+        let target = self.vector(handle);
+        let existing = T::native_vec(&target).ok_or(mismatch)?;
+        if existing.dim() != v.dim() {
+            return Err(SparseError::DimMismatch {
+                op: "accumulate_into_vec",
+                lhs: (1, existing.dim()),
+                rhs: (1, v.dim()),
+            });
+        }
+        let custom = T::custom_monoid(monoid);
+        let merged =
+            existing.union_with(&v, |x, y| apply_monoid(monoid, op.semiring, custom, x, y));
+        self.update_vec(handle, T::wrap_vec(Arc::new(merged.clone())));
+        Ok(T::vec_output(merged))
+    }
+}
+
+/// The operands of a typed matrix product on lane `T`, run by whichever
+/// typed semiring [`Lane::typed_product`] picks.
+struct MatProduct<'c, T> {
+    ctx: &'c Context,
+    plan: &'c Plan,
+    mask: ValueMat,
+    a: Arc<CsrMatrix<T>>,
+    b: Arc<CsrMatrix<T>>,
+    b_handle: MatrixHandle,
+}
+
+impl<T: Lane> TypedProduct<T> for MatProduct<'_, T> {
+    type Out = Result<CsrMatrix<T>, SparseError>;
+
+    fn run<S: Semiring<A = T, B = T, C = T>>(self, sr: S) -> Self::Out {
+        let (ctx, b) = (self.ctx, self.b_handle);
+        ctx.execute_mat_views(self.plan, sr, &self.mask, &self.a, &self.b, &mut || {
+            ctx.lane_csc(b)
+        })
     }
 }

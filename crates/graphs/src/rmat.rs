@@ -42,17 +42,21 @@ impl RmatParams {
     }
 }
 
+/// Edge-sampling RNG streams per [`rmat`] call. Part of the generated
+/// graph's identity: changing it changes every graph.
+const RMAT_CHUNKS: usize = 4;
+
 /// Generate a `2^scale × 2^scale` R-MAT matrix with
 /// `edge_factor · 2^scale` sampled edges (duplicates combined, so the
 /// stored nnz is somewhat lower, as with Graph500 graphs).
 ///
 /// Values count edge multiplicity as f64. Deterministic in `seed` and
-/// independent of thread count (edges are sampled in per-chunk RNG streams).
+/// independent of thread count: edges are sampled in a fixed number of
+/// per-chunk RNG streams, whatever the pool width.
 pub fn rmat(scale: u32, params: RmatParams, seed: u64) -> CsrMatrix<f64> {
     let n = 1usize << scale;
     let nedges = params.edge_factor * n;
-    let nchunks = rayon::current_num_threads().max(1) * 4;
-    let chunk = nedges.div_ceil(nchunks).max(1);
+    let chunk = nedges.div_ceil(RMAT_CHUNKS).max(1);
     let starts: Vec<usize> = (0..nedges).step_by(chunk).collect();
     let edges: Vec<Vec<(Idx, Idx)>> = starts
         .par_iter()
@@ -117,6 +121,20 @@ mod tests {
         let a = rmat(8, RmatParams::default(), 5);
         let b = rmat(8, RmatParams::default(), 5);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn independent_of_pool_width() {
+        let at = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| rmat(8, RmatParams::default(), 5))
+        };
+        let one = at(1);
+        assert_eq!(at(2), one, "2-thread pool generated a different graph");
+        assert_eq!(at(3), one, "3-thread pool generated a different graph");
     }
 
     #[test]

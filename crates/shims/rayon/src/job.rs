@@ -23,7 +23,7 @@
 
 use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -183,12 +183,6 @@ where
     set.release(1);
 }
 
-/// When true, [`schedule`] bypasses the pool and reproduces the historical
-/// per-call `std::thread::scope` behavior (one contiguous part per worker,
-/// fresh threads every call). Benchmark-only escape hatch; see
-/// [`crate::set_legacy_spawn_scheduler`].
-pub(crate) static LEGACY_SPAWN: AtomicBool = AtomicBool::new(false);
-
 /// Split `p` into parts at the scheduler's granularity, run `f` over every
 /// part across the current pool, and return the per-part results in order.
 pub(crate) fn schedule<P, T>(p: P, f: &(impl Fn(P) -> T + Sync)) -> Vec<T>
@@ -196,9 +190,6 @@ where
     P: ParallelIterator,
     T: Send,
 {
-    if LEGACY_SPAWN.load(Ordering::Relaxed) {
-        return schedule_spawn(p, f);
-    }
     let len = p.par_len();
     // `width` is the installed worker count — it is what nested calls
     // inside chunks must observe (`current_num_threads` contract) and what
@@ -281,44 +272,17 @@ fn split_into<P: ParallelIterator>(p: P, len: usize, nparts: usize) -> Vec<P> {
     parts
 }
 
-/// The historical scheduler: one contiguous part per worker, each on a
-/// freshly spawned scoped thread. Kept verbatim so benchmarks can measure
-/// the pool against the exact code it replaced.
-fn schedule_spawn<P, T>(p: P, f: &(impl Fn(P) -> T + Sync)) -> Vec<T>
-where
-    P: ParallelIterator,
-    T: Send,
-{
-    let len = p.par_len();
-    let workers = pool::current_width().max(1).min(len.max(1));
-    if workers <= 1 {
-        return vec![f(p)];
-    }
-    let parts = split_into(p, len, workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| s.spawn(move || f(part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
 /// Run `work(0..k)` on pool workers while the initiating thread runs
 /// `foreground`, returning `foreground`'s value once both are done. Worker
 /// panics are re-raised here after `foreground` completes.
 ///
-/// The initiator does *not* claim work indices — that is the point: it
-/// stays free to pump a channel the workers feed (the engine's streaming
-/// batch executor). It must not itself be a pool worker of `registry`
-/// while every other worker is blocked the same way; the workspace only
-/// calls this from application threads.
+/// The initiator claims no work index while `foreground` runs — that is
+/// the point: it stays free to pump a channel the workers feed (the
+/// engine's streaming batch executor). Once `foreground` returns, it
+/// claims every index no worker has started, so `work(i)` runs for every
+/// `i` even when all workers are busy elsewhere. It must not itself be a
+/// pool worker of `registry` while every other worker is blocked the same
+/// way; the workspace only calls this from application threads.
 pub(crate) fn run_with_foreground<R>(
     registry: &Arc<Registry>,
     k: usize,
@@ -351,6 +315,13 @@ pub(crate) fn run_with_foreground<R>(
     // If `foreground` unwinds, the completion protocol must still run —
     // workers may hold references into this stack frame.
     let result = panic::catch_unwind(AssertUnwindSafe(foreground));
+    // Run the indices no worker claimed yet — on this pool's registry, so
+    // nested parallel calls inside `work` stay on the pool — before the
+    // unpopped tickets are purged.
+    {
+        let _context = pool::ContextGuard::enter(Arc::clone(registry), width);
+        set.attach();
+    }
     let purged = registry.purge(job.data);
     if !set.release(purged + 1) {
         wait_stealing(registry, &set.latch);

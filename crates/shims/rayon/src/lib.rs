@@ -72,17 +72,6 @@ pub fn recommended_parts(len: usize) -> usize {
         .max(1)
 }
 
-/// Route all parallel iterators through the historical per-call
-/// `std::thread::scope` scheduler (one contiguous part per worker, fresh
-/// threads each call) instead of the persistent pool.
-///
-/// Benchmark-only escape hatch: it exists so harnesses can measure the
-/// pool against exactly the code it replaced. Process-global; do not
-/// enable it while parallel work is in flight.
-pub fn set_legacy_spawn_scheduler(enabled: bool) {
-    job::LEGACY_SPAWN.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
 /// Error building a [`ThreadPool`] (never produced by this shim; kept for
 /// API compatibility).
 #[derive(Debug)]
@@ -133,8 +122,10 @@ impl ThreadPool {
     /// This is the streaming-batch primitive: workers produce into a
     /// channel that the foreground drains, so results flow while work is
     /// in flight and batch execution shares the pool with intra-op
-    /// parallelism instead of spawning a second set of threads. Worker
-    /// panics propagate to the caller after `foreground` returns.
+    /// parallelism instead of spawning a second set of threads. Indices no
+    /// worker has started by the time `foreground` returns run on the
+    /// calling thread. Worker panics propagate to the caller after
+    /// `foreground` returns.
     pub fn with_workers<R>(
         &self,
         k: usize,
@@ -243,9 +234,6 @@ mod tests {
         assert_eq!(current_num_threads(), outside);
     }
 
-    // (Pool-vs-legacy-spawn agreement is covered in `tests/legacy_spawn.rs`,
-    // alone in its own binary — the toggle is process-global and unit tests
-    // run concurrently.)
     #[test]
     fn results_identical_across_worker_counts() {
         let data: Vec<u64> = (0..10_000).collect();

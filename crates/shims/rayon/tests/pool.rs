@@ -229,6 +229,45 @@ fn with_workers_panic_does_not_deadlock_channel_foreground() {
     assert!(result.is_err(), "worker panic did not propagate");
 }
 
-// NOTE: the pool-vs-legacy-spawn agreement test lives in its own binary
-// (`tests/legacy_spawn.rs`): `set_legacy_spawn_scheduler` is process-global
-// and would leak into these tests' concurrent siblings.
+/// Regression: `with_workers` runs `work(i)` for every index even when the
+/// foreground returns before any worker is free. Both workers are held by
+/// concurrent installs, so no ticket can be popped; the calling thread
+/// must claim all indices itself instead of purging them unrun.
+#[test]
+fn with_workers_runs_every_index_when_workers_are_busy() {
+    let pool = pool(2);
+    // Held for writing until the end: every install part blocks on it.
+    let gate = std::sync::RwLock::new(());
+    let hold = gate.write().unwrap();
+    // The two worker-run parts and this thread meet here once both
+    // workers are held.
+    let workers_held = std::sync::Barrier::new(3);
+    let ran: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+    std::thread::scope(|s| {
+        // Each install splits two parts: the installing thread blocks in
+        // one, and one pool worker blocks in the other.
+        for _ in 0..2 {
+            s.spawn(|| {
+                pool.install(|| {
+                    (0..2).into_par_iter().for_each(|_| {
+                        if rayon::current_thread_index().is_some() {
+                            workers_held.wait();
+                        }
+                        drop(gate.read().unwrap());
+                    })
+                })
+            });
+        }
+        workers_held.wait();
+        pool.with_workers(
+            ran.len(),
+            |i| {
+                ran[i].fetch_add(1, Ordering::SeqCst);
+            },
+            || (),
+        );
+        drop(hold);
+    });
+    let counts: Vec<usize> = ran.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+    assert_eq!(counts, vec![1, 1, 1], "work(i) must run once for every i");
+}

@@ -346,40 +346,3 @@ fn planner_prefers_pull_for_tiny_masks_and_push_for_dense_masks() {
         plan.label()
     );
 }
-
-/// The deprecated 0.2 entry points must keep producing the same bits as
-/// the descriptor path they now wrap.
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_agree_with_descriptor_path() {
-    use engine::BatchOp;
-    let ctx = Context::with_threads(2);
-    let sr = PlusTimes::<f64>::new();
-    let a = graphs::erdos_renyi(40, 6.0, 60);
-    let m = graphs::erdos_renyi(40, 9.0, 61);
-    let (ha, hm) = (ctx.insert(a), ctx.insert(m));
-
-    let via_new = ctx.op(hm, ha, ha).run().unwrap();
-    let via_masked_spgemm = ctx.masked_spgemm(sr, hm, false, ha, ha).unwrap();
-    assert_eq!(via_new, via_masked_spgemm);
-
-    let plan = ctx.plan(hm, false, ha, ha).unwrap();
-    let via_run_planned = ctx.run_planned(&plan, sr, hm, ha, ha).unwrap();
-    assert_eq!(via_new, via_run_planned);
-
-    let old_ops = vec![
-        BatchOp {
-            mask: hm,
-            complemented: false,
-            a: ha,
-            b: ha,
-        };
-        3
-    ];
-    let new_ops = vec![ctx.op(hm, ha, ha).build(); 3];
-    let old_results = ctx.run_batch(sr, &old_ops);
-    let new_results = ctx.run_batch_collect(&new_ops);
-    for (o, n) in old_results.iter().zip(&new_results) {
-        assert_eq!(o.as_ref().unwrap(), n.as_ref().unwrap());
-    }
-}

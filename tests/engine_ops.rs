@@ -4,7 +4,7 @@
 //! correctly, and the fingerprint-keyed plan cache must hit across
 //! structurally-similar versions.
 
-use engine::{Context, DynSemiring, MaskedOp, SemiringKind};
+use engine::{AuxStatus, Context, DynLane, MaskedOp, MatrixHandle, SemiringKind, ValueKind};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use proptest::prelude::*;
 use sparse::{CsrMatrix, Idx, SparseError};
@@ -44,7 +44,7 @@ fn direct_result(
         alg,
         ph,
         op.complemented,
-        DynSemiring::new(op.semiring),
+        DynLane::<f64>::new(op.semiring),
         &ctx.matrix(mask),
         &ctx.matrix(a),
         &ctx.matrix(b),
@@ -161,7 +161,7 @@ fn mca_complement_is_a_uniform_error_everywhere() {
         Algorithm::Mca,
         Phases::One,
         true,
-        DynSemiring::new(SemiringKind::PlusTimes),
+        DynLane::<f64>::new(SemiringKind::PlusTimes),
         &m,
         &m,
         &m,
@@ -172,7 +172,7 @@ fn mca_complement_is_a_uniform_error_everywhere() {
     let forced = ctx.run_with(
         Algorithm::Mca,
         Phases::One,
-        DynSemiring::new(SemiringKind::PlusTimes),
+        DynLane::<f64>::new(SemiringKind::PlusTimes),
         h,
         true,
         h,
@@ -195,11 +195,11 @@ fn mca_complement_is_a_uniform_error_everywhere() {
     assert_eq!(results[1].as_ref().unwrap_err(), &expected);
 
     // Serial scratch driver (used by batch workers).
-    let mut set = masked_spgemm::ScratchSet::<DynSemiring>::new();
+    let mut set = masked_spgemm::ScratchSet::<DynLane<f64>>::new();
     let serial = set.run(
         Algorithm::Mca,
         true,
-        DynSemiring::new(SemiringKind::PlusTimes),
+        DynLane::<f64>::new(SemiringKind::PlusTimes),
         &m,
         &m,
         &m,
@@ -251,6 +251,165 @@ fn aux_cache_evicts_lru_and_rebuilds_on_demand() {
     ctx.set_aux_budget(both / 2 + both / 8);
     assert!(ctx.aux_status(h1).has_csc, "most-recently-used survives");
     assert!(!ctx.aux_status(h2).has_csc);
+}
+
+/// One evictable auxiliary: which handle and slot, the bytes the ledger
+/// charged for it, and a fetch that (re)builds or touches it and compares
+/// the result with the value first built.
+struct AuxRecord {
+    handle: MatrixHandle,
+    slot: AuxSlot,
+    bytes: usize,
+    fetch_equal: Box<dyn Fn(&Context) -> bool>,
+}
+
+#[derive(Copy, Clone, Debug, PartialEq)]
+enum AuxSlot {
+    Cast(ValueKind),
+    Csc(ValueKind),
+    Transpose,
+    RowDegrees,
+}
+
+/// Materialize `slot` on `handle`, checking that the ledger charged
+/// exactly the built value's bytes.
+fn materialize(ctx: &Context, handle: MatrixHandle, slot: AuxSlot) -> AuxRecord {
+    fn record<T: PartialEq + 'static>(
+        ctx: &Context,
+        handle: MatrixHandle,
+        slot: AuxSlot,
+        get: impl Fn(&Context) -> T + 'static,
+        bytes: impl Fn(&T) -> usize,
+    ) -> AuxRecord {
+        let before = ctx.aux_cache_stats().bytes;
+        let original = get(ctx);
+        let bytes = bytes(&original);
+        assert_eq!(
+            ctx.aux_cache_stats().bytes - before,
+            bytes,
+            "{slot:?} on {handle:?} charged its own bytes"
+        );
+        AuxRecord {
+            handle,
+            slot,
+            bytes,
+            fetch_equal: Box::new(move |c| get(c) == original),
+        }
+    }
+    let h = handle;
+    match slot {
+        AuxSlot::Cast(ValueKind::Bool) => {
+            record(ctx, h, slot, move |c| c.bool_view(h), |m| m.heap_bytes())
+        }
+        AuxSlot::Cast(ValueKind::I64) => {
+            record(ctx, h, slot, move |c| c.i64_view(h), |m| m.heap_bytes())
+        }
+        AuxSlot::Cast(ValueKind::F64) => {
+            record(ctx, h, slot, move |c| c.f64_view(h), |m| m.heap_bytes())
+        }
+        AuxSlot::Csc(ValueKind::Bool) => {
+            record(ctx, h, slot, move |c| c.bool_csc(h), |m| m.heap_bytes())
+        }
+        AuxSlot::Csc(ValueKind::I64) => {
+            record(ctx, h, slot, move |c| c.i64_csc(h), |m| m.heap_bytes())
+        }
+        AuxSlot::Csc(ValueKind::F64) => record(ctx, h, slot, move |c| c.csc(h), |m| m.heap_bytes()),
+        AuxSlot::Transpose => record(ctx, h, slot, move |c| c.transposed_mat(h), |t| t.bytes()),
+        AuxSlot::RowDegrees => record(ctx, h, slot, move |c| c.row_degrees(h), |d| 4 * d.len()),
+    }
+}
+
+/// The `AuxStatus` a handle must report when exactly `resident` records
+/// are materialized.
+fn expected_status(ctx: &Context, handle: MatrixHandle, resident: &[AuxRecord]) -> AuxStatus {
+    let stored = ctx.stats(handle).value;
+    let mut s = AuxStatus {
+        version: ctx.aux_status(handle).version,
+        ..AuxStatus::default()
+    };
+    for r in resident.iter().filter(|r| r.handle == handle) {
+        match r.slot {
+            AuxSlot::Cast(ValueKind::Bool) => s.has_bool_view = true,
+            AuxSlot::Cast(ValueKind::I64) => s.has_i64_view = true,
+            AuxSlot::Cast(ValueKind::F64) => s.has_f64_view = true,
+            AuxSlot::Csc(lane) => {
+                s.has_csc |= lane == stored;
+                match lane {
+                    ValueKind::Bool => s.has_bool_csc = true,
+                    ValueKind::I64 => s.has_i64_csc = true,
+                    ValueKind::F64 => s.has_f64_csc = true,
+                }
+            }
+            AuxSlot::Transpose => s.has_transpose = true,
+            AuxSlot::RowDegrees => s.has_row_degrees = true,
+        }
+    }
+    s
+}
+
+/// Every evictable slot — each lane's cast and CSC, the transpose, the row
+/// degrees — on `bool`-, `i64`- and `f64`-stored entries. Squeezing the
+/// budget one record at a time evicts the least-recently-used record
+/// alone: exactly its status flag clears, the ledger's bytes equal the
+/// records still resident, and every rebuilt value equals the original.
+#[test]
+fn every_aux_slot_evicts_alone_and_rebuilds_equal() {
+    let ctx = Context::with_threads(1);
+    let base = graphs::erdos_renyi(48, 5.0, 9);
+    let handles = [
+        ctx.insert_bool(base.map_values(|v| v != 0.0)),
+        ctx.insert_i64(base.map_values(|v| v as i64)),
+        ctx.insert(base),
+    ];
+    let mut records = Vec::new();
+    for &h in &handles {
+        let stored = ctx.stats(h).value;
+        // Casts first, so a cross-lane CSC finds its cast resident and is
+        // charged for its own bytes only. The stored lane has no cast slot.
+        for lane in ValueKind::ALL.into_iter().filter(|&l| l != stored) {
+            records.push(materialize(&ctx, h, AuxSlot::Cast(lane)));
+        }
+        for lane in ValueKind::ALL {
+            records.push(materialize(&ctx, h, AuxSlot::Csc(lane)));
+        }
+        records.push(materialize(&ctx, h, AuxSlot::Transpose));
+        records.push(materialize(&ctx, h, AuxSlot::RowDegrees));
+    }
+    assert_eq!(records.len(), 3 * 7);
+    // Touch every record in list order, so list order is LRU order.
+    for r in &records {
+        assert!((r.fetch_equal)(&ctx), "{:?} changed on a cache hit", r.slot);
+    }
+    let total: usize = records.iter().map(|r| r.bytes).sum();
+    assert_eq!(ctx.aux_cache_stats().bytes, total);
+    for &h in &handles {
+        assert_eq!(ctx.aux_status(h), expected_status(&ctx, h, &records));
+    }
+
+    let evictions_before = ctx.aux_cache_stats().evictions;
+    let mut evicted_bytes = 0;
+    for k in 1..=records.len() {
+        evicted_bytes += records[k - 1].bytes;
+        ctx.set_aux_budget(total - evicted_bytes);
+        let stats = ctx.aux_cache_stats();
+        assert_eq!(stats.evictions - evictions_before, k as u64);
+        assert_eq!(stats.bytes, total - evicted_bytes, "after evicting {k}");
+        for &h in &handles {
+            assert_eq!(
+                ctx.aux_status(h),
+                expected_status(&ctx, h, &records[k..]),
+                "after evicting {:?} on {:?}",
+                records[k - 1].slot,
+                records[k - 1].handle
+            );
+        }
+    }
+
+    ctx.set_aux_budget(usize::MAX);
+    for r in &records {
+        assert!((r.fetch_equal)(&ctx), "rebuilt {:?} differs", r.slot);
+    }
+    assert_eq!(ctx.aux_cache_stats().bytes, total);
 }
 
 #[test]
