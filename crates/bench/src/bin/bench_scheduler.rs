@@ -15,7 +15,8 @@
 //! The committed `BENCH_scheduler.json` also holds `spawn/*` rows: the
 //! per-call `std::thread::scope` scheduler the pool replaced, measured
 //! before that scheduler was deleted. They are the record of the
-//! pool-vs-spawn verdict; this harness no longer produces them.
+//! pool-vs-spawn verdict; this harness no longer produces them, and its
+//! rewrite keeps every row it did not measure.
 //!
 //! Samples are taken through the criterion shim (min/median/mean); all
 //! measurements are written to `BENCH_scheduler.json` (repo root when run
@@ -24,7 +25,7 @@
 
 use std::time::Duration;
 
-use bench::{banner, scheduler_workloads, HarnessArgs};
+use bench::{banner, merge_record_rows, scheduler_workloads, HarnessArgs};
 use criterion::{reports_to_json, take_reports, BenchmarkId, Criterion};
 use engine::Context;
 use masked_spgemm::{masked_spgemm, thread_pool, Algorithm, Phases};
@@ -134,13 +135,18 @@ fn main() {
     group.finish();
 
     let reports = take_reports();
-    let json = reports_to_json(&reports);
     // Anchored to the repo root (two levels above this crate's manifest),
     // not the process CWD — the committed record must update no matter
     // where the binary is launched from.
     let record = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_scheduler.json");
+    let committed = match std::fs::read_to_string(&record) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => panic!("read {}: {e}", record.display()),
+    };
+    let json = merge_record_rows(&committed, &reports_to_json(&reports));
     std::fs::write(&record, format!("{json}\n")).expect("write BENCH_scheduler.json");
     println!(
         "wrote {} ({} measurements)",

@@ -300,6 +300,40 @@ pub fn run_suite_profile(
         .expect("write profile txt");
 }
 
+/// Merge freshly measured rows into a committed record. Both are JSON
+/// arrays with one row object per line, as `criterion::reports_to_json`
+/// writes them. A committed row whose `label` was measured again is
+/// replaced in place, every other committed row is kept where it was, and
+/// rows with new labels are appended.
+pub fn merge_record_rows(committed: &str, fresh: &str) -> String {
+    fn rows(json: &str) -> Vec<&str> {
+        json.lines()
+            .map(str::trim)
+            .filter(|line| line.starts_with('{'))
+            .map(|line| line.trim_end_matches(','))
+            .collect()
+    }
+    fn label(row: &str) -> Option<&str> {
+        let rest = row.split_once("\"label\": \"")?.1;
+        rest.split_once('"').map(|(label, _)| label)
+    }
+    let fresh = rows(fresh);
+    let mut merged: Vec<&str> = rows(committed)
+        .into_iter()
+        .map(|old| {
+            let remeasured = fresh.iter().find(|new| label(new) == label(old));
+            remeasured.copied().unwrap_or(old)
+        })
+        .collect();
+    for &new in &fresh {
+        if !merged.iter().any(|row| label(row) == label(new)) {
+            merged.push(new);
+        }
+    }
+    let body: Vec<String> = merged.iter().map(|row| format!("  {row}")).collect();
+    format!("[\n{}\n]", body.join(",\n"))
+}
+
 /// Standard banner each harness prints first.
 pub fn banner(fig: &str, what: &str, args: &HarnessArgs) {
     println!("=== {fig}: {what} ===");
@@ -336,6 +370,33 @@ mod tests {
         assert_eq!(schemes::ours_all().len(), 12);
         assert_eq!(schemes::ours_1p().len(), 6);
         assert_eq!(schemes::tc_vs_ssgb().len(), 5);
+    }
+
+    #[test]
+    fn record_merge_keeps_rows_not_measured_again() {
+        let row = |label: &str, min: f64| {
+            format!("{{\"group\": \"scheduler\", \"label\": \"{label}\", \"min_s\": {min}}}")
+        };
+        let committed = format!(
+            "[\n  {},\n  {},\n  {}\n]\n",
+            row("repeat_loop/pool/w1", 1.0),
+            row("repeat_loop/spawn/w1", 2.0),
+            row("batch/spawn/w4", 3.0),
+        );
+        let fresh = format!(
+            "[\n  {},\n  {}\n]",
+            row("repeat_loop/pool/w1", 0.5),
+            row("batch/pool/w4", 0.25),
+        );
+        let expect = format!(
+            "[\n  {},\n  {},\n  {},\n  {}\n]",
+            row("repeat_loop/pool/w1", 0.5),
+            row("repeat_loop/spawn/w1", 2.0),
+            row("batch/spawn/w4", 3.0),
+            row("batch/pool/w4", 0.25),
+        );
+        assert_eq!(merge_record_rows(&committed, &fresh), expect);
+        assert_eq!(merge_record_rows("", &fresh), fresh);
     }
 
     #[test]

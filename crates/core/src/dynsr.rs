@@ -15,11 +15,12 @@
 //!
 //! Within one lane, [`DynLane<T>`] erases the semiring choice: one
 //! monomorphized kernel instance per lane serves a batch that mixes, say,
-//! `plus_times` BC sweeps with `plus_pair` triangle ops. The dispatch is a
-//! branch on a register-resident enum that stays constant for a whole
-//! multiply, so it predicts perfectly; the measurable cost against the
-//! typed kernels is within noise for the workloads in
-//! `bench/engine_repeat`.
+//! `plus_times` BC sweeps with `plus_pair` triangle ops. The price is a
+//! branch on the kind at every `mul` and `add`, and `plus_pair` still
+//! loading operand values the typed [`sparse::PlusPair`] never reads:
+//! single-thread kernels on R-MAT inputs ran 2-9% slower than the typed
+//! semirings. The engine therefore reads the kind once per op and runs
+//! `DynLane`'s operations with the kind fixed at compile time.
 //!
 //! Counting semirings on the `f64` lane accumulate exact integers up to
 //! 2⁵³, far beyond any mask population this crate can represent (indices
@@ -328,7 +329,12 @@ mod tests {
     use super::*;
     use crate::api::{masked_spgemm, Algorithm, Phases};
     use crate::kernel::testutil::random_csr;
-    use sparse::{BoolAndOr, MinPlus, PlusFirst, PlusPair, PlusSecond, PlusTimes};
+    use crate::spgevm::{masked_spgevm, masked_spgevm_csc};
+    use sparse::{
+        BoolAndOr, CscMatrix, CsrMatrix, MinPlus, PlusFirst, PlusPair, PlusSecond, PlusTimes,
+        SparseVec,
+    };
+    use std::ops::{Add, Mul};
 
     #[test]
     fn scalar_ops_match_typed_semirings() {
@@ -410,47 +416,87 @@ mod tests {
         assert_eq!(<f64 as LaneValue>::KIND, ValueKind::F64);
     }
 
+    /// Require the erased `DynLane` of `kind` to reproduce the typed
+    /// semiring `typed` exactly — equal results, or equal errors where a
+    /// polarity is unsupported — for every algorithm × phases × polarity,
+    /// as a matrix product and as one vector product per row of `a`.
+    fn assert_erased_matches_typed<T, S>(
+        typed: S,
+        kind: SemiringKind,
+        a: &CsrMatrix<T>,
+        b: &CsrMatrix<T>,
+        m: &CsrMatrix<()>,
+    ) where
+        T: LaneValue,
+        S: Semiring<A = T, B = T, C = T>,
+    {
+        let erased = DynLane::<T>::new(kind);
+        let b_csc = CscMatrix::from_csr(b);
+        let lane = T::KIND;
+        for compl in [false, true] {
+            for alg in Algorithm::ALL {
+                for ph in Phases::ALL {
+                    assert_eq!(
+                        masked_spgemm(alg, ph, compl, typed, m, a, b),
+                        masked_spgemm(alg, ph, compl, erased, m, a, b),
+                        "{kind:?} on {lane:?}: {alg:?}-{ph:?} compl={compl}"
+                    );
+                }
+                for i in 0..a.nrows() {
+                    let (uc, uv) = a.row(i);
+                    let u = SparseVec::try_new(a.ncols(), uc.to_vec(), uv.to_vec()).unwrap();
+                    let mask =
+                        SparseVec::try_new(m.ncols(), m.row(i).0.to_vec(), vec![(); m.row_nnz(i)])
+                            .unwrap();
+                    let (t, e) = if alg == Algorithm::Inner {
+                        (
+                            masked_spgevm_csc(compl, typed, &mask, &u, &b_csc),
+                            masked_spgevm_csc(compl, erased, &mask, &u, &b_csc),
+                        )
+                    } else {
+                        (
+                            masked_spgevm(alg, compl, typed, &mask, &u, b),
+                            masked_spgevm(alg, compl, erased, &mask, &u, b),
+                        )
+                    };
+                    assert_eq!(t, e, "{kind:?} on {lane:?}: {alg:?} row {i} compl={compl}");
+                }
+            }
+        }
+    }
+
+    /// [`assert_erased_matches_typed`] for every numeric semiring kind.
+    fn assert_numeric_lane_matches_typed<T>(a: &CsrMatrix<T>, b: &CsrMatrix<T>, m: &CsrMatrix<()>)
+    where
+        T: LaneValue + sparse::semiring::One + PartialOrd + Add<Output = T> + Mul<Output = T>,
+    {
+        assert_erased_matches_typed(PlusTimes::<T>::new(), SemiringKind::PlusTimes, a, b, m);
+        assert_erased_matches_typed(PlusPair::<T, T, T>::new(), SemiringKind::PlusPair, a, b, m);
+        assert_erased_matches_typed(PlusFirst::<T, T>::new(), SemiringKind::PlusFirst, a, b, m);
+        assert_erased_matches_typed(PlusSecond::<T, T>::new(), SemiringKind::PlusSecond, a, b, m);
+        assert_erased_matches_typed(MinPlus::<T>::new(), SemiringKind::MinPlus, a, b, m);
+    }
+
     #[test]
     fn erased_products_are_bit_identical_to_typed() {
         let a = random_csr(24, 24, 11, 30);
         let b = random_csr(24, 24, 12, 30);
         let m = random_csr(24, 24, 13, 40).pattern();
-        for alg in Algorithm::ALL {
-            let typed = masked_spgemm(alg, Phases::One, false, PlusTimes::<f64>::new(), &m, &a, &b)
-                .unwrap();
-            let erased = masked_spgemm(
-                alg,
-                Phases::One,
-                false,
-                DynLane::<f64>::new(SemiringKind::PlusTimes),
-                &m,
-                &a,
-                &b,
-            )
-            .unwrap();
-            assert_eq!(typed, erased, "{alg:?} plus_times");
-            let typed = masked_spgemm(
-                alg,
-                Phases::One,
-                false,
-                PlusPair::<f64, f64, f64>::new(),
-                &m,
-                &a,
-                &b,
-            )
-            .unwrap();
-            let erased = masked_spgemm(
-                alg,
-                Phases::One,
-                false,
-                DynLane::<f64>::new(SemiringKind::PlusPair),
-                &m,
-                &a,
-                &b,
-            )
-            .unwrap();
-            assert_eq!(typed, erased, "{alg:?} plus_pair");
-        }
+        assert_numeric_lane_matches_typed(&a, &b, &m);
+        // Reciprocals round, so a change in combine order would show.
+        let recip = |x: &f64| 1.0 / x;
+        assert_numeric_lane_matches_typed(&a.map(recip), &b.map(recip), &m);
+        let int = |x: &f64| *x as i64;
+        assert_numeric_lane_matches_typed(&a.map(int), &b.map(int), &m);
+        // Odd values only, so the bool lane sees both `true` and `false`.
+        let odd = |x: &f64| *x as i64 % 2 == 1;
+        assert_erased_matches_typed(
+            BoolAndOr,
+            SemiringKind::BoolAndOr,
+            &a.map(odd),
+            &b.map(odd),
+            &m,
+        );
     }
 
     #[test]

@@ -39,24 +39,56 @@ pub(crate) trait RowProducer<C>: Send {
     fn count_row(&mut self, i: usize) -> usize;
 }
 
-struct PushProducer<'m, S: Semiring, K, MT> {
+/// A mask as the kernels read it: its pattern, whatever its value type.
+/// Drivers take this rather than `&CsrMatrix<MT>`, so each is compiled
+/// once per semiring and kernel, not once more per mask value type.
+#[derive(Copy, Clone)]
+pub(crate) struct MaskRows<'m> {
+    rowptr: &'m [usize],
+    colidx: &'m [Idx],
+}
+
+impl<'m> MaskRows<'m> {
+    pub(crate) fn of<MT>(mask: &'m CsrMatrix<MT>) -> Self {
+        MaskRows {
+            rowptr: mask.rowptr(),
+            colidx: mask.colidx(),
+        }
+    }
+
+    /// Column indices of row `i`.
+    #[inline]
+    pub(crate) fn row(self, i: usize) -> &'m [Idx] {
+        &self.colidx[self.rowptr[i]..self.rowptr[i + 1]]
+    }
+
+    /// Largest row nonzero count (sizes hash/MCA accumulators).
+    pub(crate) fn max_row_nnz(self) -> usize {
+        self.rowptr
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+struct PushProducer<'m, S: Semiring, K> {
     sr: S,
     kernel: K,
-    mask: &'m CsrMatrix<MT>,
+    mask: MaskRows<'m>,
     a: &'m CsrMatrix<S::A>,
     b: &'m CsrMatrix<S::B>,
     complemented: bool,
 }
 
-impl<'m, S, K, MT> RowProducer<S::C> for PushProducer<'m, S, K, MT>
+impl<'m, S, K> RowProducer<S::C> for PushProducer<'m, S, K>
 where
     S: Semiring,
     K: RowKernel<S>,
-    MT: Copy + Sync,
 {
     #[inline]
     fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
-        let (mc, _) = self.mask.row(i);
+        let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
         if self.complemented {
             self.kernel
@@ -69,7 +101,7 @@ where
 
     #[inline]
     fn count_row(&mut self, i: usize) -> usize {
-        let (mc, _) = self.mask.row(i);
+        let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
         if self.complemented {
             self.kernel.count_row_complemented(mc, ac, av, self.b)
@@ -79,22 +111,21 @@ where
     }
 }
 
-struct InnerProducer<'m, S: Semiring, MT> {
+struct InnerProducer<'m, S: Semiring> {
     sr: S,
-    mask: &'m CsrMatrix<MT>,
+    mask: MaskRows<'m>,
     a: &'m CsrMatrix<S::A>,
     b: &'m CscMatrix<S::B>,
     complemented: bool,
 }
 
-impl<'m, S, MT> RowProducer<S::C> for InnerProducer<'m, S, MT>
+impl<'m, S> RowProducer<S::C> for InnerProducer<'m, S>
 where
     S: Semiring,
-    MT: Copy + Sync,
 {
     #[inline]
     fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
-        let (mc, _) = self.mask.row(i);
+        let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
         if self.complemented {
             inner::inner_row_complemented(self.sr, mc, ac, av, self.b, out_cols, out_vals);
@@ -105,7 +136,7 @@ where
 
     #[inline]
     fn count_row(&mut self, i: usize) -> usize {
-        let (mc, _) = self.mask.row(i);
+        let mc = self.mask.row(i);
         let (ac, _) = self.a.row(i);
         if self.complemented {
             inner::inner_count_row_complemented::<S>(mc, ac, self.b)
@@ -283,10 +314,7 @@ pub(crate) fn check_dims<MT, A>(
 
 /// Largest mask-row nonzero count (sizes hash/MCA accumulators).
 pub fn max_mask_row_nnz<MT>(mask: &CsrMatrix<MT>) -> usize {
-    (0..mask.nrows())
-        .map(|i| mask.row_nnz(i))
-        .max()
-        .unwrap_or(0)
+    MaskRows::of(mask).max_row_nnz()
 }
 
 /// Run a push-based kernel `K` in one phase.
@@ -304,16 +332,7 @@ where
     MT: Copy + Sync,
 {
     check_dims(mask, a, b.nrows(), b.ncols());
-    let max_m = max_mask_row_nnz(mask);
-    let ncols = b.ncols();
-    one_phase_driver(a.nrows(), ncols, || PushProducer {
-        sr,
-        kernel: K::new(ncols, max_m),
-        mask,
-        a,
-        b,
-        complemented,
-    })
+    push_rows::<S, K>(sr, MaskRows::of(mask), complemented, a, b, false)
 }
 
 /// Run a push-based kernel `K` in two phases (symbolic + numeric).
@@ -331,16 +350,37 @@ where
     MT: Copy + Sync,
 {
     check_dims(mask, a, b.nrows(), b.ncols());
-    let max_m = max_mask_row_nnz(mask);
-    let ncols = b.ncols();
-    two_phase_driver(a.nrows(), ncols, || PushProducer {
+    push_rows::<S, K>(sr, MaskRows::of(mask), complemented, a, b, true)
+}
+
+/// [`push_one_phase`] / [`push_two_phase`] on the mask's pattern.
+fn push_rows<S, K>(
+    sr: S,
+    mask: MaskRows<'_>,
+    complemented: bool,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+    two_phase: bool,
+) -> CsrMatrix<S::C>
+where
+    S: Semiring,
+    S::C: Default,
+    K: RowKernel<S>,
+{
+    let (max_m, ncols) = (mask.max_row_nnz(), b.ncols());
+    let make = || PushProducer {
         sr,
         kernel: K::new(ncols, max_m),
         mask,
         a,
         b,
         complemented,
-    })
+    };
+    if two_phase {
+        two_phase_driver(a.nrows(), ncols, make)
+    } else {
+        one_phase_driver(a.nrows(), ncols, make)
+    }
 }
 
 /// Run the pull-based `Inner` algorithm (B in CSC) in one or two phases.
@@ -358,6 +398,22 @@ where
     MT: Copy + Sync,
 {
     check_dims(mask, a, b.nrows(), b.ncols());
+    inner_rows(sr, MaskRows::of(mask), complemented, a, b, two_phase)
+}
+
+/// [`inner_driver`] on the mask's pattern.
+fn inner_rows<S>(
+    sr: S,
+    mask: MaskRows<'_>,
+    complemented: bool,
+    a: &CsrMatrix<S::A>,
+    b: &CscMatrix<S::B>,
+    two_phase: bool,
+) -> CsrMatrix<S::C>
+where
+    S: Semiring,
+    S::C: Default + Sync,
+{
     let ncols = b.ncols();
     let make = || InnerProducer {
         sr,

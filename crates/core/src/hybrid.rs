@@ -29,7 +29,7 @@ use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError};
 
 use crate::algos::{inner, ninspect, HeapKernel, McaKernel, MsaKernel};
 use crate::api::Phases;
-use crate::exec::{max_mask_row_nnz, one_phase_driver, two_phase_driver, RowProducer};
+use crate::exec::{one_phase_driver, two_phase_driver, MaskRows, RowProducer};
 use crate::kernel::RowKernel;
 
 /// Which family the hybrid picked for a row (exposed for diagnostics).
@@ -100,13 +100,13 @@ pub fn choose_row(
     best.0
 }
 
-struct HybridProducer<'m, S: Semiring, MT>
+struct HybridProducer<'m, S: Semiring>
 where
     S::C: Default,
 {
     sr: S,
     cfg: HybridConfig,
-    mask: &'m CsrMatrix<MT>,
+    mask: MaskRows<'m>,
     a: &'m CsrMatrix<S::A>,
     b: &'m CsrMatrix<S::B>,
     b_csc: &'m CscMatrix<S::B>,
@@ -116,14 +116,13 @@ where
     heap: HeapKernel<S, { ninspect::ONE }>,
 }
 
-impl<'m, S, MT> HybridProducer<'m, S, MT>
+impl<'m, S> HybridProducer<'m, S>
 where
     S: Semiring,
     S::C: Default,
-    MT: Copy + Sync,
 {
     fn choice(&self, i: usize) -> RowChoice {
-        let mm = self.mask.row_nnz(i);
+        let mm = self.mask.row(i).len();
         let (acols, _) = self.a.row(i);
         let bptr = self.b.rowptr();
         let f: u64 = acols
@@ -134,14 +133,13 @@ where
     }
 }
 
-impl<'m, S, MT> RowProducer<S::C> for HybridProducer<'m, S, MT>
+impl<'m, S> RowProducer<S::C> for HybridProducer<'m, S>
 where
     S: Semiring,
     S::C: Default,
-    MT: Copy + Sync,
 {
     fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
-        let (mc, _) = self.mask.row(i);
+        let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
         match self.choice(i) {
             RowChoice::Empty => {}
@@ -161,7 +159,7 @@ where
     }
 
     fn count_row(&mut self, i: usize) -> usize {
-        let (mc, _) = self.mask.row(i);
+        let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
         match self.choice(i) {
             RowChoice::Empty => 0,
@@ -203,13 +201,37 @@ where
             rhs: b.shape(),
         });
     }
+    Ok(hybrid_rows(
+        phases,
+        cfg,
+        sr,
+        MaskRows::of(mask),
+        a,
+        b,
+        b_csc,
+    ))
+}
+
+/// [`hybrid_masked_spgemm`] on the mask's pattern.
+fn hybrid_rows<S>(
+    phases: Phases,
+    cfg: HybridConfig,
+    sr: S,
+    mask: MaskRows<'_>,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+    b_csc: &CscMatrix<S::B>,
+) -> CsrMatrix<S::C>
+where
+    S: Semiring,
+    S::C: Default + Sync,
+{
     let avg_b_col_nnz = if b.ncols() > 0 {
         b.nnz() as f64 / b.ncols() as f64
     } else {
         0.0
     };
-    let max_m = max_mask_row_nnz(mask);
-    let ncols = b.ncols();
+    let (max_m, ncols) = (mask.max_row_nnz(), b.ncols());
     let make = || HybridProducer {
         sr,
         cfg,
@@ -222,10 +244,10 @@ where
         mca: McaKernel::new(ncols, max_m),
         heap: HeapKernel::new(ncols, max_m),
     };
-    Ok(match phases {
+    match phases {
         Phases::One => one_phase_driver(a.nrows(), ncols, make),
         Phases::Two => two_phase_driver(a.nrows(), ncols, make),
-    })
+    }
 }
 
 /// Per-row choices for a whole multiply (diagnostics / ablation).

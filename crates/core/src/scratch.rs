@@ -22,7 +22,7 @@ use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError, SparseVec};
 
 use crate::algos::{inner, ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
 use crate::api::Algorithm;
-use crate::exec::{check_dims, max_mask_row_nnz};
+use crate::exec::{check_dims, MaskRows};
 use crate::kernel::RowKernel;
 
 /// Per-worker state for one parallel region, keyed by the pool's stable
@@ -144,29 +144,48 @@ where
         return Err(SparseError::Unsupported(crate::api::COMPLEMENT_UNSUPPORTED));
     }
     check_dims(mask, a, b.nrows(), b.ncols());
-    let kernel = scratch.acquire(b.ncols(), max_mask_row_nnz(mask));
+    let mask = MaskRows::of(mask);
+    let kernel = scratch.acquire(b.ncols(), mask.max_row_nnz());
+    Ok(serial_push(sr, mask, complemented, a, b, kernel))
+}
+
+/// [`masked_spgemm_serial`] on the mask's pattern.
+fn serial_push<S: Semiring, K: RowKernel<S>>(
+    sr: S,
+    mask: MaskRows<'_>,
+    complemented: bool,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+    kernel: &mut K,
+) -> CsrMatrix<S::C> {
+    serial_rows(mask, a, b.ncols(), |mc, ac, av, cols, vals| {
+        if complemented {
+            kernel.compute_row_complemented(sr, mc, ac, av, b, cols, vals);
+        } else {
+            kernel.compute_row(sr, mc, ac, av, b, cols, vals);
+        }
+    })
+}
+
+/// Assemble a CSR product row by row in order: `row(mask_cols, a_cols,
+/// a_vals, cols, vals)` appends the next output row.
+fn serial_rows<A, C>(
+    mask: MaskRows<'_>,
+    a: &CsrMatrix<A>,
+    ncols: usize,
+    mut row: impl FnMut(&[Idx], &[Idx], &[A], &mut Vec<Idx>, &mut Vec<C>),
+) -> CsrMatrix<C> {
     let nrows = a.nrows();
     let mut rowptr = Vec::with_capacity(nrows + 1);
     rowptr.push(0usize);
     let mut cols: Vec<Idx> = Vec::new();
-    let mut vals: Vec<S::C> = Vec::new();
+    let mut vals: Vec<C> = Vec::new();
     for i in 0..nrows {
-        let (mc, _) = mask.row(i);
         let (ac, av) = a.row(i);
-        if complemented {
-            kernel.compute_row_complemented(sr, mc, ac, av, b, &mut cols, &mut vals);
-        } else {
-            kernel.compute_row(sr, mc, ac, av, b, &mut cols, &mut vals);
-        }
+        row(mask.row(i), ac, av, &mut cols, &mut vals);
         rowptr.push(cols.len());
     }
-    Ok(CsrMatrix::from_parts_unchecked(
-        nrows,
-        b.ncols(),
-        rowptr,
-        cols,
-        vals,
-    ))
+    CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, cols, vals)
 }
 
 /// Serial pull-based (`Inner`) masked SpGEMM against a CSC `B`.
@@ -182,22 +201,24 @@ where
     MT: Copy + Sync,
 {
     check_dims(mask, a, b.nrows(), b.ncols());
-    let nrows = a.nrows();
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let mut cols: Vec<Idx> = Vec::new();
-    let mut vals: Vec<S::C> = Vec::new();
-    for i in 0..nrows {
-        let (mc, _) = mask.row(i);
-        let (ac, av) = a.row(i);
+    serial_pull(sr, MaskRows::of(mask), complemented, a, b)
+}
+
+/// [`masked_spgemm_serial_csc`] on the mask's pattern.
+fn serial_pull<S: Semiring>(
+    sr: S,
+    mask: MaskRows<'_>,
+    complemented: bool,
+    a: &CsrMatrix<S::A>,
+    b: &CscMatrix<S::B>,
+) -> CsrMatrix<S::C> {
+    serial_rows(mask, a, b.ncols(), |mc, ac, av, cols, vals| {
         if complemented {
-            inner::inner_row_complemented(sr, mc, ac, av, b, &mut cols, &mut vals);
+            inner::inner_row_complemented(sr, mc, ac, av, b, cols, vals);
         } else {
-            inner::inner_row(sr, mc, ac, av, b, &mut cols, &mut vals);
+            inner::inner_row(sr, mc, ac, av, b, cols, vals);
         }
-        rowptr.push(cols.len());
-    }
-    CsrMatrix::from_parts_unchecked(nrows, b.ncols(), rowptr, cols, vals)
+    })
 }
 
 /// One reusable scratch per algorithm family, dispatched at runtime.

@@ -7,9 +7,9 @@
 
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
-use crate::algos::{inner, ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
+use crate::algos::inner;
 use crate::api::Algorithm;
-use crate::kernel::RowKernel;
+use crate::scratch::ScratchSet;
 
 /// Compute `v = m ⊙ (u·B)` (or `¬m ⊙` with `complemented`) with the chosen
 /// algorithm. `B` is CSR; use [`masked_spgevm_csc`] for `Inner`.
@@ -26,55 +26,12 @@ where
     S::C: Default,
     MT: Copy,
 {
-    if u.dim() != b.nrows() {
-        return Err(SparseError::DimMismatch {
-            op: "masked_spgevm (u·B)",
-            lhs: (1, u.dim()),
-            rhs: b.shape(),
-        });
+    if algorithm == Algorithm::Inner {
+        return Err(SparseError::Unsupported(
+            "Inner consumes B in CSC form; call masked_spgevm_csc",
+        ));
     }
-    if mask.dim() != b.ncols() {
-        return Err(SparseError::DimMismatch {
-            op: "masked_spgevm (mask)",
-            lhs: (1, mask.dim()),
-            rhs: (1, b.ncols()),
-        });
-    }
-    algorithm.check_complement_support(complemented)?;
-    let (mcols, ucols, uvals) = (mask.indices(), u.indices(), u.values());
-    let mut out_cols = Vec::new();
-    let mut out_vals = Vec::new();
-    macro_rules! run_kernel {
-        ($k:ty) => {{
-            let mut k = <$k>::new(b.ncols(), mcols.len());
-            if complemented {
-                k.compute_row_complemented(
-                    sr,
-                    mcols,
-                    ucols,
-                    uvals,
-                    b,
-                    &mut out_cols,
-                    &mut out_vals,
-                );
-            } else {
-                k.compute_row(sr, mcols, ucols, uvals, b, &mut out_cols, &mut out_vals);
-            }
-        }};
-    }
-    match algorithm {
-        Algorithm::Msa => run_kernel!(MsaKernel<S>),
-        Algorithm::Hash => run_kernel!(HashKernel<S>),
-        Algorithm::Mca => run_kernel!(McaKernel<S>),
-        Algorithm::Heap => run_kernel!(HeapKernel<S, { ninspect::ONE }>),
-        Algorithm::HeapDot => run_kernel!(HeapKernel<S, { ninspect::INF }>),
-        Algorithm::Inner => {
-            return Err(SparseError::Unsupported(
-                "Inner consumes B in CSC form; call masked_spgevm_csc",
-            ));
-        }
-    }
-    SparseVec::try_new(b.ncols(), out_cols, out_vals)
+    ScratchSet::new().run_vec(algorithm, complemented, sr, mask, u, b, None)
 }
 
 /// [`masked_spgevm`] with the pull-based `Inner` algorithm (`B` in CSC).

@@ -3,10 +3,10 @@
 //! Batch mode inverts the parallelization axis: instead of one product
 //! parallelized across rows, the [`Context`]'s workers each run whole
 //! products serially and pull the next operation from a shared queue. Each
-//! worker holds one scratch set *per value lane* ([`LaneScratch`]) for the
-//! entire batch, so accumulator scratch (the `O(ncols)` MSA arrays, hash
-//! tables, heap state) is allocated once per worker and lane rather than
-//! once per product.
+//! worker holds one scratch set *per lane and semiring* it runs
+//! ([`ScratchSets`]) for the entire batch, so accumulator scratch (the
+//! `O(ncols)` MSA arrays, hash tables, heap state) is allocated once per
+//! worker, lane and semiring rather than once per product.
 //!
 //! The op queue is drained by the context's own persistent pool workers
 //! ([`rayon::ThreadPool::with_workers`]) — batch execution spawns no
@@ -18,179 +18,35 @@
 //!
 //! * **heterogeneous semirings *and* lanes** — each [`MaskedOp`] carries
 //!   its own [`SemiringKind`](masked_spgemm::SemiringKind) and
-//!   [`ValueKind`](masked_spgemm::ValueKind); execution erases the
-//!   semiring through [`DynLane`] per lane, so one batch mixes `bool`
-//!   BFS steps, exact `i64` counting ops, and `f64` products on the same
-//!   worker scratch;
-//! * **vector operands** — [`Operands::VecMat`] ops run the serial masked
-//!   SpGEVM kernels, so frontier expansions batch alongside matrix
-//!   products;
+//!   [`ValueKind`](masked_spgemm::ValueKind), dispatched per op to the
+//!   kernels built for that pair, so one batch mixes `bool` BFS steps,
+//!   exact `i64` counting ops, and `f64` products on the same worker;
+//! * **vector operands** — [`Operands::VecMat`](crate::Operands::VecMat)
+//!   ops run the serial masked SpGEVM kernels, so frontier expansions
+//!   batch alongside matrix products;
 //! * **streamed delivery** — finished products flow through a channel to
 //!   the calling thread, which hands them to a [`ResultSink`] in
 //!   *completion order*. A sink that consumes-and-drops keeps memory flat
 //!   regardless of batch size; [`Context::run_batch_collect`] is the
 //!   convenience that collects into input order when you do want them all.
 //!
-//! Plans are computed up front on the calling thread (they read cached
-//! auxiliaries, so this is cheap) and forced to fixed algorithms: per-row
-//! hybrid dispatch buys nothing when the batch already saturates the
-//! workers, and fixed plans let scratch be reused by family.
+//! Each op is resolved up front on the calling thread (plans read cached
+//! auxiliaries, so this is cheap) exactly as a single op is, except that
+//! its plan is serial: the worker runs one fixed algorithm on its own
+//! scratch — per-row hybrid dispatch buys nothing when the batch already
+//! saturates the workers, and fixed plans let scratch be reused by family.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use masked_spgemm::{masked_spgevm_csc, Algorithm, DynLane};
-use sparse::{CscMatrix, CsrMatrix, SparseError, SparseVec};
+use sparse::{CsrMatrix, SparseError};
 
-use crate::context::{Context, ValueMat};
-use crate::lane::{on_variant, with_lane, Lane, LaneScratch};
-use crate::op::{FromOpOutput, MaskedOp, OpOutput, Operands, ResultSink, OPERAND_LANE_MISMATCH};
-use crate::plan::{Choice, Plan};
-
-/// A batch entry resolved to the data a worker needs, on any lane.
-trait Prepared: Send + Sync {
-    /// Run on the worker's scratch and wrap the result in its lane's
-    /// output variant.
-    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError>;
-}
-
-/// A matrix-product batch entry: the mask in its **native** stored lane
-/// (kernels read only its pattern), operand `Arc`s on the op's lane (the
-/// stored matrices themselves when the lanes agree — no canonical copy), a
-/// fixed algorithm, and the per-op erased semiring.
-struct PreparedMat<T: Lane> {
-    sr: DynLane<T>,
-    mask: ValueMat,
-    a: Arc<CsrMatrix<T>>,
-    b: Arc<CsrMatrix<T>>,
-    b_csc: Option<Arc<CscMatrix<T>>>,
-    algorithm: Algorithm,
-    complemented: bool,
-}
-
-impl<T: Lane> Prepared for PreparedMat<T> {
-    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError> {
-        let scratch = T::scratch(scratch);
-        on_variant!(&self.mask, ValueMat, m => scratch.run(
-            self.algorithm,
-            self.complemented,
-            self.sr,
-            m.as_ref(),
-            &self.a,
-            &self.b,
-            self.b_csc.as_deref(),
-        ))
-        .map(T::mat_output)
-    }
-}
-
-/// A vector-product batch entry: the mask pattern, the typed operand
-/// vector, and `B` in the form the fixed algorithm consumes.
-struct PreparedVec<T: Lane> {
-    sr: DynLane<T>,
-    mask: SparseVec<()>,
-    u: Arc<SparseVec<T>>,
-    b_view: Option<Arc<CsrMatrix<T>>>,
-    b_csc: Option<Arc<CscMatrix<T>>>,
-    algorithm: Algorithm,
-    complemented: bool,
-}
-
-impl<T: Lane> Prepared for PreparedVec<T> {
-    /// Push products run through the worker's reused per-lane scratch; the
-    /// pull path carries no accumulator.
-    fn run(&self, scratch: &mut LaneScratch) -> Result<OpOutput, SparseError> {
-        if self.algorithm == Algorithm::Inner {
-            let csc = self.b_csc.as_ref().expect("pull plan materialized CSC");
-            masked_spgevm_csc(self.complemented, self.sr, &self.mask, &self.u, csc)
-        } else {
-            let view = self.b_view.as_ref().expect("push plan materialized view");
-            T::scratch(scratch).run_vec(
-                self.algorithm,
-                self.complemented,
-                self.sr,
-                &self.mask,
-                &self.u,
-                view,
-                None,
-            )
-        }
-        .map(T::vec_output)
-    }
-}
-
-/// Reduce a plan to one fixed algorithm (batch workers and the serial
-/// in-thread path both need one): when the planner wanted the per-row
-/// hybrid, take the fixed family its own cost breakdown ranked best.
-pub(crate) fn fixed_algorithm(plan: &Plan) -> Algorithm {
-    match plan.choice {
-        Choice::Fixed(alg) => alg,
-        Choice::Hybrid => {
-            let c = &plan.costs;
-            let mut best = (Algorithm::Msa, c.msa);
-            for cand in [
-                (Algorithm::Mca, c.mca),
-                (Algorithm::Heap, c.heap),
-                (Algorithm::Inner, c.inner),
-            ] {
-                let supported = !plan.complemented || cand.0.supports_complement();
-                if supported && cand.1 < best.1 {
-                    best = cand;
-                }
-            }
-            best.0
-        }
-    }
-}
+use crate::context::Context;
+use crate::lane::{on_variant, ScratchSets};
+use crate::op::{FromOpOutput, MaskedOp, OpOutput, Resolved, ResultSink};
 
 impl Context {
-    /// Resolve one descriptor for batch execution: plan it, fix the
-    /// algorithm, and materialize the lane views the workers will read.
-    fn prepare_any(&self, op: &MaskedOp) -> Result<Box<dyn Prepared>, SparseError> {
-        let plan = self.resolve_plan(op)?;
-        with_lane!(op.value, T => self.prepare::<T>(op, fixed_algorithm(&plan)))
-    }
-
-    fn prepare<T: Lane>(
-        &self,
-        op: &MaskedOp,
-        algorithm: Algorithm,
-    ) -> Result<Box<dyn Prepared>, SparseError> {
-        let sr = DynLane::new(op.semiring);
-        // Materialize the cached CSC only when the plan actually pulls.
-        let pull = algorithm == Algorithm::Inner;
-        Ok(match op.operands {
-            Operands::MatMat { mask, a, b } => Box::new(PreparedMat::<T> {
-                sr,
-                // Native mask — no lane cast for a pattern-only operand.
-                mask: self.value_mat(mask),
-                a: self.view(a),
-                b: self.view(b),
-                b_csc: pull.then(|| self.lane_csc(b)),
-                algorithm,
-                complemented: op.complemented,
-            }),
-            Operands::VecMat { mask, u, b } => {
-                let mask = self.vector(mask).pattern();
-                // Lane agreement was validated by `resolve_plan`; a
-                // mismatch here means a concurrent lane change.
-                let u = T::native_vec(&self.vector(u))
-                    .cloned()
-                    .ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?;
-                Box::new(PreparedVec {
-                    sr,
-                    mask,
-                    u,
-                    b_view: (!pull).then(|| self.view(b)),
-                    b_csc: pull.then(|| self.lane_csc(b)),
-                    algorithm,
-                    complemented: op.complemented,
-                })
-            }
-        })
-    }
-
     /// The shared batch scaffold: the context's pool workers drain an
     /// indexed job queue with per-worker state (built once per worker by
     /// `make_state`) and send `(index, result)` pairs to the calling
@@ -284,14 +140,15 @@ impl Context {
     ///
     /// [`AccumMode::MergeInto`]: crate::AccumMode::MergeInto
     pub fn for_each_result<T: FromOpOutput>(&self, ops: &[MaskedOp], mut sink: impl ResultSink<T>) {
-        let prepared: Vec<Result<Box<dyn Prepared>, SparseError>> =
-            ops.iter().map(|op| self.prepare_any(op)).collect();
+        // Each entry runs whole on one worker, so its plan is serial.
+        let resolved: Vec<Result<Resolved, SparseError>> =
+            ops.iter().map(|op| self.resolve(op, true)).collect();
         self.stream_indexed(
-            prepared.len(),
-            LaneScratch::default,
-            |scratch, i| match &prepared[i] {
+            resolved.len(),
+            ScratchSets::default,
+            |scratch, i| match &resolved[i] {
                 Err(e) => Err(e.clone()),
-                Ok(p) => p.run(scratch),
+                Ok(r) => on_variant!(r, Resolved, r => self.execute(r, scratch)),
             },
             |i, result| {
                 let result = result

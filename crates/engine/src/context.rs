@@ -7,15 +7,12 @@ use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use masked_spgemm::{
-    hybrid_masked_spgemm, masked_spgemm, masked_spgemm_csc, Algorithm, HybridConfig, LaneValue,
-    Phases, ScratchSet, ValueKind,
-};
+use masked_spgemm::{HybridConfig, LaneValue, ValueKind};
 use sparse::transpose::transpose;
-use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError, SparseVec};
+use sparse::{CscMatrix, CsrMatrix, Idx, SparseError, SparseVec};
 
-use crate::lane::{on_variant, Lane, LaneScratch};
-use crate::plan::{self, Choice, Plan};
+use crate::lane::{on_variant, Lane, ScratchSets};
+use crate::plan::{self, Plan};
 
 /// Handle to a matrix registered in a [`Context`].
 ///
@@ -497,11 +494,14 @@ pub struct Context {
     /// serially on the calling thread (0 = never; installed by
     /// [`Context::calibrate`] from the measured dispatch overhead).
     serial_cutoff: RwLock<f64>,
-    /// Reusable per-lane SpGEVM kernel scratch for the single-op vector
-    /// path (batch workers hold their own sets). Guarded by `try_lock`
+    /// Reusable kernel scratch for serial single ops, matrix and vector
+    /// alike (batch workers hold their own sets). Guarded by `try_lock`
     /// with a transient-scratch fallback, so concurrent single ops never
-    /// block each other — they just skip the reuse.
-    pub(crate) vec_scratch: Mutex<LaneScratch>,
+    /// block each other — they just skip the reuse. It lives as long as
+    /// the context and is not billed to the aux ledger: each (lane,
+    /// semiring, family) keeps accumulators sized for the widest product
+    /// it ran (an MSA holds `O(ncols)` per lane and semiring).
+    pub(crate) scratch: Mutex<ScratchSets>,
 }
 
 impl Default for Context {
@@ -550,7 +550,7 @@ impl Context {
             plan_cache: Mutex::new(PlanCacheState::new()),
             aux_ledger: Mutex::new(AuxLedger::new()),
             serial_cutoff: RwLock::new(0.0),
-            vec_scratch: Mutex::default(),
+            scratch: Mutex::default(),
         }
     }
 
@@ -1393,115 +1393,5 @@ impl Context {
         pc.map.insert(key, (plan, stamp));
         Self::enforce_plan_budget(&mut pc);
         Ok(plan)
-    }
-
-    // ----------------------------------------------------------- execution
-
-    /// Run one masked SpGEMM under an explicit plan against caller-supplied
-    /// typed operand views — the lane-generic core every execution entry
-    /// point ([`Context::run_with`] and the typed-lane dispatch in
-    /// [`crate::MaskedOp`] execution) shares. The mask is consumed in its
-    /// **native** storage (the kernels only read its pattern, so no lane
-    /// cast is ever built for a mask operand); `b_csc` is invoked only when
-    /// the plan actually pulls, so CSC views are materialized on demand.
-    ///
-    /// A [`Plan::serial`](crate::Plan) plan with a fixed algorithm runs the
-    /// serial scratch driver on the calling thread (bit-identical rows, no
-    /// pool dispatch) — the calibrated cutoff for products whose work is
-    /// smaller than the cost of waking the workers.
-    pub(crate) fn execute_mat_views<S>(
-        &self,
-        plan: &Plan,
-        sr: S,
-        mask: &ValueMat,
-        a: &CsrMatrix<S::A>,
-        b: &CsrMatrix<S::B>,
-        b_csc: &mut dyn FnMut() -> Arc<CscMatrix<S::B>>,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring,
-        S::B: Clone,
-        S::C: Default + Send + Sync,
-    {
-        on_variant!(mask, ValueMat, m => self.execute_mat_views_masked(plan, sr, m, a, b, b_csc))
-    }
-
-    /// [`Context::execute_mat_views`] monomorphized per mask lane (the
-    /// kernels are generic over the mask's scalar — only its pattern is
-    /// read).
-    fn execute_mat_views_masked<S, MT>(
-        &self,
-        plan: &Plan,
-        sr: S,
-        mask: &CsrMatrix<MT>,
-        a: &CsrMatrix<S::A>,
-        b: &CsrMatrix<S::B>,
-        b_csc: &mut dyn FnMut() -> Arc<CscMatrix<S::B>>,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring,
-        S::B: Clone,
-        S::C: Default + Send + Sync,
-        MT: Copy + Sync,
-    {
-        let cfg = self.config();
-        if plan.serial {
-            // A sub-cutoff product is not worth per-row hybrid dispatch
-            // either: reduce a Hybrid choice to its best-ranked fixed
-            // family (same reduction the batch workers use) so `serial`
-            // always means "no pool wake", as documented.
-            let alg = crate::batch::fixed_algorithm(plan);
-            let csc = (alg == Algorithm::Inner).then(&mut *b_csc);
-            let mut scratch: ScratchSet<S> = ScratchSet::new();
-            return scratch.run(alg, plan.complemented, sr, mask, a, b, csc.as_deref());
-        }
-        match plan.choice {
-            Choice::Fixed(Algorithm::Inner) => {
-                let csc = b_csc();
-                self.pool.install(|| {
-                    masked_spgemm_csc(
-                        Algorithm::Inner,
-                        plan.phases,
-                        plan.complemented,
-                        sr,
-                        mask,
-                        a,
-                        &csc,
-                    )
-                })
-            }
-            Choice::Fixed(alg) => self
-                .pool
-                .install(|| masked_spgemm(alg, plan.phases, plan.complemented, sr, mask, a, b)),
-            Choice::Hybrid => {
-                let csc = b_csc();
-                self.pool
-                    .install(|| hybrid_masked_spgemm(plan.phases, cfg, sr, mask, a, b, &csc))
-            }
-        }
-    }
-
-    /// Run with a forced algorithm and phase discipline (bypasses the
-    /// planner but still uses cached auxiliaries). The typed-semiring
-    /// counterpart of `Context::op(..).algorithm(..).phases(..).run()`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with<S>(
-        &self,
-        algorithm: Algorithm,
-        phases: Phases,
-        sr: S,
-        mask: MatrixHandle,
-        complemented: bool,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring<A = f64, B = f64>,
-        S::C: Default + Send + Sync,
-    {
-        let plan = Plan::fixed(algorithm, phases, complemented);
-        let mask = self.value_mat(mask);
-        let (av, bv) = (self.f64_view(a), self.f64_view(b));
-        self.execute_mat_views(&plan, sr, &mask, &av, &bv, &mut || self.csc(b))
     }
 }

@@ -1,27 +1,26 @@
 //! The crate-private lane abstraction: the one place that maps a value
 //! lane (`bool`, `i64`, `f64`) to its registry variants, its output
-//! variants, its custom accumulation monoid, its batch scratch, and its
-//! typed matrix semirings.
+//! variants, its custom accumulation monoid, and its resolved-op variant,
+//! plus the semiring the kernels run on.
 //!
 //! Engine code that must work on every lane is written once, generic over
 //! [`Lane`]; [`with_lane!`] turns a runtime [`ValueKind`] into that type
 //! parameter, and [`on_variant!`] applies one expression to whichever
-//! lane variant a [`ValueMat`] / [`ValueVec`] holds.
+//! lane variant a [`ValueMat`] / [`ValueVec`] / [`Resolved`] holds. A
+//! product on lane `T` runs the kernels on [`Fixed<T, K>`]: the op's
+//! runtime [`SemiringKind`] is dispatched once per op, not once per flop.
 //!
 //! [`ValueKind`]: masked_spgemm::ValueKind
 
+use std::any::Any;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use masked_spgemm::{DynLane, LaneValue, ScratchSet, SemiringKind};
-use sparse::{
-    BoolAndOr, CsrMatrix, MinPlus, PlusFirst, PlusPair, PlusSecond, PlusTimes, Semiring,
-    SparseError, SparseVec,
-};
+use masked_spgemm::{DynLane, LaneValue, ScratchSet, SemiringKind, ValueKind};
+use sparse::{CsrMatrix, Semiring, SparseError, SparseVec};
 
 use crate::context::{ValueMat, ValueVec};
-use crate::op::{
-    AccumMonoid, FromOpOutput, OpOutput, OUTPUT_KIND_MISMATCH, SEMIRING_LANE_UNSUPPORTED,
-};
+use crate::op::{AccumMonoid, FromOpOutput, OpOutput, Resolved, ResolvedOp, OUTPUT_KIND_MISMATCH};
 
 /// Evaluate `$body` with the type alias `$T` bound to the lane type of the
 /// runtime [`masked_spgemm::ValueKind`] `$kind`.
@@ -58,28 +57,79 @@ macro_rules! on_variant {
 
 pub(crate) use {on_variant, with_lane};
 
-/// A matrix product that runs on any typed semiring of lane `T` —
-/// [`Lane::typed_product`] picks the semiring, the implementor runs it.
-pub(crate) trait TypedProduct<T> {
-    /// What the product returns.
-    type Out;
-    /// Run with the monomorphized semiring `sr`.
-    fn run<S: Semiring<A = T, B = T, C = T>>(self, sr: S) -> Self::Out;
+/// [`DynLane<T>`] with its kind fixed at compile time to
+/// `SemiringKind::ALL[K]`. The kernels are monomorphized per (lane, kind)
+/// on it, so their inner loops carry no kind branch and `plus_pair` never
+/// loads an operand value — the code the typed semirings compile to. Its
+/// `mul`/`add` are `DynLane`'s with the kind folded to a constant, hence
+/// bit-identical to it.
+#[derive(Copy, Clone)]
+pub(crate) struct Fixed<T, const K: usize>(PhantomData<T>);
+
+// `Fixed::<T, { kind as usize }>` names `kind` only if `ALL` lists the
+// kinds in declaration order.
+const _: () = {
+    let mut k = 0;
+    while k < SemiringKind::ALL.len() {
+        assert!(SemiringKind::ALL[k] as usize == k);
+        k += 1;
+    }
+};
+
+impl<T: LaneValue, const K: usize> Fixed<T, K> {
+    pub(crate) fn new() -> Self {
+        Fixed(PhantomData)
+    }
 }
 
-/// One reusable erased-semiring kernel scratch set per value lane: what a
-/// batch worker holds for its lifetime, and what the single-op vector path
-/// reuses across calls. Lanes never touched stay empty (the kernels inside
-/// a [`ScratchSet`] are built on first use per family).
+impl<T: LaneValue, const K: usize> Semiring for Fixed<T, K> {
+    type A = T;
+    type B = T;
+    type C = T;
+
+    #[inline(always)]
+    fn mul(&self, a: T, b: T) -> T {
+        DynLane::<T>::new(SemiringKind::ALL[K]).mul(a, b)
+    }
+
+    #[inline(always)]
+    fn add(&self, x: T, y: T) -> T {
+        DynLane::<T>::new(SemiringKind::ALL[K]).add(x, y)
+    }
+}
+
+/// Reusable kernel scratch, one [`ScratchSet`] per semiring run so far:
+/// what a batch worker holds for its lifetime, and what serial single ops
+/// reuse across calls. Sets are created on first use, and the kernels in
+/// a set on first use per family; none is freed before its holder.
 #[derive(Default)]
-pub(crate) struct LaneScratch {
-    bool_: ScratchSet<DynLane<bool>>,
-    i64_: ScratchSet<DynLane<i64>>,
-    f64_: ScratchSet<DynLane<f64>>,
+pub(crate) struct ScratchSets(Vec<Box<dyn Any + Send>>);
+
+impl ScratchSets {
+    /// The set for semiring `S`.
+    pub(crate) fn get<S>(&mut self) -> &mut ScratchSet<S>
+    where
+        S: Semiring + Send + 'static,
+        S::C: Default + Send,
+    {
+        let i = match self.0.iter().position(|s| s.is::<ScratchSet<S>>()) {
+            Some(i) => i,
+            None => {
+                self.0.push(Box::new(ScratchSet::<S>::new()));
+                self.0.len() - 1
+            }
+        };
+        self.0[i]
+            .downcast_mut()
+            .expect("slot holds this semiring's set")
+    }
 }
 
 /// A value lane the engine stores, multiplies, and delivers.
 pub(crate) trait Lane: LaneValue {
+    /// Whether this is the `bool` lane, whose only semiring is
+    /// [`SemiringKind::BoolAndOr`].
+    const BOOL: bool = matches!(Self::KIND, ValueKind::Bool);
     /// The stored matrix, when `m` lives natively on this lane.
     fn native_mat(m: &ValueMat) -> Option<&Arc<CsrMatrix<Self>>>;
     /// The stored vector, when `v` lives on this lane.
@@ -98,46 +148,10 @@ pub(crate) trait Lane: LaneValue {
     fn take_vec(out: OpOutput) -> Option<SparseVec<Self>>;
     /// The custom monoid function, when `monoid` is this lane's custom one.
     fn custom_monoid(monoid: AccumMonoid) -> Option<fn(Self, Self) -> Self>;
-    /// This lane's scratch set.
-    fn scratch(s: &mut LaneScratch) -> &mut ScratchSet<DynLane<Self>>;
-    /// Run `product` on the typed semiring `kind` names on this lane, or
-    /// report [`SEMIRING_LANE_UNSUPPORTED`].
-    fn typed_product<P: TypedProduct<Self>>(
-        kind: SemiringKind,
-        product: P,
-    ) -> Result<P::Out, SparseError>;
-}
-
-/// The typed semirings of a numeric lane.
-fn numeric_product<T, P>(kind: SemiringKind, p: P) -> Result<P::Out, SparseError>
-where
-    T: LaneValue
-        + sparse::semiring::One
-        + PartialOrd
-        + std::ops::Add<Output = T>
-        + std::ops::Mul<Output = T>,
-    P: TypedProduct<T>,
-{
-    match kind {
-        SemiringKind::PlusTimes => Ok(p.run(PlusTimes::<T>::new())),
-        SemiringKind::PlusPair => Ok(p.run(PlusPair::<T, T, T>::new())),
-        SemiringKind::PlusFirst => Ok(p.run(PlusFirst::<T>::new())),
-        SemiringKind::PlusSecond => Ok(p.run(PlusSecond::<T, T>::new())),
-        SemiringKind::MinPlus => Ok(p.run(MinPlus::<T>::new())),
-        SemiringKind::BoolAndOr => Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED)),
-    }
-}
-
-/// The typed semiring of the `bool` lane.
-fn bool_product<P: TypedProduct<bool>>(kind: SemiringKind, p: P) -> Result<P::Out, SparseError> {
-    match kind {
-        SemiringKind::BoolAndOr => Ok(p.run(BoolAndOr)),
-        _ => Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED)),
-    }
 }
 
 macro_rules! impl_lane {
-    ($t:ty, $variant:ident, $mat:ident, $vec:ident, $custom:ident, $scratch:ident, $product:ident) => {
+    ($t:ty, $variant:ident, $mat:ident, $vec:ident, $custom:ident) => {
         impl Lane for $t {
             fn native_mat(m: &ValueMat) -> Option<&Arc<CsrMatrix<$t>>> {
                 match m {
@@ -181,14 +195,11 @@ macro_rules! impl_lane {
                     _ => None,
                 }
             }
-            fn scratch(s: &mut LaneScratch) -> &mut ScratchSet<DynLane<$t>> {
-                &mut s.$scratch
-            }
-            fn typed_product<P: TypedProduct<$t>>(
-                kind: SemiringKind,
-                product: P,
-            ) -> Result<P::Out, SparseError> {
-                $product(kind, product)
+        }
+
+        impl From<ResolvedOp<$t>> for Resolved {
+            fn from(r: ResolvedOp<$t>) -> Self {
+                Resolved::$variant(r)
             }
         }
 
@@ -224,14 +235,6 @@ macro_rules! impl_lane {
     };
 }
 
-impl_lane!(
-    bool,
-    Bool,
-    MatBool,
-    VecBool,
-    CustomBool,
-    bool_,
-    bool_product
-);
-impl_lane!(i64, I64, MatI64, VecI64, CustomI64, i64_, numeric_product);
-impl_lane!(f64, F64, MatF64, VecF64, CustomF64, f64_, numeric_product);
+impl_lane!(bool, Bool, MatBool, VecBool, CustomBool);
+impl_lane!(i64, I64, MatI64, VecI64, CustomI64);
+impl_lane!(f64, F64, MatF64, VecF64, CustomF64);

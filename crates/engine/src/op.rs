@@ -13,8 +13,9 @@
 //!   frontier-expansion step of BFS-style traversals, where the planner's
 //!   push/pull choice is Beamer's direction heuristic);
 //! * a runtime [`SemiringKind`] **and** a [`ValueKind`] lane — `bool`
-//!   frontiers, exact `i64` counts, and `f64` products each run on real
-//!   monomorphized kernels, and one batch can mix all three;
+//!   frontiers, exact `i64` counts, and `f64` products each run on
+//!   kernels monomorphized for their lane and kind, and one batch can mix
+//!   all three;
 //! * an [`AccumMode`]: deliver the product as-is, or merge it into a
 //!   registered matrix/vector with an [`AccumMonoid`] chosen independently
 //!   of the multiply semiring (`add`, `min`, the semiring's own `add`, or
@@ -52,14 +53,15 @@
 //! ```
 
 use masked_spgemm::{
-    masked_spgevm_csc, Algorithm, DynLane, LaneValue, Phases, ScratchSet, SemiringKind, ValueKind,
+    hybrid_masked_spgemm, masked_spgemm, masked_spgemm_csc, masked_spgevm_csc, Algorithm, DynLane,
+    LaneValue, Phases, SemiringKind, ValueKind,
 };
 use sparse::ewise::ewise_union;
-use sparse::{CsrMatrix, Semiring, SparseError, SparseVec};
+use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 use std::sync::Arc;
 
 use crate::context::{Context, MatrixHandle, ValueMat, ValueVec, VectorHandle};
-use crate::lane::{with_lane, Lane, TypedProduct};
+use crate::lane::{on_variant, with_lane, Fixed, Lane, ScratchSets};
 use crate::plan::{self, Choice, Plan};
 
 /// Uniform error text: the semiring kind is not defined on the value lane.
@@ -616,25 +618,22 @@ impl Context {
     ///
     /// Operands resolve to their **native** stored lane with zero copies
     /// when the op's lane matches ([`crate::ValueMat`]); cross-lane casts
-    /// come from the aux cache. Matrix products dispatch to *typed* lane
-    /// semirings for the descriptor's `(semiring, value)` pair, so the
-    /// kernels' inner loops are monomorphized and inlined exactly as on
-    /// the engine-free entry points; they run row-parallel on the
-    /// context's pool unless the plan's calibrated serial cutoff applies.
-    /// Vector products are single-row, always run on the calling thread,
-    /// and reuse the context's per-lane kernel scratch through the erased
-    /// [`DynLane`] (bit-identical to the typed semirings) instead of
-    /// rebuilding their accumulator per call.
+    /// come from the aux cache. The product runs on kernels monomorphized
+    /// for its lane and semiring (bit-identical to [`DynLane`] and the
+    /// typed semirings): row-parallel on the context's pool, or — for a
+    /// plan under the calibrated serial cutoff, and for every vector
+    /// product — on the calling thread with the context's reused kernel
+    /// scratch.
     pub fn run_op_out(&self, op: &MaskedOp) -> Result<OpOutput, SparseError> {
-        let plan = self.resolve_plan(op)?;
-        let out = with_lane!(op.value, T => match op.operands {
-            Operands::MatMat { mask, a, b } => {
-                T::mat_output(self.run_mat::<T>(&plan, op, mask, a, b)?)
+        let out = on_variant!(&self.resolve(op, false)?, Resolved, r => {
+            // Another single op holding the scratch right now: run on
+            // transient scratch rather than serializing behind it.
+            let shared = if r.plan.serial { self.scratch.try_lock().ok() } else { None };
+            match shared {
+                Some(mut sets) => self.execute(r, &mut sets),
+                None => self.execute(r, &mut ScratchSets::default()),
             }
-            Operands::VecMat { mask, u, b } => {
-                T::vec_output(self.run_vec::<T>(&plan, op, mask, u, b)?)
-            }
-        });
+        })?;
         self.apply_accum(op, out)
     }
 
@@ -644,78 +643,117 @@ impl Context {
         FromOpOutput::from_output(self.run_op_out(op)?)
     }
 
-    /// Execute a planned matrix product on lane `T` with the typed semiring
-    /// the descriptor names. Operand resolution is native-first: the mask
-    /// is consumed in its stored lane (kernels read only its pattern), and
-    /// the lane views are the stored matrices themselves when the entries
-    /// were registered on this lane — zero-copy, no canonical detour.
-    fn run_mat<T: Lane>(
-        &self,
-        plan: &Plan,
-        op: &MaskedOp,
-        mask: MatrixHandle,
-        a: MatrixHandle,
-        b: MatrixHandle,
-    ) -> Result<CsrMatrix<T>, SparseError> {
-        let product = MatProduct {
-            ctx: self,
-            plan,
-            mask: self.value_mat(mask),
-            a: self.view(a),
-            b: self.view(b),
-            b_handle: b,
-        };
-        T::typed_product(op.semiring, product)?
+    /// Resolve a descriptor on the calling thread: plan it (`serial` forces
+    /// a serial plan, as for a batch entry that one worker runs whole) and
+    /// snapshot what the run reads.
+    pub(crate) fn resolve(&self, op: &MaskedOp, serial: bool) -> Result<Resolved, SparseError> {
+        let mut plan = self.resolve_plan(op)?;
+        plan.serial |= serial;
+        with_lane!(op.value, T => self.resolve_lane::<T>(op, plan).map(Resolved::from))
     }
 
-    /// Execute a planned vector-operand product on lane `T`, reading `B`
-    /// from the context's aux cache (the CSR view for push kernels, the
-    /// CSC form for the pull path — each built only when the plan needs
-    /// it).
-    ///
-    /// Push products run through the context's **reusable per-lane
-    /// [`ScratchSet`]** ([`DynLane`] erasure, bit-identical to the typed
-    /// semirings), so a BFS that issues one product per level stops
-    /// rebuilding its `O(ncols)` accumulator every level. The pull path
-    /// (`Inner`) carries no accumulator and writes its dots directly.
-    fn run_vec<T: Lane>(
+    /// [`Context::resolve`] on lane `T`, under an already resolved plan.
+    fn resolve_lane<T: Lane>(
         &self,
-        plan: &Plan,
         op: &MaskedOp,
-        mask: VectorHandle,
-        u: VectorHandle,
-        b: MatrixHandle,
-    ) -> Result<SparseVec<T>, SparseError> {
-        let mask = self.vector(mask).pattern();
-        let u = self.vector(u);
-        // Lane agreement was validated; a mismatch here means the vector
-        // was concurrently replaced with another lane.
-        let u = T::native_vec(&u).ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?;
-        let sr = DynLane::<T>::new(op.semiring);
-        let algorithm = match plan.choice {
-            Choice::Fixed(alg) => alg,
-            Choice::Hybrid => Algorithm::Msa, // vec plans are never hybrid
+        plan: Plan,
+    ) -> Result<ResolvedOp<T>, SparseError> {
+        let pull = plan.pulls();
+        let inputs = match op.operands {
+            Operands::MatMat { mask, a, b } => Inputs::Mat {
+                mask: self.value_mat(mask),
+                a: self.view(a),
+                b: self.view(b),
+            },
+            Operands::VecMat { mask, u, b } => Inputs::Vec {
+                mask: self.vector(mask).pattern(),
+                // Lane agreement was validated by `resolve_plan`; a
+                // mismatch here means a concurrent lane change.
+                u: T::native_vec(&self.vector(u))
+                    .cloned()
+                    .ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?,
+                b: (!pull).then(|| self.view(b)),
+            },
         };
-        if algorithm == Algorithm::Inner {
-            let csc = self.lane_csc::<T>(b);
-            return masked_spgevm_csc(plan.complemented, sr, &mask, u, &csc);
+        let (Operands::MatMat { b, .. } | Operands::VecMat { b, .. }) = op.operands;
+        Ok(ResolvedOp {
+            plan,
+            kind: op.semiring,
+            inputs,
+            b_csc: pull.then(|| self.lane_csc(b)),
+        })
+    }
+
+    /// Run a resolved op — the one executor behind single matrix ops,
+    /// vector ops, and batch entries. The op's semiring kind is dispatched
+    /// here, once, to the kernels monomorphized for it ([`Fixed`]). A
+    /// serial plan runs the scratch drivers on the calling thread with the
+    /// kind's set from `scratch`; any other plan runs row-parallel on the
+    /// pool and leaves `scratch` untouched.
+    pub(crate) fn execute<T: Lane>(
+        &self,
+        r: &ResolvedOp<T>,
+        scratch: &mut ScratchSets,
+    ) -> Result<OpOutput, SparseError> {
+        use SemiringKind as K;
+        macro_rules! as_kind {
+            ($k:ident) => {
+                self.execute_as(r, Fixed::<T, { K::$k as usize }>::new(), scratch)
+            };
         }
-        let view = self.view::<T>(b);
-        match self.vec_scratch.try_lock() {
-            Ok(mut set) => T::scratch(&mut set).run_vec(
-                algorithm,
-                plan.complemented,
-                sr,
-                &mask,
-                u,
-                &view,
-                None,
-            ),
-            // Another single op holds the scratch right now: run on
-            // transient scratch rather than serializing behind it.
-            Err(_) => {
-                ScratchSet::new().run_vec(algorithm, plan.complemented, sr, &mask, u, &view, None)
+        // `PlusTimes` and `BoolAndOr` perform the same operations on every
+        // lane, and `bool` supports no other kind: one kernel set serves it.
+        match r.kind {
+            _ if T::BOOL => as_kind!(BoolAndOr),
+            K::PlusTimes | K::BoolAndOr => as_kind!(PlusTimes),
+            K::PlusPair => as_kind!(PlusPair),
+            K::PlusFirst => as_kind!(PlusFirst),
+            K::PlusSecond => as_kind!(PlusSecond),
+            K::MinPlus => as_kind!(MinPlus),
+        }
+    }
+
+    /// [`Context::execute`] on the semiring `sr` the op's kind fixed.
+    fn execute_as<T, S>(
+        &self,
+        r: &ResolvedOp<T>,
+        sr: S,
+        scratch: &mut ScratchSets,
+    ) -> Result<OpOutput, SparseError>
+    where
+        T: Lane,
+        S: Semiring<A = T, B = T, C = T> + 'static,
+    {
+        let (plan, csc) = (&r.plan, r.b_csc.as_deref());
+        let pulled = || csc.expect("a pulling plan resolves B's CSC");
+        match &r.inputs {
+            Inputs::Mat { mask, a, b } => on_variant!(mask, ValueMat, m => {
+                let m = m.as_ref();
+                if plan.serial {
+                    let alg = plan.fixed_algorithm();
+                    scratch.get::<S>().run(alg, plan.complemented, sr, m, a, b, csc)
+                } else {
+                    let (phases, compl, cfg) = (plan.phases, plan.complemented, self.config());
+                    self.pool.install(|| match plan.choice {
+                        Choice::Fixed(Algorithm::Inner) => {
+                            masked_spgemm_csc(Algorithm::Inner, phases, compl, sr, m, a, pulled())
+                        }
+                        Choice::Fixed(alg) => masked_spgemm(alg, phases, compl, sr, m, a, b),
+                        Choice::Hybrid => hybrid_masked_spgemm(phases, cfg, sr, m, a, b, pulled()),
+                    })
+                }
+            })
+            .map(T::mat_output),
+            Inputs::Vec { mask, u, b } => match b {
+                Some(b) => {
+                    let alg = plan.fixed_algorithm();
+                    scratch
+                        .get::<S>()
+                        .run_vec(alg, plan.complemented, sr, mask, u, b, None)
+                }
+                None => masked_spgevm_csc(plan.complemented, sr, mask, u, pulled()),
             }
+            .map(T::vec_output),
         }
     }
 
@@ -794,24 +832,40 @@ impl Context {
     }
 }
 
-/// The operands of a typed matrix product on lane `T`, run by whichever
-/// typed semiring [`Lane::typed_product`] picks.
-struct MatProduct<'c, T> {
-    ctx: &'c Context,
-    plan: &'c Plan,
-    mask: ValueMat,
-    a: Arc<CsrMatrix<T>>,
-    b: Arc<CsrMatrix<T>>,
-    b_handle: MatrixHandle,
+/// A descriptor resolved on the calling thread into everything its run
+/// reads: the plan, the semiring kind, and the operands as snapshotted at
+/// resolve time.
+pub(crate) struct ResolvedOp<T> {
+    plan: Plan,
+    kind: SemiringKind,
+    inputs: Inputs<T>,
+    /// `B`'s lane CSC, built only when the plan pulls.
+    b_csc: Option<Arc<CscMatrix<T>>>,
 }
 
-impl<T: Lane> TypedProduct<T> for MatProduct<'_, T> {
-    type Out = Result<CsrMatrix<T>, SparseError>;
+/// The operands of a [`ResolvedOp`] on lane `T`.
+enum Inputs<T> {
+    /// `M ⊙ (A·B)`: the mask in its **native** stored lane (the kernels
+    /// read only its pattern, so no cast is built for it) and the lane
+    /// views of `A` and `B` — the stored matrices themselves when they live
+    /// on this lane.
+    Mat {
+        mask: ValueMat,
+        a: Arc<CsrMatrix<T>>,
+        b: Arc<CsrMatrix<T>>,
+    },
+    /// `m ⊙ (u·B)`: the mask pattern, the operand vector, and `B`'s lane
+    /// CSR view, built only when the plan pushes.
+    Vec {
+        mask: SparseVec<()>,
+        u: Arc<SparseVec<T>>,
+        b: Option<Arc<CsrMatrix<T>>>,
+    },
+}
 
-    fn run<S: Semiring<A = T, B = T, C = T>>(self, sr: S) -> Self::Out {
-        let (ctx, b) = (self.ctx, self.b_handle);
-        ctx.execute_mat_views(self.plan, sr, &self.mask, &self.a, &self.b, &mut || {
-            ctx.lane_csc(b)
-        })
-    }
+/// A [`ResolvedOp`] on whichever lane its descriptor runs.
+pub(crate) enum Resolved {
+    Bool(ResolvedOp<bool>),
+    I64(ResolvedOp<i64>),
+    F64(ResolvedOp<f64>),
 }

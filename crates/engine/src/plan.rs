@@ -73,6 +73,40 @@ impl Plan {
         }
     }
 
+    /// Reduce the plan to one fixed algorithm (serial runs and batch
+    /// workers need one): when the planner wanted the per-row hybrid, take
+    /// the fixed family its own cost breakdown ranked best.
+    pub(crate) fn fixed_algorithm(&self) -> Algorithm {
+        match self.choice {
+            Choice::Fixed(alg) => alg,
+            Choice::Hybrid => {
+                let c = &self.costs;
+                let mut best = (Algorithm::Msa, c.msa);
+                for cand in [
+                    (Algorithm::Mca, c.mca),
+                    (Algorithm::Heap, c.heap),
+                    (Algorithm::Inner, c.inner),
+                ] {
+                    let supported = !self.complemented || cand.0.supports_complement();
+                    if supported && cand.1 < best.1 {
+                        best = cand;
+                    }
+                }
+                best.0
+            }
+        }
+    }
+
+    /// Whether running the plan reads `B` in CSC form: the pull family, or
+    /// the per-row hybrid (whose pull rows do) when it runs row-parallel.
+    pub(crate) fn pulls(&self) -> bool {
+        match self.choice {
+            _ if self.serial => self.fixed_algorithm() == Algorithm::Inner,
+            Choice::Fixed(alg) => alg == Algorithm::Inner,
+            Choice::Hybrid => true,
+        }
+    }
+
     /// Label like the paper's scheme names (`MSA-1P`, `Hybrid-1P`).
     pub fn label(&self) -> String {
         let name = match self.choice {

@@ -2,7 +2,7 @@
 //! bit-identical to direct `masked_spgemm` calls; the auxiliary cache must
 //! never serve stale data after a matrix is updated.
 
-use engine::{Choice, Context};
+use engine::{Choice, Context, SemiringKind};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use proptest::prelude::*;
 use sparse::{CsrMatrix, Idx, PlusTimes};
@@ -51,7 +51,13 @@ proptest! {
             for alg in Algorithm::ALL {
                 for ph in Phases::ALL {
                     let direct = masked_spgemm(alg, ph, compl, sr, &mask, &a, &b);
-                    let engine = ctx.run_with(alg, ph, sr, hm, compl, ha, hb);
+                    let engine = ctx
+                        .op(hm, ha, hb)
+                        .semiring(SemiringKind::PlusTimes)
+                        .complemented(compl)
+                        .algorithm(alg)
+                        .phases(ph)
+                        .run();
                     match (direct, engine) {
                         (Ok(d), Ok(e)) => {
                             prop_assert_eq!(&d, &e, "{:?}-{:?} compl={}", alg, ph, compl);

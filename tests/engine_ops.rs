@@ -169,15 +169,13 @@ fn mca_complement_is_a_uniform_error_everywhere() {
     assert_eq!(direct.unwrap_err(), expected);
 
     // Forced engine execution.
-    let forced = ctx.run_with(
-        Algorithm::Mca,
-        Phases::One,
-        DynLane::<f64>::new(SemiringKind::PlusTimes),
-        h,
-        true,
-        h,
-        h,
-    );
+    let forced = ctx
+        .op(h, h, h)
+        .semiring(SemiringKind::PlusTimes)
+        .complemented(true)
+        .algorithm(Algorithm::Mca)
+        .phases(Phases::One)
+        .run();
     assert_eq!(forced.unwrap_err(), expected);
 
     // Descriptor with an override.
