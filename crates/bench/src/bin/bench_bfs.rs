@@ -83,13 +83,13 @@ fn main() {
 
     // Resident registry bytes after one full traversal: the f64-canonical
     // registration (historical `insert`; the bool lane is a cached cast
-    // aux) vs. native-bool registration (`insert_bool`; the bool lane IS
+    // aux) vs. native-bool registration (`insert_typed`; the bool lane IS
     // the storage — ISSUE 5's inversion). Entry bytes come from the typed
     // registry, aux bytes from the byte-budgeted cache ledger.
     let measure_registry = |native: bool| -> (usize, usize) {
         let ctx = Context::with_threads(1);
         let h = if native {
-            ctx.insert_bool(adj.map_values(|v| v != 0.0))
+            ctx.insert_typed(adj.map_values(|v| v != 0.0))
         } else {
             ctx.insert(adj.clone())
         };

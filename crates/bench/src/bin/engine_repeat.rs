@@ -2,7 +2,11 @@
 //! heterogeneous streamed batches, BFS levels, and the pool scheduler's
 //! skew guard — engine path vs. direct calls.
 //!
-//! Four engine-vs-direct measurements, each best-of-`reps`:
+//! The engine-vs-direct rows: each times the two sides in
+//! interleaved pairs — at least 7, more with `--reps` — and is gated on
+//! the median of the per-pair engine/direct ratios, so drift during a row
+//! (frequency scaling, a noisy neighbour) cancels inside each pair instead
+//! of landing on whichever side was timed second:
 //!
 //! 1. **repeat** — the same masked multiply issued `iters` times the way
 //!    the scheme-based callers do it (CSC copy + selection per call)
@@ -32,9 +36,10 @@
 //!
 //! The acceptance bar (ISSUE 1, carried forward): the engine path must be
 //! no slower than direct calls on the repeated-multiply loops. The harness
-//! prints a ratio table and exits nonzero if the engine regresses beyond
-//! 10%, if peel planning shows no fingerprint-cache reuse, or if the skew
-//! guard fails. (The pool-vs-spawn comparison is recorded in the committed
+//! prints a table of median times and median pair ratios and exits
+//! nonzero if a row's ratio exceeds 1.10, if peel planning shows no
+//! fingerprint-cache reuse, or if the skew guard fails. (The
+//! pool-vs-spawn comparison is recorded in the committed
 //! `BENCH_scheduler.json`.)
 //!
 //! Run with `cargo run --release -p bench --bin engine_repeat [--quick]`.
@@ -45,6 +50,56 @@ use graph_algos::{bfs, bfs_auto, ktruss, ktruss_auto, Direction, Scheme};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use profile::table::{write_text, Table};
 use sparse::{CscMatrix, CsrMatrix, PlusPair, PlusTimes};
+
+/// One row's interleaved timing: the median time of each side and the
+/// median of the per-pair engine/direct ratios.
+struct Paired {
+    direct_s: f64,
+    engine_s: f64,
+    ratio: f64,
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// Time `direct` and `engine` in `pairs` back-to-back pairs after one
+/// warm-up call each, alternating which side runs first. Returns both
+/// sides' last outputs and the row's [`Paired`] summary.
+fn paired<A, B>(
+    pairs: usize,
+    mut direct: impl FnMut() -> A,
+    mut engine: impl FnMut() -> B,
+) -> (A, B, Paired) {
+    let (mut a, mut b) = (direct(), engine());
+    let (mut ds, mut es, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (d, e);
+        if i % 2 == 0 {
+            (a, d) = profile::time_once(&mut direct);
+            (b, e) = profile::time_once(&mut engine);
+        } else {
+            (b, e) = profile::time_once(&mut engine);
+            (a, d) = profile::time_once(&mut direct);
+        }
+        let (d, e) = (d.as_secs_f64(), e.as_secs_f64());
+        ds.push(d);
+        es.push(e);
+        ratios.push(e / d);
+    }
+    let summary = Paired {
+        direct_s: median(ds),
+        engine_s: median(es),
+        ratio: median(ratios),
+    };
+    (a, b, summary)
+}
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -72,63 +127,63 @@ fn main() {
     let l = graph_algos::prepare_triangle_input(&adj);
     let sr = PlusPair::<f64, f64, u64>::new();
 
+    // Gated rows time at least 7 pairs whatever `--reps` asks for: the
+    // rows take milliseconds, and fewer pairs leave the median at the
+    // mercy of one noisy pair.
+    let pairs = args.reps.max(7);
     let mut table = Table::new(&["workload", "direct_s", "engine_s", "engine/direct"]);
     let mut worst_ratio = 0.0f64;
-    let mut record = |table: &mut Table, name: &str, direct: f64, engine: f64| {
-        let ratio = engine / direct;
-        worst_ratio = worst_ratio.max(ratio);
+    let mut record = |table: &mut Table, name: &str, p: Paired| {
+        worst_ratio = worst_ratio.max(p.ratio);
         table.push(vec![
             name.to_string(),
-            format!("{direct:.6}"),
-            format!("{engine:.6}"),
-            format!("{ratio:.3}"),
+            format!("{:.6}", p.direct_s),
+            format!("{:.6}", p.engine_s),
+            format!("{:.3}", p.ratio),
         ]);
     };
 
     // 1. Repeated identical multiply: the scheme caller's obligatory
     //    per-call CSC copy vs. handle-cached auxiliaries.
     let scheme = Scheme::Ours(Algorithm::Msa, Phases::One);
-    let (_, direct) = profile::best_of(args.reps, || {
-        let mut nnz = 0usize;
-        for _ in 0..iters {
-            let lc = CscMatrix::from_csr(&l); // what scheme.run callers build
-            let c = scheme.run(sr, &l, false, &l, &l, &lc).expect("plain");
-            nnz = c.nnz();
-        }
-        nnz
-    });
     let h = ctx.insert(l.clone());
-    let (_, engine) = profile::best_of(args.reps, || {
-        let mut nnz = 0usize;
-        for _ in 0..iters {
-            let c = ctx
-                .op(h, h, h)
-                .semiring(SemiringKind::PlusPair)
-                .run()
-                .expect("plain");
-            nnz = c.nnz();
-        }
-        nnz
-    });
-    record(
-        &mut table,
-        "repeat_tc_multiply",
-        direct.secs(),
-        engine.secs(),
+    let (_, _, p) = paired(
+        pairs,
+        || {
+            let mut nnz = 0usize;
+            for _ in 0..iters {
+                let lc = CscMatrix::from_csr(&l); // what scheme.run callers build
+                let c = scheme.run(sr, &l, false, &l, &l, &lc).expect("plain");
+                nnz = c.nnz();
+            }
+            nnz
+        },
+        || {
+            let mut nnz = 0usize;
+            for _ in 0..iters {
+                let c = ctx
+                    .op(h, h, h)
+                    .semiring(SemiringKind::PlusPair)
+                    .run()
+                    .expect("plain");
+                nnz = c.nnz();
+            }
+            nnz
+        },
     );
+    record(&mut table, "repeat_tc_multiply", p);
 
     // 2. Full k-truss peeling loop. The engine side must show plan reuse
     //    across peeled versions (fingerprint-cache hits).
-    let (_, direct) = profile::best_of(args.reps, || {
-        ktruss(scheme, &adj, 5).expect("plain").iterations
-    });
     let ha = ctx.insert(adj.clone());
     let hits_before = ctx.plan_cache_stats().hits;
-    let (peel_iters, engine) = profile::best_of(args.reps, || {
-        ktruss_auto(&ctx, ha, 5).expect("plain").iterations
-    });
+    let (_, peel_iters, p) = paired(
+        pairs,
+        || ktruss(scheme, &adj, 5).expect("plain").iterations,
+        || ktruss_auto(&ctx, ha, 5).expect("plain").iterations,
+    );
     let peel_plan_hits = ctx.plan_cache_stats().hits - hits_before;
-    record(&mut table, "ktruss_k5_loop", direct.secs(), engine.secs());
+    record(&mut table, "ktruss_k5_loop", p);
     println!(
         "ktruss peel planning: {peel_iters} iterations/run, \
          {peel_plan_hits} fingerprint-cache hits across all reps"
@@ -139,49 +194,35 @@ fn main() {
     let masks: Vec<_> = (0..batch)
         .map(|i| graphs::erdos_renyi(l.nrows(), 8.0, 100 + i as u64))
         .collect();
-    let (_, direct) = profile::best_of(args.reps, || {
-        let lc = CscMatrix::from_csr(&l);
-        let mut total = 0usize;
-        for m in &masks {
-            total += scheme.run(srt, m, false, &l, &l, &lc).expect("plain").nnz();
-        }
-        total
-    });
     let mask_handles: Vec<_> = masks.iter().map(|m| ctx.insert(m.clone())).collect();
     let ops: Vec<engine::MaskedOp> = mask_handles
         .iter()
         .map(|&m| ctx.op(m, h, h).build())
         .collect();
-    let (_, engine) = profile::best_of(args.reps, || {
-        ctx.run_batch_collect(&ops)
-            .into_iter()
-            .map(|r| r.expect("plain").nnz())
-            .sum::<usize>()
-    });
-    record(
-        &mut table,
-        "independent_batch",
-        direct.secs(),
-        engine.secs(),
+    let (_, _, p) = paired(
+        pairs,
+        || {
+            let lc = CscMatrix::from_csr(&l);
+            let mut total = 0usize;
+            for m in &masks {
+                total += scheme.run(srt, m, false, &l, &l, &lc).expect("plain").nnz();
+            }
+            total
+        },
+        || {
+            ctx.run_batch_collect(&ops)
+                .into_iter()
+                .map(|r| r.expect("plain").nnz())
+                .sum::<usize>()
+        },
     );
+    record(&mut table, "independent_batch", p);
 
     // 4. Heterogeneous streamed batch: the same masks, but alternating
     //    plus_times and plus_pair ops in ONE batch, consumed by a sink
     //    that keeps only a running nnz total (outputs are dropped as
     //    workers finish — never all resident). The direct side runs the
     //    same mixed workload sequentially with typed semirings.
-    let (_, direct) = profile::best_of(args.reps, || {
-        let lc = CscMatrix::from_csr(&l);
-        let mut total = 0usize;
-        for (i, m) in masks.iter().enumerate() {
-            total += if i % 2 == 0 {
-                scheme.run(srt, m, false, &l, &l, &lc).expect("plain").nnz()
-            } else {
-                scheme.run(sr, m, false, &l, &l, &lc).expect("plain").nnz()
-            };
-        }
-        total
-    });
     let mixed_ops: Vec<engine::MaskedOp> = mask_handles
         .iter()
         .enumerate()
@@ -194,19 +235,29 @@ fn main() {
             ctx.op(m, h, h).semiring(kind).build()
         })
         .collect();
-    let (_, engine) = profile::best_of(args.reps, || {
-        let mut total = 0usize;
-        ctx.for_each_result(&mixed_ops, |_i, r: Result<sparse::CsrMatrix<f64>, _>| {
-            total += r.expect("plain").nnz();
-        });
-        total
-    });
-    record(
-        &mut table,
-        "mixed_semiring_stream",
-        direct.secs(),
-        engine.secs(),
+    let (_, _, p) = paired(
+        pairs,
+        || {
+            let lc = CscMatrix::from_csr(&l);
+            let mut total = 0usize;
+            for (i, m) in masks.iter().enumerate() {
+                total += if i % 2 == 0 {
+                    scheme.run(srt, m, false, &l, &l, &lc).expect("plain").nnz()
+                } else {
+                    scheme.run(sr, m, false, &l, &l, &lc).expect("plain").nnz()
+                };
+            }
+            total
+        },
+        || {
+            let mut total = 0usize;
+            ctx.for_each_result(&mixed_ops, |_i, r: Result<sparse::CsrMatrix<f64>, _>| {
+                total += r.expect("plain").nnz();
+            });
+            total
+        },
     );
+    record(&mut table, "mixed_semiring_stream", p);
 
     // Sanity: the dyn-semiring stream computes the same nnz totals as the
     // typed direct path.
@@ -241,15 +292,17 @@ fn main() {
     let bfs_scale = args.pick(9u32, 11, 13);
     let bfs_adj =
         graphs::to_undirected_simple(&graphs::rmat(bfs_scale, graphs::RmatParams::default(), 21));
-    let (direct_levels, direct) =
-        profile::best_of(args.reps, || bfs(&bfs_adj, 0, Direction::Auto).levels);
     let hb = ctx.insert(bfs_adj.clone());
     let bfs_hits_before = ctx.plan_cache_stats().hits;
-    let (engine_levels, engine) = profile::best_of(args.reps, || {
-        bfs_auto(&ctx, hb, 0, Direction::Auto)
-            .expect("well-shaped traversal")
-            .levels
-    });
+    let (direct_levels, engine_levels, p) = paired(
+        pairs,
+        || bfs(&bfs_adj, 0, Direction::Auto).levels,
+        || {
+            bfs_auto(&ctx, hb, 0, Direction::Auto)
+                .expect("well-shaped traversal")
+                .levels
+        },
+    );
     let bfs_plan_hits = ctx.plan_cache_stats().hits - bfs_hits_before;
     assert_eq!(
         engine_levels, direct_levels,
@@ -260,12 +313,11 @@ fn main() {
         graph_algos::bfs::bfs_reference(&bfs_adj, 0),
         "BFS levels diverged from the serial reference"
     );
-    record(&mut table, "bfs_levels", direct.secs(), engine.secs());
+    record(&mut table, "bfs_levels", p);
     let bfs_depth = engine_levels.iter().max().copied().unwrap_or(0);
     println!(
         "bfs planning: {bfs_plan_hits} fingerprint-cache hits across \
-         {bfs_depth} levels x {} reps",
-        args.reps
+         {bfs_depth} levels x {pairs} pairs"
     );
 
     // 5b. Repeat-BFS (ISSUE 5 satellite): back-to-back traversals of the
@@ -274,23 +326,26 @@ fn main() {
     //     rebuilds its accumulator per level). Gated like every repeated
     //     workload: engine must be no slower than direct.
     let bfs_loops = 5usize;
-    let (_, direct) = profile::best_of(args.reps, || {
-        let mut depth = 0usize;
-        for _ in 0..bfs_loops {
-            depth = bfs(&bfs_adj, 0, Direction::Auto).depth;
-        }
-        depth
-    });
-    let (_, engine) = profile::best_of(args.reps, || {
-        let mut depth = 0usize;
-        for _ in 0..bfs_loops {
-            depth = bfs_auto(&ctx, hb, 0, Direction::Auto)
-                .expect("well-shaped traversal")
-                .depth;
-        }
-        depth
-    });
-    record(&mut table, "bfs_repeat_loop", direct.secs(), engine.secs());
+    let (_, _, p) = paired(
+        pairs,
+        || {
+            let mut depth = 0usize;
+            for _ in 0..bfs_loops {
+                depth = bfs(&bfs_adj, 0, Direction::Auto).depth;
+            }
+            depth
+        },
+        || {
+            let mut depth = 0usize;
+            for _ in 0..bfs_loops {
+                depth = bfs_auto(&ctx, hb, 0, Direction::Auto)
+                    .expect("well-shaped traversal")
+                    .depth;
+            }
+            depth
+        },
+    );
+    record(&mut table, "bfs_repeat_loop", p);
 
     println!("{}", table.to_console());
     table
@@ -298,7 +353,7 @@ fn main() {
         .expect("write csv");
     write_text(args.out_dir.join("engine_repeat.txt"), &table.to_console()).expect("write txt");
 
-    println!("worst engine/direct ratio: {worst_ratio:.3}");
+    println!("worst median engine/direct pair ratio: {worst_ratio:.3}");
     let mut failed = false;
     if worst_ratio > 1.10 {
         eprintln!("FAIL: engine repeated-multiply path regressed beyond 10%");
@@ -308,7 +363,7 @@ fn main() {
         eprintln!("FAIL: k-truss peeling never hit the fingerprint plan cache");
         failed = true;
     }
-    if bfs_depth >= 2 && args.reps >= 2 && bfs_plan_hits == 0 {
+    if bfs_depth >= 2 && bfs_plan_hits == 0 {
         eprintln!("FAIL: BFS level planning never hit the fingerprint plan cache");
         failed = true;
     }

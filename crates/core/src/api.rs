@@ -97,89 +97,6 @@ impl Phases {
     }
 }
 
-/// A configured Masked SpGEMM operation, built once and run many times.
-///
-/// ```
-/// use masked_spgemm::{Algorithm, MaskedSpGemm, Phases};
-/// use sparse::{CsrMatrix, PlusPair};
-///
-/// // Count common neighbors along existing edges of a triangle graph.
-/// let tri = CsrMatrix::try_new(
-///     3, 3,
-///     vec![0, 2, 4, 6],
-///     vec![1, 2, 0, 2, 0, 1],
-///     vec![1.0f64; 6],
-/// ).unwrap();
-/// let op = MaskedSpGemm::new(Algorithm::Mca, Phases::Two);
-/// let c = op
-///     .run(PlusPair::<f64, f64, u32>::new(), &tri, &tri, &tri)
-///     .unwrap();
-/// // Every edge of the triangle closes through exactly one wedge.
-/// assert!(c.values().iter().all(|&v| v == 1));
-/// ```
-#[derive(Copy, Clone, Debug)]
-pub struct MaskedSpGemm {
-    algorithm: Algorithm,
-    phases: Phases,
-    complemented: bool,
-}
-
-impl MaskedSpGemm {
-    /// Configure an operation with a plain (non-complemented) mask.
-    pub fn new(algorithm: Algorithm, phases: Phases) -> Self {
-        MaskedSpGemm {
-            algorithm,
-            phases,
-            complemented: false,
-        }
-    }
-
-    /// Use the complement of the mask (`C = ¬M ⊙ (A·B)`).
-    pub fn complemented(mut self, yes: bool) -> Self {
-        self.complemented = yes;
-        self
-    }
-
-    /// The configured algorithm.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// The configured phase discipline.
-    pub fn phases(&self) -> Phases {
-        self.phases
-    }
-
-    /// Scheme label as used in the paper's plots, e.g. `MSA-1P`.
-    pub fn label(&self) -> String {
-        format!("{}-{}", self.algorithm.name(), self.phases.suffix())
-    }
-
-    /// Execute `C = M ⊙ (A·B)` (or `¬M ⊙`) on the given semiring.
-    pub fn run<S, MT>(
-        &self,
-        sr: S,
-        mask: &CsrMatrix<MT>,
-        a: &CsrMatrix<S::A>,
-        b: &CsrMatrix<S::B>,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S: Semiring,
-        S::C: Default + Sync,
-        MT: Copy + Sync,
-    {
-        masked_spgemm(
-            self.algorithm,
-            self.phases,
-            self.complemented,
-            sr,
-            mask,
-            a,
-            b,
-        )
-    }
-}
-
 fn check_shapes<MT, A>(
     mask: &CsrMatrix<MT>,
     a: &CsrMatrix<A>,
@@ -206,6 +123,23 @@ fn check_shapes<MT, A>(
 ///
 /// `B` is taken in CSR; [`Algorithm::Inner`] converts it to CSC internally
 /// (use [`masked_spgemm_csc`] to amortize that conversion across calls).
+///
+/// ```
+/// use masked_spgemm::{masked_spgemm, Algorithm, Phases};
+/// use sparse::{CsrMatrix, PlusPair};
+///
+/// // Count common neighbors along existing edges of a triangle graph.
+/// let tri = CsrMatrix::try_new(
+///     3, 3,
+///     vec![0, 2, 4, 6],
+///     vec![1, 2, 0, 2, 0, 1],
+///     vec![1.0f64; 6],
+/// ).unwrap();
+/// let sr = PlusPair::<f64, f64, u32>::new();
+/// let c = masked_spgemm(Algorithm::Mca, Phases::Two, false, sr, &tri, &tri, &tri).unwrap();
+/// // Every edge of the triangle closes through exactly one wedge.
+/// assert!(c.values().iter().all(|&v| v == 1));
+/// ```
 pub fn masked_spgemm<S, MT>(
     algorithm: Algorithm,
     phases: Phases,
@@ -358,14 +292,9 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(
-            MaskedSpGemm::new(Algorithm::Msa, Phases::One).label(),
-            "MSA-1P"
-        );
-        assert_eq!(
-            MaskedSpGemm::new(Algorithm::HeapDot, Phases::Two).label(),
-            "HeapDot-2P"
-        );
+        let label = |alg: Algorithm, ph: Phases| format!("{}-{}", alg.name(), ph.suffix());
+        assert_eq!(label(Algorithm::Msa, Phases::One), "MSA-1P");
+        assert_eq!(label(Algorithm::HeapDot, Phases::Two), "HeapDot-2P");
     }
 
     #[test]

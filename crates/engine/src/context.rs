@@ -80,7 +80,7 @@ impl ValueVec {
 /// counterpart of [`ValueVec`] and the storage unit of the registry.
 ///
 /// This is the inversion of the old `f64`-canonical scheme: a boolean
-/// adjacency matrix registered with [`Context::insert_bool`] keeps its
+/// adjacency matrix registered with [`Context::insert_typed`] keeps its
 /// entries at 1 byte/nnz and is multiplied directly by `bool`-lane kernels
 /// (zero-copy), while *cross-lane casts* — not the native storage — are the
 /// on-demand, byte-budgeted auxiliaries ([`Context::bool_view`] /
@@ -658,33 +658,9 @@ impl Context {
         MatrixHandle(id)
     }
 
-    /// Register a boolean matrix natively ([`Context::insert_typed`] on
-    /// the `bool` lane).
-    pub fn insert_bool(&self, matrix: CsrMatrix<bool>) -> MatrixHandle {
-        self.insert_typed(matrix)
-    }
-
-    /// Register an integer matrix natively ([`Context::insert_typed`] on
-    /// the `i64` lane).
-    pub fn insert_i64(&self, matrix: CsrMatrix<i64>) -> MatrixHandle {
-        self.insert_typed(matrix)
-    }
-
     /// Replace the matrix behind `handle` on the `f64` lane — equivalent
     /// to [`Context::update_typed`] with an `f64` matrix.
     pub fn update(&self, handle: MatrixHandle, matrix: CsrMatrix<f64>) {
-        self.update_typed(handle, matrix)
-    }
-
-    /// Replace the boolean matrix behind `handle`
-    /// ([`Context::update_typed`] on the `bool` lane).
-    pub fn update_bool(&self, handle: MatrixHandle, matrix: CsrMatrix<bool>) {
-        self.update_typed(handle, matrix)
-    }
-
-    /// Replace the integer matrix behind `handle`
-    /// ([`Context::update_typed`] on the `i64` lane).
-    pub fn update_i64(&self, handle: MatrixHandle, matrix: CsrMatrix<i64>) {
         self.update_typed(handle, matrix)
     }
 

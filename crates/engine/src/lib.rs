@@ -17,8 +17,7 @@
 //!   from *how* it runs;
 //! * **stores matrices natively typed** — the registry holds each matrix
 //!   on its own value lane ([`ValueMat`]: `bool`, `i64`, or `f64` via
-//!   [`Context::insert_typed`] / [`Context::insert_bool`] /
-//!   [`Context::insert_i64`]; the historical [`Context::insert`] is the
+//!   [`Context::insert_typed`]; the historical [`Context::insert`] is the
 //!   `f64` case), so a boolean adjacency costs 1 byte/nnz and is consumed
 //!   zero-copy by `bool`-lane operations, with cross-lane *casts* demoted
 //!   to on-demand, byte-budgeted auxiliaries;

@@ -16,7 +16,11 @@
 //! Both mask polarities are exercised, which is why MCA (no complement
 //! support) sits out this benchmark in the paper — requesting it here
 //! returns an error from the forward sweep.
+//!
+//! One function holds the algorithm; [`betweenness_centrality`] and
+//! [`betweenness_centrality_auto`] only supply its two masked products.
 
+use engine::{Context, MatrixHandle};
 use rayon::prelude::*;
 use sparse::ewise::{assemble_rows, ewise_mult, ewise_union};
 use sparse::transpose::transpose;
@@ -38,10 +42,7 @@ pub struct BcResult {
 
 /// `(1 + delta) ./ sigma` evaluated on the pattern of `sigma`
 /// (`delta` entries default to 0 where absent) — the backward sweep's `T`.
-pub(crate) fn one_plus_delta_over_sigma(
-    sigma: &CsrMatrix<f64>,
-    delta: &CsrMatrix<f64>,
-) -> CsrMatrix<f64> {
+fn one_plus_delta_over_sigma(sigma: &CsrMatrix<f64>, delta: &CsrMatrix<f64>) -> CsrMatrix<f64> {
     assert_eq!(sigma.shape(), delta.shape());
     let rows: Vec<(Vec<Idx>, Vec<f64>)> = (0..sigma.nrows())
         .into_par_iter()
@@ -69,30 +70,30 @@ pub(crate) fn one_plus_delta_over_sigma(
     assemble_rows(sigma.nrows(), sigma.ncols(), rows)
 }
 
-/// Batch betweenness centrality from the given `sources`, using `scheme`
-/// for every Masked SpGEMM. `adj` is the (directed or undirected, simple)
-/// adjacency matrix with unit values.
-pub fn betweenness_centrality(
-    scheme: Scheme,
-    adj: &CsrMatrix<f64>,
+/// Brandes' algorithm over a batch of `sources` on an adjacency of the
+/// given `shape`, with the masked products supplied by the caller:
+///
+/// * `forward(paths, frontier)` = `¬paths ⊙ (frontier · A)` on
+///   `plus_times` — the next level's path counts;
+/// * `backward(sigma_prev, t)` = `sigma_prev ⊙ (t · Aᵀ)` on `plus_times`.
+fn brandes(
+    shape: (usize, usize),
     sources: &[Idx],
+    mut forward: impl FnMut(&CsrMatrix<f64>, &CsrMatrix<f64>) -> Result<CsrMatrix<f64>, SparseError>,
+    mut backward: impl FnMut(&CsrMatrix<f64>, CsrMatrix<f64>) -> Result<CsrMatrix<f64>, SparseError>,
 ) -> Result<BcResult, SparseError> {
-    let n = adj.nrows();
-    assert_eq!(adj.ncols(), n, "adjacency must be square");
+    if sources.is_empty() {
+        return Err(SparseError::Unsupported("empty source batch"));
+    }
+    let n = crate::check_sources("betweenness centrality", shape, sources)?;
     let s = sources.len();
-    assert!(s > 0, "empty source batch");
-    let sr = PlusTimes::<f64>::new();
 
-    let adj_csc = CscMatrix::from_csr(adj);
-    let adj_t = transpose(adj);
-    let adj_t_csc = CscMatrix::from_csr(&adj_t);
-
-    // Forward sweep.
-    let mut frontier = CsrMatrix::from_rows(s, n, sources.iter().map(|&v| vec![(v, 1.0f64)]))?;
-    let mut paths = frontier.clone();
-    let mut levels: Vec<CsrMatrix<f64>> = vec![frontier.clone()];
+    // Forward sweep: `levels[d]` holds the path counts of the vertices
+    // first reached at depth `d`; the last level is the frontier.
+    let mut paths = CsrMatrix::from_rows(s, n, sources.iter().map(|&v| vec![(v, 1.0f64)]))?;
+    let mut levels = vec![paths.clone()];
     loop {
-        let next = scheme.run(sr, &paths, true, &frontier, adj, &adj_csc)?;
+        let next = forward(&paths, levels.last().expect("the source level"))?;
         if next.nnz() == 0 {
             break;
         }
@@ -105,17 +106,15 @@ pub fn betweenness_centrality(
             |x| *x,
             |y| *y,
         );
-        levels.push(next.clone());
-        frontier = next;
+        levels.push(next);
     }
 
     // Backward sweep.
     let mut delta = CsrMatrix::<f64>::empty(s, n);
     for d in (1..levels.len()).rev() {
-        let sigma_d = &levels[d];
         let sigma_prev = &levels[d - 1];
-        let t = one_plus_delta_over_sigma(sigma_d, &delta);
-        let w = scheme.run(sr, sigma_prev, false, &t, &adj_t, &adj_t_csc)?;
+        let t = one_plus_delta_over_sigma(&levels[d], &delta);
+        let w = backward(sigma_prev, t)?;
         let contrib = ewise_mult(&w, sigma_prev, |wv, sv| wv * sv);
         delta = ewise_union(&delta, &contrib, |x, y| x + y, |x| *x, |y| *y);
     }
@@ -135,6 +134,73 @@ pub fn betweenness_centrality(
         depth: levels.len() - 1,
         batch: s,
     })
+}
+
+/// Batch betweenness centrality from the given `sources`, using `scheme`
+/// for every Masked SpGEMM. `adj` is the (directed or undirected, simple)
+/// adjacency matrix with unit values.
+pub fn betweenness_centrality(
+    scheme: Scheme,
+    adj: &CsrMatrix<f64>,
+    sources: &[Idx],
+) -> Result<BcResult, SparseError> {
+    let sr = PlusTimes::<f64>::new();
+    let adj_csc = CscMatrix::from_csr(adj);
+    let adj_t = transpose(adj);
+    let adj_t_csc = CscMatrix::from_csr(&adj_t);
+    brandes(
+        adj.shape(),
+        sources,
+        |paths, frontier| scheme.run(sr, paths, true, frontier, adj, &adj_csc),
+        |sigma_prev, t| scheme.run(sr, sigma_prev, false, &t, &adj_t, &adj_t_csc),
+    )
+}
+
+/// Register `m` in a scratch `slot` on first use and replace it after.
+fn stage(ctx: &Context, slot: &mut Option<MatrixHandle>, m: CsrMatrix<f64>) -> MatrixHandle {
+    match *slot {
+        Some(h) => {
+            ctx.update(h, m);
+            h
+        }
+        None => *slot.insert(ctx.insert(m)),
+    }
+}
+
+/// Batch betweenness centrality with engine-planned multiplies.
+///
+/// The adjacency's transpose and any CSC copies are cached on the context,
+/// so repeated calls (and the per-level loop) stop paying conversion costs.
+/// The products' operands live in four scratch handles, each registered
+/// once and removed before returning.
+pub fn betweenness_centrality_auto(
+    ctx: &Context,
+    adj: MatrixHandle,
+    sources: &[Idx],
+) -> Result<BcResult, SparseError> {
+    let [mut paths_h, mut frontier_h, mut sigma_h, mut t_h] = [None; 4];
+    // Owned by the adjacency's entry: reused across calls, invalidated
+    // with it. Not removed here.
+    let mut adj_t = None;
+    let result = brandes(
+        ctx.stats(adj).shape,
+        sources,
+        |paths, frontier| {
+            let p = stage(ctx, &mut paths_h, paths.clone());
+            let f = stage(ctx, &mut frontier_h, frontier.clone());
+            ctx.op(p, f, adj).complemented(true).run()
+        },
+        |sigma_prev, t| {
+            let t = stage(ctx, &mut t_h, t);
+            let sigma = stage(ctx, &mut sigma_h, sigma_prev.clone());
+            let at = *adj_t.get_or_insert_with(|| ctx.transpose_handle(adj));
+            ctx.op(sigma, t, at).run()
+        },
+    );
+    for h in [paths_h, frontier_h, sigma_h, t_h].into_iter().flatten() {
+        ctx.remove(h);
+    }
+    result
 }
 
 #[cfg(test)]

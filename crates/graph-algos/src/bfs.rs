@@ -8,9 +8,14 @@
 //! a row-scatter accumulator (MSA); **pull** evaluates it with one dot
 //! product per unvisited vertex (Inner); the **auto** mode switches per
 //! level with Beamer's work heuristic.
+//!
+//! One level loop serves both [`bfs`] (direct `masked_spgevm` calls) and
+//! [`bfs_auto`] (engine-planned vector descriptors); they only differ in
+//! how a level's product is run and its direction picked.
 
+use engine::{Choice, Context, MatrixHandle, SemiringKind, ValueKind, ValueVec};
 use sparse::semiring::BoolAndOr;
-use sparse::{CscMatrix, CsrMatrix, Idx, SparseVec};
+use sparse::{CscMatrix, CsrMatrix, Idx, SparseError, SparseVec};
 
 use masked_spgemm::{masked_spgevm, masked_spgevm_csc, Algorithm};
 
@@ -38,7 +43,7 @@ pub struct BfsResult {
 }
 
 /// Sorted-merge union of two ascending index lists.
-pub(crate) fn union_sorted(a: &[Idx], b: &[Idx]) -> Vec<Idx> {
+fn union_sorted(a: &[Idx], b: &[Idx]) -> Vec<Idx> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut p, mut q) = (0usize, 0usize);
     while p < a.len() || q < b.len() {
@@ -57,53 +62,27 @@ pub(crate) fn union_sorted(a: &[Idx], b: &[Idx]) -> Vec<Idx> {
     out
 }
 
-/// BFS from `source` over the (symmetric-pattern) adjacency matrix.
-pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
-    let n = adj.nrows();
-    assert_eq!(adj.ncols(), n, "adjacency must be square");
-    assert!((source as usize) < n, "source out of range");
-    let adj_bool = adj.map(|_| true);
-    let adj_csc = CscMatrix::from_csr(&adj_bool);
-    let avg_deg = if n > 0 {
-        adj.nnz() as f64 / n as f64
-    } else {
-        0.0
-    };
-
+/// The level loop shared by [`bfs`] and [`bfs_auto`].
+///
+/// `expand(visited, next)` runs one level's `¬visited ⊙ (frontier · A)`,
+/// writes the new frontier's indices into `next`, and reports whether it
+/// pulled. The closure owns its frontier: the visited set `{source}` at
+/// the first level, its own last result after that.
+fn traverse(
+    shape: (usize, usize),
+    source: Idx,
+    mut expand: impl FnMut(&[Idx], &mut Vec<Idx>) -> Result<bool, SparseError>,
+) -> Result<BfsResult, SparseError> {
+    let n = crate::check_sources("bfs", shape, &[source])?;
     let mut levels = vec![-1i64; n];
     levels[source as usize] = 0;
-    let mut visited_idx: Vec<Idx> = vec![source];
-    let mut frontier = SparseVec::try_new(n, vec![source], vec![true]).expect("valid frontier");
+    let mut visited: Vec<Idx> = vec![source];
+    let mut next = Vec::new();
     let mut depth = 0usize;
     let mut directions = Vec::new();
-
-    while !frontier.is_empty() {
-        let visited_mask = SparseVec::try_new(n, visited_idx.clone(), vec![(); visited_idx.len()])
-            .expect("visited sorted");
-        let use_pull = match policy {
-            Direction::Push => false,
-            Direction::Pull => true,
-            Direction::Auto => {
-                let frontier_work = frontier.nnz() as f64 * avg_deg;
-                let unvisited = (n - visited_idx.len()) as f64;
-                frontier_work > unvisited
-            }
-        };
-        let next: SparseVec<bool> = if use_pull {
-            masked_spgevm_csc(true, BoolAndOr, &visited_mask, &frontier, &adj_csc)
-                .expect("dims agree")
-        } else {
-            masked_spgevm(
-                Algorithm::Msa,
-                true,
-                BoolAndOr,
-                &visited_mask,
-                &frontier,
-                &adj_bool,
-            )
-            .expect("dims agree")
-        };
-        directions.push(if use_pull {
+    loop {
+        let pulled = expand(&visited, &mut next)?;
+        directions.push(if pulled {
             Direction::Pull
         } else {
             Direction::Push
@@ -112,17 +91,152 @@ pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
             break;
         }
         depth += 1;
-        for (v, _) in next.iter() {
+        for &v in &next {
             levels[v as usize] = depth as i64;
         }
-        visited_idx = union_sorted(&visited_idx, next.indices());
-        frontier = next;
+        visited = union_sorted(&visited, &next);
     }
-    BfsResult {
+    Ok(BfsResult {
         levels,
         depth,
         directions,
+    })
+}
+
+/// The vector over the ascending indices `idx` with every value `one` —
+/// frontiers and visited masks, where only the pattern carries meaning.
+fn unit_vec<T: Clone>(n: usize, idx: &[Idx], one: T) -> SparseVec<T> {
+    SparseVec::try_new(n, idx.to_vec(), vec![one; idx.len()]).expect("ascending indices")
+}
+
+/// [`unit_vec`] on the given lane (`true` / `1` / `1.0`).
+fn lane_unit_vec(n: usize, idx: &[Idx], value: ValueKind) -> ValueVec {
+    match value {
+        ValueKind::Bool => unit_vec(n, idx, true).into(),
+        ValueKind::I64 => unit_vec(n, idx, 1i64).into(),
+        ValueKind::F64 => unit_vec(n, idx, 1.0f64).into(),
     }
+}
+
+/// BFS from `source` over the (symmetric-pattern) adjacency matrix.
+///
+/// Panics if `adj` is not square or `source` is not one of its vertices.
+pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
+    let n = adj.nrows();
+    assert_eq!(adj.ncols(), n, "adjacency must be square");
+    assert!((source as usize) < n, "source out of range");
+    let adj_bool = adj.map(|_| true);
+    let adj_csc = CscMatrix::from_csr(&adj_bool);
+    let avg_deg = adj.nnz() as f64 / n as f64;
+    let mut frontier = None;
+    traverse(adj.shape(), source, |visited, next| {
+        let mask = unit_vec(n, visited, ());
+        let current = frontier
+            .take()
+            .unwrap_or_else(|| unit_vec(n, visited, true));
+        let pull = match policy {
+            Direction::Push => false,
+            Direction::Pull => true,
+            Direction::Auto => current.nnz() as f64 * avg_deg > (n - visited.len()) as f64,
+        };
+        let expanded = if pull {
+            masked_spgevm_csc(true, BoolAndOr, &mask, &current, &adj_csc)?
+        } else {
+            masked_spgevm(Algorithm::Msa, true, BoolAndOr, &mask, &current, &adj_bool)?
+        };
+        next.clear();
+        next.extend_from_slice(expanded.indices());
+        frontier = Some(expanded);
+        Ok(pull)
+    })
+    .expect("dims agree")
+}
+
+/// Engine-planned direction-optimized BFS on the `bool` lane.
+///
+/// Every level is one [`engine::Operands::VecMat`] descriptor —
+/// `next = ¬visited ⊙ (frontier · A)` on [`SemiringKind::BoolAndOr`] —
+/// planned and executed by the [`Context`]: the frontier and visited sets
+/// live in the context as [`engine::VectorHandle`]s, the boolean adjacency view and
+/// its CSC form come from the aux cache (built once, reused across levels
+/// *and* traversals), and with [`Direction::Auto`] the push/pull switch is
+/// the planner's vector cost model — Beamer's heuristic as a plan decision
+/// rather than hand-rolled caller logic. No direct `masked_spgevm` calls.
+///
+/// Levels are identical to [`fn@crate::bfs`] and [`crate::bfs::bfs_reference`].
+pub fn bfs_auto(
+    ctx: &Context,
+    adj: MatrixHandle,
+    source: Idx,
+    policy: Direction,
+) -> Result<BfsResult, SparseError> {
+    bfs_auto_with_value(ctx, adj, source, policy, ValueKind::Bool)
+}
+
+/// [`bfs_auto`] on an explicit value lane.
+///
+/// The expansion runs on [`SemiringKind::BoolAndOr`] for
+/// [`ValueKind::Bool`] and [`SemiringKind::PlusPair`] for the numeric
+/// lanes — the reached *pattern* (and therefore every level set) is
+/// identical on all lanes, which is what the cross-lane equivalence tests
+/// pin down.
+pub fn bfs_auto_with_value(
+    ctx: &Context,
+    adj: MatrixHandle,
+    source: Idx,
+    policy: Direction,
+    value: ValueKind,
+) -> Result<BfsResult, SparseError> {
+    let shape = ctx.stats(adj).shape;
+    let semiring = match value {
+        ValueKind::Bool => SemiringKind::BoolAndOr,
+        _ => SemiringKind::PlusPair,
+    };
+    let (mut frontier, mut visited) = (None, None);
+    let result = traverse(shape, source, |visited_idx, next| {
+        let unit = lane_unit_vec(shape.0, visited_idx, value);
+        let vis = match visited {
+            Some(h) => {
+                ctx.update_vec(h, unit);
+                h
+            }
+            None => *visited.insert(ctx.insert_vec(unit)),
+        };
+        let front = *frontier
+            .get_or_insert_with(|| ctx.insert_vec(lane_unit_vec(shape.0, visited_idx, value)));
+        let op = ctx
+            .vec_op(vis, front, adj)
+            .complemented(true)
+            .semiring(semiring)
+            .value(value);
+        // One plan resolution per level: forced policies know their
+        // algorithm outright, and Auto consults the planner once, then
+        // pins its choice so execution does not re-resolve (cache hits
+        // stay an honest measure of cross-level/cross-traversal reuse).
+        let algorithm = match policy {
+            Direction::Push => Algorithm::Msa,
+            Direction::Pull => Algorithm::Inner,
+            Direction::Auto => match op.plan()?.choice {
+                Choice::Fixed(alg) => alg,
+                Choice::Hybrid => Algorithm::Msa, // vec plans are never hybrid
+            },
+        };
+        let expanded = op
+            .algorithm(algorithm)
+            .run_out()?
+            .into_vec()
+            .expect("vector op yields a vector");
+        next.clear();
+        next.extend_from_slice(expanded.indices());
+        if !next.is_empty() {
+            ctx.update_vec(front, expanded);
+        }
+        Ok(algorithm == Algorithm::Inner)
+    });
+    for h in [frontier, visited].into_iter().flatten() {
+        ctx.remove_vec(h);
+    }
+    result
 }
 
 /// Serial reference BFS (queue-based), for tests.

@@ -8,6 +8,9 @@
 //! The mask gets sparser every iteration, which is why pull-based schemes
 //! shine here (paper Figure 14).
 
+use std::borrow::Cow;
+
+use engine::{Context, FromOpOutput, LaneValue, MatrixHandle, OpOutput, SemiringKind, ValueMat};
 use sparse::{CscMatrix, CsrMatrix, PlusPair, SparseError};
 
 use crate::scheme::Scheme;
@@ -24,43 +27,146 @@ pub struct KtrussResult {
     pub total_flops: u64,
 }
 
-/// Compute the k-truss of a simple undirected graph with the given scheme.
+/// The peel loop shared by [`ktruss`] and [`ktruss_auto`]: prune edges
+/// supported by fewer than `k − 2` triangles until a fixed point.
 ///
-/// `adj` must have a symmetric pattern (as produced by
-/// [`graphs::to_undirected_simple`]).
-pub fn ktruss(scheme: Scheme, adj: &CsrMatrix<f64>, k: usize) -> Result<KtrussResult, SparseError> {
-    assert!(k >= 3, "k-truss needs k >= 3");
-    let min_support = (k - 2) as u64;
-    let sr = PlusPair::<f64, f64, u64>::new();
-    let mut current = adj.clone();
+/// `support(kept)` computes `S = E ⊙ (E·E)` on `plus_pair` over the
+/// current edge set `E` — the initial one (`nnz` edges) when `kept` is
+/// `None`, else the unit-valued `kept` set of the previous peel — and
+/// returns it with flops(E·E). `finish` converts the surviving truss
+/// to the result's `f64` representation.
+fn peel<S, K>(
+    k: usize,
+    mut nnz: usize,
+    finish: impl FnOnce(CsrMatrix<K>) -> CsrMatrix<f64>,
+    mut support: impl FnMut(Option<CsrMatrix<K>>) -> Result<(CsrMatrix<S>, u64), SparseError>,
+) -> Result<KtrussResult, SparseError>
+where
+    S: PartialOrd + From<u32> + Clone,
+    K: LaneValue,
+{
+    if k < 3 {
+        return Err(SparseError::Unsupported("k-truss needs k >= 3"));
+    }
+    // Support counts never reach u32::MAX (they are bounded by the vertex
+    // count), so saturating keeps an oversized k's truss empty.
+    let min_support = S::from(u32::try_from(k - 2).unwrap_or(u32::MAX));
+    let mut kept = None;
     let mut iterations = 0usize;
     let mut total_flops = 0u64;
     loop {
         iterations += 1;
-        total_flops += masked_spgemm::flops(&current, &current);
-        let csc = CscMatrix::from_csr(&current);
-        // Support of every surviving edge: common-neighbor counts masked to
-        // the current edge set.
-        let support = scheme.run(sr, &current, false, &current, &current, &csc)?;
+        let (support, flops) = support(kept.take())?;
+        total_flops += flops;
         // Keep edges with enough support. `support` may lack entries for
         // edges with zero wedges — those are pruned implicitly.
-        let kept = support.filter(|_, _, &s| s >= min_support).map(|_| 1.0f64);
-        if kept.nnz() == current.nnz() {
+        let next = support
+            .filter(|_, _, s| *s >= min_support)
+            .map(|_| K::lane_one());
+        if next.nnz() == nnz || next.nnz() == 0 {
             return Ok(KtrussResult {
-                truss: kept,
+                truss: finish(next),
                 iterations,
                 total_flops,
             });
         }
-        if kept.nnz() == 0 {
-            return Ok(KtrussResult {
-                truss: kept,
-                iterations,
-                total_flops,
-            });
-        }
-        current = kept;
+        nnz = next.nnz();
+        kept = Some(next);
     }
+}
+
+/// Compute the k-truss of a simple undirected graph with the given scheme.
+///
+/// `adj` must have a symmetric pattern (as produced by
+/// [`graphs::to_undirected_simple`]); `k < 3` is an error.
+pub fn ktruss(scheme: Scheme, adj: &CsrMatrix<f64>, k: usize) -> Result<KtrussResult, SparseError> {
+    let sr = PlusPair::<f64, f64, u64>::new();
+    let mut current = Cow::Borrowed(adj);
+    peel(
+        k,
+        adj.nnz(),
+        |m: CsrMatrix<f64>| m,
+        |kept| {
+            if let Some(kept) = kept {
+                current = Cow::Owned(kept);
+            }
+            let csc = CscMatrix::from_csr(&current);
+            let support = scheme.run(sr, &*current, false, &current, &current, &csc)?;
+            Ok((support, masked_spgemm::flops(&current, &current)))
+        },
+    )
+}
+
+/// k-truss via engine-planned support computations.
+///
+/// `adj` must have a symmetric pattern. The shrinking edge set lives in a
+/// scratch handle whose auxiliaries are invalidated by each peel —
+/// [`Context::update_typed`] is exactly the mutation the cache is built
+/// around. Plan reuse across peels comes from the context's
+/// fingerprint-keyed plan cache: while the edge set stays in the same nnz
+/// regime, each iteration's `Context::op(..)` serves the cached plan
+/// instead of re-running the cost model (watch it with
+/// [`Context::plan_cache_stats`]).
+///
+/// The peel runs on the adjacency's **native lane**: an `f64`-registered
+/// graph counts in `f64` exactly as before, while natively `i64`/`bool`
+/// graphs ([`Context::insert_typed`]) peel on the exact `i64` lane (the
+/// `bool` lane has no counting semiring; its pattern is lifted to `i64`
+/// once, never through an `f64` canonical). The surviving-edge patterns
+/// are identical on every lane — support counts are small integers.
+pub fn ktruss_auto(
+    ctx: &Context,
+    adj: MatrixHandle,
+    k: usize,
+) -> Result<KtrussResult, SparseError> {
+    let to_f64 = |m: CsrMatrix<i64>| m.map_values(|v| v as f64);
+    match ctx.value_mat(adj) {
+        ValueMat::F64(m) => ktruss_auto_lane::<f64>(ctx, ValueMat::F64(m), k, |m| m),
+        ValueMat::I64(m) => ktruss_auto_lane::<i64>(ctx, ValueMat::I64(m), k, to_f64),
+        // One transient i64 lift of the pattern, owned by the peel's work
+        // entry (a cached `i64_view` would pin the same Arc in both the aux
+        // ledger and the registry — double-billed bytes and an eviction
+        // that frees nothing), then the whole peel stays on the integer
+        // lane.
+        ValueMat::Bool(m) => {
+            let lifted = ValueMat::from(m.map_values(i64::cast_from));
+            ktruss_auto_lane::<i64>(ctx, lifted, k, to_f64)
+        }
+    }
+}
+
+/// [`ktruss_auto`]'s product on lane `T`: the edge set starts as `initial`
+/// (registered zero-copy) and is replaced by each peel's kept set.
+fn ktruss_auto_lane<T>(
+    ctx: &Context,
+    initial: ValueMat,
+    k: usize,
+    finish: impl FnOnce(CsrMatrix<T>) -> CsrMatrix<f64>,
+) -> Result<KtrussResult, SparseError>
+where
+    T: LaneValue + PartialOrd + From<u32>,
+    CsrMatrix<T>: FromOpOutput + Into<ValueMat>,
+{
+    let nnz = initial.nnz();
+    let work = ctx.insert_typed(initial);
+    let result = peel(k, nnz, finish, |kept| {
+        if let Some(kept) = kept {
+            ctx.update_typed(work, kept);
+        }
+        let flops = ctx.flops(work, work);
+        // Support of every surviving edge; the algorithm is re-chosen as
+        // the mask sparsifies (plan served from the fingerprint cache
+        // while the regime holds).
+        let support = ctx
+            .op(work, work, work)
+            .semiring(SemiringKind::PlusPair)
+            .value(T::KIND)
+            .run_out()
+            .and_then(OpOutput::into_typed)?;
+        Ok((support, flops))
+    });
+    ctx.remove(work);
+    result
 }
 
 #[cfg(test)]
@@ -142,8 +248,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k >= 3")]
     fn rejects_small_k() {
-        let _ = ktruss(Scheme::SsSaxpy, &k4_plus_tail(), 2);
+        let adj = k4_plus_tail();
+        assert!(ktruss(Scheme::SsSaxpy, &adj, 2).is_err());
+        let ctx = Context::with_threads(1);
+        let h = ctx.insert(adj);
+        assert!(ktruss_auto(&ctx, h, 2).is_err());
     }
 }

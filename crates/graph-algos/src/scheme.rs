@@ -114,6 +114,10 @@ mod tests {
     #[test]
     fn labels() {
         assert_eq!(Scheme::Ours(Algorithm::Msa, Phases::One).label(), "MSA-1P");
+        assert_eq!(
+            Scheme::Ours(Algorithm::HeapDot, Phases::Two).label(),
+            "HeapDot-2P"
+        );
         assert_eq!(Scheme::SsDot.label(), "SS:DOT");
         assert_eq!(Scheme::all_ours().len(), 12);
     }

@@ -8,10 +8,35 @@
 //! pass over the surviving entries. Without the mask this is an all-pairs
 //! `O(n²)`-output join; the mask makes it proportional to the candidates.
 
+use engine::{Context, MatrixHandle};
 use sparse::transpose::transpose;
 use sparse::{CscMatrix, CsrMatrix, PlusTimes, SparseError};
 
 use crate::scheme::Scheme;
+
+/// Divide each masked dot product `dots[i][j] = a_i · a_j` by
+/// `‖a_i‖·‖a_j‖` in place (0 where a norm is 0); the pattern is already
+/// the masked dot pattern.
+fn normalize(mut dots: CsrMatrix<f64>, a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+    let norms: Vec<f64> = (0..a.nrows())
+        .map(|i| {
+            let (_, vals) = a.row(i);
+            vals.iter().map(|v| v * v).sum::<f64>().sqrt()
+        })
+        .collect();
+    let nrows = dots.nrows();
+    let rowptr = dots.rowptr().to_vec();
+    let colidx = dots.colidx().to_vec();
+    let values = dots.values_mut();
+    for i in 0..nrows {
+        for p in rowptr[i]..rowptr[i + 1] {
+            let j = colidx[p] as usize;
+            let denom = norms[i] * norms[j];
+            values[p] = if denom > 0.0 { values[p] / denom } else { 0.0 };
+        }
+    }
+    dots
+}
 
 /// Masked cosine similarity over the rows of `a`.
 ///
@@ -26,26 +51,22 @@ pub fn masked_cosine_similarity(
     let at_csc = CscMatrix::from_csr(&at);
     let sr = PlusTimes::<f64>::new();
     let dots = scheme.run(sr, mask, false, a, &at, &at_csc)?;
-    let norms: Vec<f64> = (0..a.nrows())
-        .map(|i| {
-            let (_, vals) = a.row(i);
-            vals.iter().map(|v| v * v).sum::<f64>().sqrt()
-        })
-        .collect();
-    let mut out = dots;
-    // Normalize in place; pattern is already the masked dot pattern.
-    let nrows = out.nrows();
-    let rowptr = out.rowptr().to_vec();
-    let colidx = out.colidx().to_vec();
-    let values = out.values_mut();
-    for i in 0..nrows {
-        for p in rowptr[i]..rowptr[i + 1] {
-            let j = colidx[p] as usize;
-            let denom = norms[i] * norms[j];
-            values[p] = if denom > 0.0 { values[p] / denom } else { 0.0 };
-        }
-    }
-    Ok(out)
+    Ok(normalize(dots, a))
+}
+
+/// Masked cosine similarity with the engine planning the dot products.
+///
+/// `mask` holds the candidate pairs (values ignored); `a` is the feature
+/// matrix. `Aᵀ` comes from the context's transpose cache.
+pub fn masked_cosine_similarity_auto(
+    ctx: &Context,
+    mask: MatrixHandle,
+    a: MatrixHandle,
+) -> Result<CsrMatrix<f64>, SparseError> {
+    // Owned by `a`'s entry: stays cached for the next call.
+    let at = ctx.transpose_handle(a);
+    let dots = ctx.op(mask, a, at).run()?;
+    Ok(normalize(dots, &ctx.matrix(a)))
 }
 
 #[cfg(test)]

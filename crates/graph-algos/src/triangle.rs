@@ -6,6 +6,7 @@
 //! semiring (each surviving product is a wedge closed by a mask edge)
 //! followed by a reduction.
 
+use engine::{Context, MatrixHandle, SemiringKind};
 use sparse::reduce::sum_all;
 use sparse::triangular::tril;
 use sparse::{CscMatrix, CsrMatrix, PlusPair, SparseError};
@@ -31,6 +32,15 @@ pub fn triangle_count(
     let sr = PlusPair::<f64, f64, u64>::new();
     let c = scheme.run(sr, l, false, l, l, l_csc)?;
     Ok(sum_all(&c))
+}
+
+/// Triangle count via one planned `L ⊙ (L·L)` on `plus_pair`.
+///
+/// `l` is the prepared lower-triangular input (see
+/// [`prepare_triangle_input`]) registered in `ctx`.
+pub fn triangle_count_auto(ctx: &Context, l: MatrixHandle) -> Result<u64, SparseError> {
+    let c = ctx.op(l, l, l).semiring(SemiringKind::PlusPair).run()?;
+    Ok(sum_all(&c) as u64)
 }
 
 #[cfg(test)]

@@ -355,8 +355,8 @@ fn every_aux_slot_evicts_alone_and_rebuilds_equal() {
     let ctx = Context::with_threads(1);
     let base = graphs::erdos_renyi(48, 5.0, 9);
     let handles = [
-        ctx.insert_bool(base.map_values(|v| v != 0.0)),
-        ctx.insert_i64(base.map_values(|v| v as i64)),
+        ctx.insert_typed(base.map_values(|v| v != 0.0)),
+        ctx.insert_typed(base.map_values(|v| v as i64)),
         ctx.insert(base),
     ];
     let mut records = Vec::new();

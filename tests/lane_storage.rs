@@ -37,8 +37,8 @@ fn lane_semiring(value: ValueKind) -> SemiringKind {
 /// lane rules, exactly what the f64-registered side's cached views do).
 fn insert_native(ctx: &Context, m: &CsrMatrix<f64>, value: ValueKind) -> engine::MatrixHandle {
     match value {
-        ValueKind::Bool => ctx.insert_bool(m.map_values(bool::from_f64)),
-        ValueKind::I64 => ctx.insert_i64(m.map_values(i64::from_f64)),
+        ValueKind::Bool => ctx.insert_typed(m.map_values(bool::from_f64)),
+        ValueKind::I64 => ctx.insert_typed(m.map_values(i64::from_f64)),
         ValueKind::F64 => ctx.insert(m.clone()),
     }
 }
@@ -125,7 +125,7 @@ fn update_typed_invalidates_exactly_the_stale_lanes() {
     let ctx = Context::with_threads(1);
     let m1 = graphs::erdos_renyi(64, 6.0, 1).map_values(i64::from_f64);
     let m2 = graphs::erdos_renyi(64, 6.0, 2);
-    let h1 = ctx.insert_i64(m1);
+    let h1 = ctx.insert_typed(m1);
     let h2 = ctx.insert(m2);
 
     // Materialize cross-lane casts and CSC forms on both entries.
@@ -143,7 +143,7 @@ fn update_typed_invalidates_exactly_the_stale_lanes() {
     // Update h1 (same lane, new values): every one of ITS lanes' slots is
     // stale and must be dropped; h2's records must not move.
     let m1b = graphs::erdos_renyi(64, 6.0, 3).map_values(i64::from_f64);
-    ctx.update_i64(h1, m1b.clone());
+    ctx.update_typed(h1, m1b.clone());
     let s1_after = ctx.aux_status(h1);
     assert!(
         !s1_after.has_bool_view && !s1_after.has_f64_view && !s1_after.has_csc,
@@ -173,8 +173,8 @@ fn update_typed_invalidates_exactly_the_stale_lanes() {
 fn native_lane_views_are_zero_copy() {
     let ctx = Context::with_threads(1);
     let adj = graphs::erdos_renyi(32, 4.0, 9);
-    let hb = ctx.insert_bool(adj.map_values(bool::from_f64));
-    let hi = ctx.insert_i64(adj.map_values(i64::from_f64));
+    let hb = ctx.insert_typed(adj.map_values(bool::from_f64));
+    let hi = ctx.insert_typed(adj.map_values(i64::from_f64));
     let hf = ctx.insert(adj);
 
     let ValueMat::Bool(native_b) = ctx.value_mat(hb) else {
@@ -192,7 +192,7 @@ fn native_lane_views_are_zero_copy() {
     assert!(Arc::ptr_eq(&native_f, &ctx.matrix(hf)));
 }
 
-/// ISSUE 5 acceptance: a bool graph registered via `insert_bool` runs
+/// A bool graph registered natively (`insert_typed`) runs
 /// `bfs_auto` end-to-end with zero `f64` canonical allocation — no cast
 /// slot on any lane is ever populated (the native `bool` lane serves every
 /// operand), and the entry's resident bytes are structure-only plus
@@ -204,7 +204,7 @@ fn insert_bool_bfs_never_materializes_an_f64_canonical() {
     let adj_bool = adjf.map_values(bool::from_f64);
 
     let ctx = Context::with_threads(2);
-    let h = ctx.insert_bool(adj_bool.clone());
+    let h = ctx.insert_typed(adj_bool.clone());
     for policy in [Direction::Push, Direction::Pull, Direction::Auto] {
         let got = bfs_auto(&ctx, h, 0, policy).unwrap();
         assert_eq!(got.levels, expect, "{policy:?}");
@@ -281,7 +281,7 @@ fn native_graphs_run_ktruss_and_sssp() {
     let hf = canon.insert(adj.clone());
 
     let native = Context::with_threads(2);
-    let hb = native.insert_bool(adj.map_values(bool::from_f64));
+    let hb = native.insert_typed(adj.map_values(bool::from_f64));
     for k in [3usize, 4] {
         let expect = ktruss_auto(&canon, hf, k).unwrap();
         let got = ktruss_auto(&native, hb, k).unwrap();
@@ -295,7 +295,7 @@ fn native_graphs_run_ktruss_and_sssp() {
     assert!(!status.has_f64_view && !status.has_f64_csc);
     assert!(!status.has_i64_view, "lift must not pin an aux cast");
 
-    let hi = native.insert_i64(adj.map_values(i64::from_f64));
+    let hi = native.insert_typed(adj.map_values(i64::from_f64));
     assert_eq!(
         sssp_auto(&native, hi, 0).unwrap(),
         sssp_auto(&canon, hf, 0).unwrap()
@@ -311,8 +311,8 @@ fn typed_matrix_accumulation_merges_natively() {
     let a = graphs::erdos_renyi(40, 5.0, 11);
     let mask = graphs::erdos_renyi(40, 8.0, 12);
     let (ha, hm) = (
-        ctx.insert_i64(a.map_values(i64::from_f64)),
-        ctx.insert_i64(mask.map_values(i64::from_f64)),
+        ctx.insert_typed(a.map_values(i64::from_f64)),
+        ctx.insert_typed(mask.map_values(i64::from_f64)),
     );
     let product: CsrMatrix<i64> = ctx
         .op(hm, ha, ha)
@@ -322,7 +322,7 @@ fn typed_matrix_accumulation_merges_natively() {
         .unwrap()
         .into_typed()
         .unwrap();
-    let target = ctx.insert_i64(product.clone());
+    let target = ctx.insert_typed(product.clone());
     let merged: CsrMatrix<i64> = ctx
         .op(hm, ha, ha)
         .semiring(SemiringKind::PlusPair)
@@ -354,7 +354,7 @@ fn vec_scratch_reuse_is_bit_stable_across_calls_and_sizes() {
         .into_iter()
         .map(|g| {
             let expect = bfs_reference(&g, 0);
-            (ctx.insert_bool(g.map_values(bool::from_f64)), expect)
+            (ctx.insert_typed(g.map_values(bool::from_f64)), expect)
         })
         .collect();
     // Interleave graphs so every call re-acquires scratch sized for the
@@ -377,9 +377,9 @@ fn mixed_native_storage_batch_matches_single_ops() {
     let adj = graphs::to_undirected_simple(&graphs::erdos_renyi(64, 5.0, 41));
     let mask = graphs::erdos_renyi(64, 7.0, 42);
     let ctx = Context::with_threads(3);
-    let hm_bool = ctx.insert_bool(mask.map_values(bool::from_f64));
-    let ha_bool = ctx.insert_bool(adj.map_values(bool::from_f64));
-    let ha_i64 = ctx.insert_i64(adj.map_values(i64::from_f64));
+    let hm_bool = ctx.insert_typed(mask.map_values(bool::from_f64));
+    let ha_bool = ctx.insert_typed(adj.map_values(bool::from_f64));
+    let ha_i64 = ctx.insert_typed(adj.map_values(i64::from_f64));
     let ha_f64 = ctx.insert(adj);
 
     // The bool-stored mask fronts ops on every lane — masks are consumed
