@@ -2,10 +2,10 @@
 //! bit-identical to direct `masked_spgemm` calls; the auxiliary cache must
 //! never serve stale data after a matrix is updated.
 
-use engine::{Choice, Context, SemiringKind};
+use engine::{Choice, Context, Plan, SemiringKind};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use proptest::prelude::*;
-use sparse::{CsrMatrix, Idx, PlusTimes};
+use sparse::{CsrMatrix, Idx, PlusTimes, SparseVec};
 
 /// CSR matrix of a fixed shape with ~`density` fill and small integer
 /// values (exact in f64).
@@ -351,4 +351,84 @@ fn planner_prefers_pull_for_tiny_masks_and_push_for_dense_masks() {
         "dense mask must not plan pure Inner, got {}",
         plan.label()
     );
+}
+
+/// The hub-plus-fringe graph of the core hybrid tests: vertex 0 links to
+/// every other vertex and the rest form a chain, so hub and fringe rows
+/// disagree about their cheapest family.
+fn hub_and_fringe() -> CsrMatrix<f64> {
+    let mut coo = sparse::CooMatrix::new(64, 64);
+    for j in 1..64u32 {
+        coo.push(0, j, 1.0);
+        coo.push(j, 0, 1.0);
+    }
+    for j in 1..63u32 {
+        coo.push(j, j + 1, 1.0);
+        coo.push(j + 1, j, 1.0);
+    }
+    coo.to_csr()
+}
+
+/// A `bool` vector of dimension `dim` holding `indices`.
+fn bool_vec(dim: usize, indices: Vec<Idx>) -> SparseVec<bool> {
+    let n = indices.len();
+    SparseVec::try_new(dim, indices, vec![true; n]).unwrap()
+}
+
+/// One plan of each kind the planner makes, on a fresh default-config
+/// context: a fixed `MSA-1P`, a per-row `Hybrid-1P`, a complemented
+/// two-phase product, a vector push and a complemented vector pull.
+fn pinned_plans(ctx: &Context) -> Vec<(&'static str, Plan)> {
+    let rmat = ctx.insert(graphs::rmat(8, graphs::RmatParams::default(), 1));
+    let dense_mask = ctx.insert(graphs::erdos_renyi(256, 64.0, 5));
+    let hub = ctx.insert(hub_and_fringe());
+    let heavy = ctx.insert(graphs::erdos_renyi(2048, 64.0, 3));
+    let sparse_mask = ctx.insert(graphs::erdos_renyi(2048, 2.0, 4));
+    let grid = ctx.insert(graphs::grid2d(16, 16));
+    let source = ctx.insert_vec(bool_vec(256, vec![17]));
+    let wide_frontier = ctx.insert_vec(bool_vec(256, (0..256).step_by(2).collect()));
+    let nearly_all = ctx.insert_vec(bool_vec(256, (0..250).collect()));
+    vec![
+        ("rmat", ctx.plan(dense_mask, false, rmat, rmat).unwrap()),
+        ("hybrid", ctx.plan(hub, false, hub, hub).unwrap()),
+        (
+            "complemented",
+            ctx.plan(sparse_mask, true, heavy, heavy).unwrap(),
+        ),
+        ("push", ctx.plan_vec(source, true, source, grid).unwrap()),
+        (
+            "pull",
+            ctx.plan_vec(nearly_all, true, wide_frontier, grid).unwrap(),
+        ),
+    ]
+}
+
+/// The planner's numbers for [`pinned_plans`], bit for bit: the label and
+/// the `to_bits()` of every estimate (`msa`, `mca`, `heap`, `inner`,
+/// `hybrid`) plus the flop count. A change to the cost model that moves
+/// any plan or any estimate fails here.
+#[test]
+fn planner_numbers_are_pinned() {
+    #[rustfmt::skip]
+    const PINNED: [(&str, &str, [u64; 5], u64); 5] = [
+        ("rmat", "MSA-1P", [0x40fde9b000000000, 0x410f4e2000000000, 0x411d1857e61f71e3, 0x4112b92170000000, 0x40fe13edbd150474], 88111),
+        ("hybrid", "Hybrid-1P", [0x40c5540000000000, 0x40c1ae0000000000, 0x40cc5c9b86c2f2ed, 0x40b57e9000000000, 0x40a0c2f000000000], 4526),
+        ("complemented", "MSA-2P", [0x416082e520000000, 0x4160a16680000000, 0x418c62a5d428172a, 0x41c00d64d2968000, 0x4160b47ca0000000], 8455985),
+        ("push", "MSA-1P", [0x4059400000000000, 0, 0, 0x4092ed0000000000, 0x4059400000000000], 4),
+        ("pull", "Inner-1P", [0x4089d00000000000, 0, 0, 0x4088b40000000000, 0x4088b40000000000], 480),
+    ];
+    let ctx = Context::with_threads(1);
+    let plans = pinned_plans(&ctx);
+    assert_eq!(plans.len(), PINNED.len());
+    for ((name, plan), (pinned_name, label, bits, flops)) in plans.into_iter().zip(PINNED) {
+        assert_eq!(name, pinned_name);
+        let c = plan.costs;
+        assert_eq!(plan.label(), label, "{name}");
+        assert_eq!(
+            [c.msa, c.mca, c.heap, c.inner, c.hybrid].map(f64::to_bits),
+            bits,
+            "{name}: {c:?}"
+        );
+        assert_eq!(c.flops, flops, "{name}");
+    }
 }
