@@ -9,6 +9,8 @@
 use rayon::prelude::*;
 use sparse::CsrMatrix;
 
+use crate::hybrid::row_flops;
+
 /// Scalar multiplications of the unmasked product `A·B`
 /// (`Σ_{A(i,k)≠0} nnz(B(k,:))`).
 pub fn flops<A, B>(a: &CsrMatrix<A>, b: &CsrMatrix<B>) -> u64
@@ -32,15 +34,9 @@ where
     B: Sync,
 {
     assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    let bptr = b.rowptr();
     (0..a.nrows())
         .into_par_iter()
-        .map(|i| {
-            let (cols, _) = a.row(i);
-            cols.iter()
-                .map(|&k| (bptr[k as usize + 1] - bptr[k as usize]) as u64)
-                .sum()
-        })
+        .map(|i| row_flops(a.row(i).0, |k| b.row_nnz(k)))
         .collect()
 }
 

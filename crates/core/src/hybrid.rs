@@ -1,29 +1,26 @@
-//! Hybrid Masked SpGEMM — the paper's stated future work
-//! ("hybrid algorithms that can use different accumulators in the same
-//! Masked SpGEMM depending on the density of the mask and parts of matrices
-//! being processed", Section 9), implemented here as an extension.
+//! Hybrid Masked SpGEMM — the paper's stated future work ("hybrid
+//! algorithms that can use different accumulators in the same Masked
+//! SpGEMM depending on the density of the mask and parts of matrices being
+//! processed", Section 9) — and the one cost model behind every algorithm
+//! choice: the hybrid's per row, the engine planner's per multiply.
 //!
-//! For each output row the producer estimates the cost of every algorithm
-//! family from quantities it can read in `O(nnz(A(i,:)))`:
+//! [`row_costs`] prices each family on one output row with `mm` mask
+//! entries, `u = nnz(A(i,:))`, `f` flops ([`row_flops`]) and `B`'s average
+//! column degree `d̄_B` ([`avg_col_nnz`]). A pull visits `dots = mm` output
+//! positions, or `ncols − mm` under a complemented mask.
 //!
-//! * `f`   — flops of the row (`Σ_k nnz(B(k,:))` over `A(i,k) ≠ 0`);
-//! * `mm`  — `nnz(mask row)`;
-//! * `u`   — `nnz(A(i,:))`;
-//! * `d̄_B` — average column degree of `B` (precomputed once).
-//!
-//! Cost model (unit = one memory-touch-ish operation; constants calibrated
-//! by the `hybrid_ablation` bench):
-//!
-//! | family | estimate | paper complexity it mirrors |
+//! | family | estimate (unit: one MSA flop) | paper complexity it mirrors |
 //! |--------|----------|------------------------------|
-//! | MSA    | `mm + f + K_MSA` | `O(nnz(m) + flops)` + amortized dense-array traffic |
+//! | MSA    | `mm + f + msa_overhead` | `O(nnz(m) + flops)` + amortized dense-array traffic |
 //! | MCA    | `u·mm + f` | `O(nnz(u)·nnz(m) + flops)` |
-//! | Heap   | `mm + f·(1 + log₂(u+1))` | `O(nnz(m) + log nnz(u)·flops)` |
-//! | Inner  | `mm·(u + d̄_B)` | `nnz(m)` dots of length `u + d̄_B` |
+//! | Heap   | `mm + heap_factor·f·(1 + log₂(u+1))` | `O(nnz(m) + log nnz(u)·flops)` |
+//! | Inner  | `inner_factor·dots·(u + d̄_B)` | `dots` dot products of length `u + d̄_B` |
 //!
-//! The winner computes the row. The whole multiply therefore mixes
-//! families across rows — dense hub rows can go to MSA while sparse
-//! fringe rows use dots — which no fixed scheme can do.
+//! [`HybridConfig`] holds the three constants; `engine`'s
+//! `Context::calibrate` measures them on the machine at hand.
+//! [`cheapest`] picks the family: per row for the hybrid
+//! (dense hub rows to MSA, sparse fringe rows to dots, a mix no fixed
+//! scheme can run), and over the [`CostTotals`] of a whole multiply.
 
 use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError};
 
@@ -71,6 +68,73 @@ impl Default for HybridConfig {
     }
 }
 
+/// Relative advantage the hybrid must show over the best fixed family
+/// before it is chosen for a whole multiply.
+const HYBRID_MARGIN: f64 = 0.85;
+
+/// Per-active-row cost of the hybrid's choice computation and kernel
+/// switching, in model units.
+const HYBRID_ROW_DISPATCH: f64 = 8.0;
+
+/// The model's cost of each family — MSA, MCA, Heap, Inner, in that
+/// order — on one row or summed over a multiply.
+pub type FamilyCosts = [f64; 4];
+
+/// The cheapest family and its cost. Ties go to the earlier family in
+/// [`FamilyCosts`] order; MCA, which cannot run a complemented mask, is
+/// skipped when `complemented`.
+pub fn cheapest(costs: FamilyCosts, complemented: bool) -> (RowChoice, f64) {
+    let [msa, mca, heap, inner] = costs;
+    let mut best = (RowChoice::Msa, msa);
+    for (family, cost) in [
+        (RowChoice::Mca, mca),
+        (RowChoice::Heap, heap),
+        (RowChoice::Inner, inner),
+    ] {
+        let supported = !complemented || family != RowChoice::Mca;
+        if supported && cost < best.1 {
+            best = (family, cost);
+        }
+    }
+    best
+}
+
+/// The cost model (see the module docs) on one output row. Under a
+/// complemented mask over `ncols` output columns (`complement_ncols`) the
+/// pull visits the `ncols − mm` unmasked positions, so an empty mask row
+/// is its costliest row, not a free one.
+pub fn row_costs(
+    cfg: &HybridConfig,
+    mm: usize,
+    u: usize,
+    f: u64,
+    avg_b_col_nnz: f64,
+    complement_ncols: Option<usize>,
+) -> FamilyCosts {
+    let (mm_f, u_f, f_f) = (mm as f64, u as f64, f as f64);
+    let dots_f = complement_ncols.map_or(mm_f, |ncols| ncols as f64 - mm_f);
+    [
+        mm_f + f_f + cfg.msa_overhead,
+        u_f * mm_f + f_f,
+        mm_f + cfg.heap_factor * f_f * (1.0 + (u_f + 1.0).log2()),
+        cfg.inner_factor * dots_f * (u_f + avg_b_col_nnz),
+    ]
+}
+
+/// Flops of one output row: `Σ nnz(B(k,:))` over its `A` columns `a_cols`.
+pub fn row_flops(a_cols: &[Idx], b_row_nnz: impl Fn(usize) -> usize) -> u64 {
+    a_cols.iter().map(|&k| b_row_nnz(k as usize) as u64).sum()
+}
+
+/// Average column degree `nnz / ncols` (0 with no columns).
+pub fn avg_col_nnz(nnz: usize, ncols: usize) -> f64 {
+    if ncols > 0 {
+        nnz as f64 / ncols as f64
+    } else {
+        0.0
+    }
+}
+
 /// Pick the cheapest family for one row under the cost model.
 pub fn choose_row(
     cfg: &HybridConfig,
@@ -82,22 +146,56 @@ pub fn choose_row(
     if mm == 0 || u == 0 || f == 0 {
         return RowChoice::Empty;
     }
-    let (mm_f, u_f, f_f) = (mm as f64, u as f64, f as f64);
-    let msa = mm_f + f_f + cfg.msa_overhead;
-    let mca = u_f * mm_f + f_f;
-    let heap = mm_f + cfg.heap_factor * f_f * (1.0 + (u_f + 1.0).log2());
-    let dot = cfg.inner_factor * mm_f * (u_f + avg_b_col_nnz);
-    let mut best = (RowChoice::Msa, msa);
-    for cand in [
-        (RowChoice::Mca, mca),
-        (RowChoice::Heap, heap),
-        (RowChoice::Inner, dot),
-    ] {
-        if cand.1 < best.1 {
-            best = cand;
+    cheapest(row_costs(cfg, mm, u, f, avg_b_col_nnz, None), false).0
+}
+
+/// The cost model summed, in row order, over the rows of one multiply.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct CostTotals {
+    /// Each family's cost summed over the rows.
+    pub families: FamilyCosts,
+    /// The hybrid's row choices ([`choose_row`]) summed over the rows.
+    mixed: f64,
+    rows: usize,
+    /// Bit set of the families the rows chose.
+    chosen: u8,
+}
+
+impl CostTotals {
+    /// Add one row with work.
+    pub fn add_row(&mut self, row: FamilyCosts) {
+        for (total, cost) in self.families.iter_mut().zip(row) {
+            *total += cost;
         }
+        // The hybrid runs plain masks only: its row choice never skips MCA.
+        let (choice, cost) = cheapest(row, false);
+        self.mixed += cost;
+        self.rows += 1;
+        self.chosen |= 1 << choice as u8;
     }
-    best.0
+
+    /// The hybrid's full cost next to the best fixed family `fixed` (of
+    /// cost `fixed_cost`), and whether it should run instead. The cost adds
+    /// per-row dispatch and the CSC copy of `B` (`b_nnz` entries) to the
+    /// row choices; the copy is free when `fixed` pulls anyway. The hybrid
+    /// runs only under a plain mask, only when the rows disagree about
+    /// their cheapest family, and only below `HYBRID_MARGIN · fixed_cost`.
+    pub fn hybrid(
+        &self,
+        (fixed, fixed_cost): (RowChoice, f64),
+        b_nnz: usize,
+        complemented: bool,
+    ) -> (f64, bool) {
+        let csc_cost = if fixed == RowChoice::Inner {
+            0.0
+        } else {
+            b_nnz as f64
+        };
+        let cost = self.mixed + (HYBRID_ROW_DISPATCH * self.rows as f64 + csc_cost);
+        let wins =
+            !complemented && self.chosen.count_ones() > 1 && cost < HYBRID_MARGIN * fixed_cost;
+        (cost, wins)
+    }
 }
 
 struct HybridProducer<'m, S: Semiring>
@@ -122,13 +220,9 @@ where
     S::C: Default,
 {
     fn choice(&self, i: usize) -> RowChoice {
+        let acols = self.a.row(i).0;
+        let f = row_flops(acols, |k| self.b.row_nnz(k));
         let mm = self.mask.row(i).len();
-        let (acols, _) = self.a.row(i);
-        let bptr = self.b.rowptr();
-        let f: u64 = acols
-            .iter()
-            .map(|&k| (bptr[k as usize + 1] - bptr[k as usize]) as u64)
-            .sum();
         choose_row(&self.cfg, mm, acols.len(), f, self.avg_b_col_nnz)
     }
 }
@@ -226,11 +320,7 @@ where
     S: Semiring,
     S::C: Default + Sync,
 {
-    let avg_b_col_nnz = if b.ncols() > 0 {
-        b.nnz() as f64 / b.ncols() as f64
-    } else {
-        0.0
-    };
+    let avg_b_col_nnz = avg_col_nnz(b.nnz(), b.ncols());
     let (max_m, ncols) = (mask.max_row_nnz(), b.ncols());
     let make = || HybridProducer {
         sr,
@@ -257,20 +347,12 @@ pub fn hybrid_choices<MT, A, B>(
     a: &CsrMatrix<A>,
     b: &CsrMatrix<B>,
 ) -> Vec<RowChoice> {
-    let avg = if b.ncols() > 0 {
-        b.nnz() as f64 / b.ncols() as f64
-    } else {
-        0.0
-    };
-    let bptr = b.rowptr();
+    let avg = avg_col_nnz(b.nnz(), b.ncols());
     (0..a.nrows())
         .map(|i| {
-            let (ac, _) = a.row(i);
-            let f: u64 = ac
-                .iter()
-                .map(|&k| (bptr[k as usize + 1] - bptr[k as usize]) as u64)
-                .sum();
-            choose_row(&cfg, mask.row_nnz(i), ac.len(), f, avg)
+            let acols = a.row(i).0;
+            let f = row_flops(acols, |k| b.row_nnz(k));
+            choose_row(&cfg, mask.row_nnz(i), acols.len(), f, avg)
         })
         .collect()
 }

@@ -1,19 +1,22 @@
 //! Micro-calibration of the cost-model constants.
 //!
-//! [`HybridConfig`]'s defaults (`msa_overhead`, `heap_factor`) were tuned on
-//! one development machine. The relative cost of MSA's dense-array traffic
-//! and the heap's branchy merges varies with cache sizes and memory
-//! latency, so [`Context::calibrate`] measures both on the actual machine
-//! with two synthetic probes and rescales the constants:
+//! [`HybridConfig`]'s defaults (`msa_overhead`, `heap_factor`,
+//! `inner_factor`) were tuned on one development machine, but the relative
+//! cost of MSA's dense-array traffic, the heap's branchy merges and the
+//! pull's sorted dot products varies with cache sizes and memory latency.
+//! [`Context::calibrate`] measures them on the actual machine with one
+//! dispatch probe and four kernel probes, and rescales the constants:
 //!
-//! * **flop unit** — MSA on a dense-ish product (large rows, full mask):
-//!   time per flop with the accumulator staying hot;
+//! * **dispatch** — near-empty parallel regions: the cost of waking the
+//!   pool, which sets the planner's serial cutoff;
+//! * **flop unit** — MSA on a dense-ish product (full mask rows, so the
+//!   accumulator stays hot): time per flop;
+//! * **heap unit** and **dot unit** — the heap and pull kernels on the same
+//!   product, per unit of the model's heap and pull cost with unit
+//!   factors: `heap_factor` and `inner_factor`;
 //! * **row unit** — MSA on a minimal-work product (one mask entry and one
-//!   short `A` row per output row, wide `B`): the per-row cost is dominated
-//!   by touching the `O(ncols)` accumulator, which is exactly what
-//!   `msa_overhead` models;
-//! * **heap unit** — the heap kernel on the dense-ish product, giving the
-//!   per-flop multiplier `heap_factor`.
+//!   short `A` row per output row, wide `B`), dominated by touching the
+//!   `O(ncols)` accumulator: `msa_overhead`.
 //!
 //! Probes are deterministic, take a few milliseconds, and the result is
 //! clamped to a sane range so a noisy measurement cannot produce a
@@ -21,6 +24,7 @@
 
 use std::time::Instant;
 
+use masked_spgemm::hybrid::{avg_col_nnz, row_costs};
 use masked_spgemm::{masked_spgemm, Algorithm, HybridConfig, Phases};
 use sparse::{CsrMatrix, Idx, PlusTimes};
 
@@ -41,9 +45,7 @@ pub struct Calibration {
     pub inner_secs_per_unit: f64,
     /// Seconds to dispatch one parallel region on the context's pool
     /// (publish chunks, wake parked workers, join) — the fixed cost a
-    /// kernel invocation pays before any row work happens. With the
-    /// persistent pool this is wake latency; the per-call spawn scheduler
-    /// it replaced paid thread creation here instead.
+    /// kernel invocation pays before any row work happens.
     pub dispatch_overhead_secs: f64,
     /// The planner serial cutoff installed on the context
     /// ([`Context::set_serial_cutoff_flops`]): the flop count whose MSA
@@ -84,24 +86,36 @@ fn probe_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> CsrMat
     CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, cols, vals)
 }
 
-fn time_secs(mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let reps = 3;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+/// Best of three timed runs, after one warm-up, of `alg` on the probe
+/// product `mask ⊙ (a·b)` on `pool`.
+fn time_kernel(
+    pool: &rayon::ThreadPool,
+    alg: Algorithm,
+    mask: &CsrMatrix<()>,
+    a: &CsrMatrix<f64>,
+    b: &CsrMatrix<f64>,
+) -> f64 {
+    let run = || {
+        let c = masked_spgemm(alg, Phases::One, false, PlusTimes::new(), mask, a, b)
+            .expect("probe dims agree");
+        std::hint::black_box(c.nnz());
+    };
+    pool.install(|| {
+        run();
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            run();
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        best
+    })
 }
 
 impl Context {
     /// Measure the cost-model constants on this machine, install them, and
     /// return the measurement.
     pub fn calibrate(&self) -> Calibration {
-        let sr = PlusTimes::<f64>::new();
-
         // Pool dispatch overhead: time near-empty parallel regions (the
         // workers are woken, claim trivial chunks, and the caller joins).
         // The first region also absorbs any cold-start so the kernel
@@ -131,31 +145,23 @@ impl Context {
         let b = probe_matrix(n, n, 64, 0x5A5A);
         let mask = probe_matrix(n, n, 64, 0x1234).pattern();
         let flops = masked_spgemm::flops(&a, &b).max(1);
-        let msa_dense = self.pool.install(|| {
-            time_secs(|| {
-                let c = masked_spgemm(Algorithm::Msa, Phases::One, false, sr, &mask, &a, &b)
-                    .expect("probe dims agree");
-                std::hint::black_box(c.nnz());
-            })
-        });
-        let heap_dense = self.pool.install(|| {
-            time_secs(|| {
-                let c = masked_spgemm(Algorithm::Heap, Phases::One, false, sr, &mask, &a, &b)
-                    .expect("probe dims agree");
-                std::hint::black_box(c.nnz());
-            })
-        });
-        let inner_dense = self.pool.install(|| {
-            time_secs(|| {
-                let c = masked_spgemm(Algorithm::Inner, Phases::One, false, sr, &mask, &a, &b)
-                    .expect("probe dims agree");
-                std::hint::black_box(c.nnz());
-            })
-        });
-        // Modeled dot units of the dense probe: Σ_i mm_i · (u_i + d̄_B).
-        let avg_b_col = b.nnz() as f64 / b.ncols() as f64;
+        let msa_dense = time_kernel(&self.pool, Algorithm::Msa, &mask, &a, &b);
+        let heap_dense = time_kernel(&self.pool, Algorithm::Heap, &mask, &a, &b);
+        let inner_dense = time_kernel(&self.pool, Algorithm::Inner, &mask, &a, &b);
+        // Modeled dot units of the dense probe: the model's pull cost with
+        // unit factors, Σ_i mm_i · (u_i + d̄_B).
+        let unit = HybridConfig {
+            msa_overhead: 0.0,
+            heap_factor: 1.0,
+            inner_factor: 1.0,
+        };
+        let avg_b_col = avg_col_nnz(b.nnz(), b.ncols());
         let inner_units: f64 = (0..n)
-            .map(|i| mask.row_nnz(i) as f64 * (a.row_nnz(i) as f64 + avg_b_col))
+            .map(|i| {
+                let [.., dot_units] =
+                    row_costs(&unit, mask.row_nnz(i), a.row_nnz(i), 0, avg_b_col, None);
+                dot_units
+            })
             .sum();
 
         // Sparse probe: wide output, one mask entry and two A entries per
@@ -165,22 +171,16 @@ impl Context {
         let sa = probe_matrix(rows, rows, 2, 0xBEEF);
         let sb = probe_matrix(rows, wide, 2, 0xFACE);
         let smask = probe_matrix(rows, wide, 1, 0xD00D).pattern();
-        let msa_sparse = self.pool.install(|| {
-            time_secs(|| {
-                let c = masked_spgemm(Algorithm::Msa, Phases::One, false, sr, &smask, &sa, &sb)
-                    .expect("probe dims agree");
-                std::hint::black_box(c.nnz());
-            })
-        });
+        let msa_sparse = time_kernel(&self.pool, Algorithm::Msa, &smask, &sa, &sb);
 
         let msa_secs_per_flop = msa_dense / flops as f64;
         let heap_secs_per_flop = heap_dense / flops as f64;
         let msa_secs_per_row = msa_sparse / rows as f64;
         let inner_secs_per_unit = inner_dense / inner_units.max(1.0);
 
-        // Model units are "one flop of MSA work" = 1.0.
-        let avg_u = 64.0f64;
-        let log_term = 1.0 + (avg_u + 1.0).log2();
+        // Model units are "one flop of MSA work" = 1.0. The heap's modeled
+        // cost of one flop on the probe's 64-entry rows, with unit factors.
+        let [_, _, log_term, _] = row_costs(&unit, 0, 64, 1, avg_b_col, None);
         let heap_factor = (heap_secs_per_flop / msa_secs_per_flop / log_term).clamp(0.25, 8.0);
         let msa_overhead = (msa_secs_per_row / msa_secs_per_flop).clamp(8.0, 4096.0);
         let inner_factor = (inner_secs_per_unit / msa_secs_per_flop).clamp(0.25, 8.0);

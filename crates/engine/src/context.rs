@@ -7,6 +7,7 @@ use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use masked_spgemm::hybrid::row_flops;
 use masked_spgemm::{HybridConfig, LaneValue, ValueKind};
 use sparse::transpose::transpose;
 use sparse::{CscMatrix, CsrMatrix, Idx, SparseError, SparseVec};
@@ -568,8 +569,7 @@ impl Context {
     pub fn set_config(&self, cfg: HybridConfig) {
         *self.cfg.write().expect("config lock") = cfg;
         // Plans embed cost estimates; a new model invalidates them.
-        let mut pc = self.plan_cache.lock().expect("plan lock");
-        pc.map.clear();
+        self.plan_cache.lock().expect("plan lock").map.clear();
     }
 
     // ------------------------------------------------------------- budgets
@@ -746,12 +746,16 @@ impl Context {
     }
 
     pub(crate) fn entry(&self, handle: MatrixHandle) -> Arc<Entry> {
-        self.store
-            .read()
-            .expect("store lock")
+        self.try_entry(handle).expect("handle not registered")
+    }
+
+    /// The entry behind `handle`, or [`SparseError::UnknownHandle`].
+    pub(crate) fn try_entry(&self, handle: MatrixHandle) -> Result<Arc<Entry>, SparseError> {
+        let store = self.store.read().expect("store lock");
+        store
             .get(&handle.0)
-            .expect("handle not registered")
-            .clone()
+            .cloned()
+            .ok_or(SparseError::UnknownHandle)
     }
 
     /// The natively-stored matrix behind a handle (cheap clone — the
@@ -845,12 +849,21 @@ impl Context {
     }
 
     fn vec_entry(&self, handle: VectorHandle) -> VecEntry {
-        self.vec_store
-            .read()
-            .expect("vec store lock")
-            .get(&handle.0)
+        self.try_vec_entry(handle)
             .expect("vector handle not registered")
-            .clone()
+    }
+
+    /// The vector behind `handle`, or [`SparseError::UnknownHandle`].
+    pub(crate) fn try_vector(&self, handle: VectorHandle) -> Result<ValueVec, SparseError> {
+        self.try_vec_entry(handle).map(|e| e.vec)
+    }
+
+    fn try_vec_entry(&self, handle: VectorHandle) -> Result<VecEntry, SparseError> {
+        let store = self.vec_store.read().expect("vec store lock");
+        store
+            .get(&handle.0)
+            .cloned()
+            .ok_or(SparseError::UnknownHandle)
     }
 
     /// The structural fingerprint class of the vector behind `handle`:
@@ -882,8 +895,7 @@ impl Context {
     pub fn set_serial_cutoff_flops(&self, flops: f64) {
         *self.serial_cutoff.write().expect("cutoff lock") = flops;
         // Cached plans embed the serial decision; recompute them.
-        let mut pc = self.plan_cache.lock().expect("plan lock");
-        pc.map.clear();
+        self.plan_cache.lock().expect("plan lock").map.clear();
     }
 
     /// The current planner serial cutoff, in estimated flops.
@@ -973,8 +985,7 @@ impl Context {
             let ((id, kind), version) = victim;
             // Drop the Arc from the slot (borrowers keep theirs alive).
             // Skip if the entry was replaced since the record was written.
-            let entry = self.store.read().expect("store lock").get(&id).cloned();
-            if let Some(entry) = entry {
+            if let Ok(entry) = self.try_entry(MatrixHandle(id)) {
                 if entry.version == version {
                     entry.clear_aux(kind);
                 }
@@ -1143,13 +1154,7 @@ impl Context {
             // update's derived-handle cleanup never saw them. Detect the
             // supersede, drop the orphan, and retry against the current
             // entry (same discipline as `charge_aux`'s version guard).
-            let current = self
-                .store
-                .read()
-                .expect("store lock")
-                .get(&handle.0)
-                .cloned();
-            match current {
+            match self.try_entry(handle).ok() {
                 Some(cur)
                     if cur.version == e.version || cur.transpose_handle.get() == Some(&derived) =>
                 {
@@ -1250,12 +1255,7 @@ impl Context {
         }
         let bdeg = self.row_degrees(b);
         // Structure-only: the flop count never touches a value lane.
-        let f: u64 = ea
-            .matrix
-            .colidx()
-            .iter()
-            .map(|&k| bdeg[k as usize] as u64)
-            .sum();
+        let f = row_flops(ea.matrix.colidx(), |k| bdeg[k] as usize);
         self.flops_cache.write().expect("flops lock").insert(key, f);
         f
     }
@@ -1303,27 +1303,7 @@ impl Context {
             self.plan_fingerprint(b),
             complemented,
         );
-        {
-            let mut pc = self.plan_cache.lock().expect("plan lock");
-            pc.stamp += 1;
-            let stamp = pc.stamp;
-            let cached = pc.map.get_mut(&key).map(|entry| {
-                entry.1 = stamp;
-                entry.0
-            });
-            if let Some(plan) = cached {
-                pc.hits += 1;
-                return Ok(plan);
-            }
-        }
-        let plan = plan::plan(self, mask, complemented, a, b)?;
-        let mut pc = self.plan_cache.lock().expect("plan lock");
-        pc.misses += 1;
-        pc.stamp += 1;
-        let stamp = pc.stamp;
-        pc.map.insert(key, (plan, stamp));
-        Self::enforce_plan_budget(&mut pc);
-        Ok(plan)
+        Ok(self.cached_plan(key, || plan::plan(self, mask, complemented, a, b)))
     }
 
     /// Choose push or pull for the vector-operand multiply `v = m ⊙ (u·B)`
@@ -1348,26 +1328,30 @@ impl Context {
             self.plan_fingerprint(b),
             complemented,
         );
+        Ok(self.cached_plan(key, || plan::plan_vec(self, mask, complemented, u, b)))
+    }
+
+    /// The plan cached under `key` (a hit refreshes its LRU stamp), or the
+    /// one `compute` makes, cached before it is returned.
+    fn cached_plan(&self, key: PlanKey, compute: impl FnOnce() -> Plan) -> Plan {
         {
             let mut pc = self.plan_cache.lock().expect("plan lock");
             pc.stamp += 1;
             let stamp = pc.stamp;
-            let cached = pc.map.get_mut(&key).map(|entry| {
+            if let Some(entry) = pc.map.get_mut(&key) {
                 entry.1 = stamp;
-                entry.0
-            });
-            if let Some(plan) = cached {
+                let plan = entry.0;
                 pc.hits += 1;
-                return Ok(plan);
+                return plan;
             }
         }
-        let plan = plan::plan_vec(self, mask, complemented, u, b)?;
+        let plan = compute();
         let mut pc = self.plan_cache.lock().expect("plan lock");
         pc.misses += 1;
         pc.stamp += 1;
         let stamp = pc.stamp;
         pc.map.insert(key, (plan, stamp));
         Self::enforce_plan_budget(&mut pc);
-        Ok(plan)
+        plan
     }
 }

@@ -494,7 +494,10 @@ impl Context {
     /// assert_eq!(next.indices(), &[1]);
     /// ```
     pub fn vec_op(&self, mask: VectorHandle, u: VectorHandle, b: MatrixHandle) -> OpBuilder<'_> {
-        let value = self.vector(u).value_kind();
+        // An unregistered `u` gets any lane: running the op reports it.
+        let value = self
+            .try_vector(u)
+            .map_or(ValueKind::F64, |v| v.value_kind());
         let semiring = match value {
             ValueKind::Bool => SemiringKind::BoolAndOr,
             _ => SemiringKind::PlusTimes,
@@ -513,12 +516,35 @@ impl Context {
         }
     }
 
-    /// Validate the lane structure of a descriptor: the semiring must be
-    /// defined on the value lane, vector operands must live on it, and the
+    /// Validate a descriptor: every handle it names must be registered
+    /// ([`SparseError::UnknownHandle`]), the semiring must be defined on
+    /// the value lane, vector operands must live on it, and the
     /// accumulation target/monoid must be able to absorb the result. Every
-    /// execution path (single-op, batch) runs this first, so violations
-    /// are uniform [`SparseError::Unsupported`] values everywhere.
+    /// execution path (single-op, batch) runs this first, so a violation
+    /// is the same error value everywhere.
     fn validate_op(&self, op: &MaskedOp) -> Result<(), SparseError> {
+        match op.operands {
+            Operands::MatMat { mask, a, b } => {
+                self.try_entry(mask)?;
+                self.try_entry(a)?;
+                self.try_entry(b)?;
+            }
+            Operands::VecMat { mask, u, b } => {
+                self.try_vector(mask)?;
+                self.try_vector(u)?;
+                self.try_entry(b)?;
+            }
+        }
+        if let AccumMode::MergeInto(target, _) = op.accum {
+            match target {
+                AccumTarget::Mat(h) => {
+                    self.try_entry(h)?;
+                }
+                AccumTarget::Vec(h) => {
+                    self.try_vector(h)?;
+                }
+            }
+        }
         if !op.semiring.supports_value(op.value) {
             return Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED));
         }

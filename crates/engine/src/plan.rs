@@ -1,17 +1,19 @@
 //! Cost-model-based algorithm selection.
 //!
 //! The per-row cost model of [`masked_spgemm::hybrid`] (Section 9 future
-//! work of the paper) is aggregated over whole operations here: for each
-//! family the planner sums the per-row estimates using cached degree
-//! vectors and the pair-cached flop count, then picks the cheapest. When
-//! mixing families per row is estimated to beat every fixed family by a
-//! margin, the plan is [`Choice::Hybrid`] and execution routes through
-//! `hybrid_masked_spgemm`.
+//! work of the paper) is aggregated over whole operations here: the
+//! planner sums each family's per-row estimate using cached degree vectors
+//! and the pair-cached flop count, and takes the cheapest family the mask
+//! polarity supports. When mixing families per row is estimated to beat
+//! every fixed family by a margin, the plan is [`Choice::Hybrid`] and
+//! execution routes through `hybrid_masked_spgemm`. The planner itself
+//! adds only the phase discipline and the serial decision.
 //!
 //! All quantities are `O(nnz(A) + nrows)` to evaluate and come from the
 //! [`crate::Context`] auxiliary cache, so repeated planning over the same
 //! operands (k-truss peeling, BC sweeps) is cheap.
 
+use masked_spgemm::hybrid::{avg_col_nnz, cheapest, row_costs, row_flops, CostTotals, RowChoice};
 use masked_spgemm::{Algorithm, Phases};
 use sparse::SparseError;
 
@@ -37,7 +39,8 @@ pub struct CostBreakdown {
     pub heap: f64,
     /// Pull-based dot products.
     pub inner: f64,
-    /// Per-row minimum across families (the hybrid's idealized cost).
+    /// The per-row hybrid's estimate: its row choices plus per-row dispatch
+    /// and, unless the best fixed family pulls too, the CSC copy of `B`.
     pub hybrid: f64,
     /// Flops of the unmasked product (the model's work term).
     pub flops: u64,
@@ -81,18 +84,7 @@ impl Plan {
             Choice::Fixed(alg) => alg,
             Choice::Hybrid => {
                 let c = &self.costs;
-                let mut best = (Algorithm::Msa, c.msa);
-                for cand in [
-                    (Algorithm::Mca, c.mca),
-                    (Algorithm::Heap, c.heap),
-                    (Algorithm::Inner, c.inner),
-                ] {
-                    let supported = !self.complemented || cand.0.supports_complement();
-                    if supported && cand.1 < best.1 {
-                        best = cand;
-                    }
-                }
-                best.0
+                algorithm(cheapest([c.msa, c.mca, c.heap, c.inner], self.complemented).0)
             }
         }
     }
@@ -117,28 +109,32 @@ impl Plan {
     }
 }
 
-/// Relative advantage the hybrid must show over the best fixed family
-/// before the planner accepts it.
-const HYBRID_MARGIN: f64 = 0.85;
-
-/// Per-active-row cost of the hybrid's choice computation and kernel
-/// switching, in model units.
-const HYBRID_ROW_DISPATCH: f64 = 8.0;
+/// The algorithm that runs a cost-model family.
+fn algorithm(family: RowChoice) -> Algorithm {
+    match family {
+        RowChoice::Msa => Algorithm::Msa,
+        RowChoice::Mca => Algorithm::Mca,
+        RowChoice::Heap => Algorithm::Heap,
+        RowChoice::Inner => Algorithm::Inner,
+        RowChoice::Empty => unreachable!("the cheapest family is never Empty"),
+    }
+}
 
 /// Flop count above which a complemented-mask multiply switches to
 /// two-phase execution (the 1P transient copy has no mask-derived bound
 /// under a complemented mask, so exact allocation wins for heavy products).
 const COMPLEMENTED_TWO_PHASE_FLOPS: u64 = 1 << 22;
 
-/// Validate that the three operands form a well-shaped masked multiply
-/// (shared by the planner, the cache lookup, and the descriptor path).
+/// Validate that the three operands are registered and form a well-shaped
+/// masked multiply (shared by the planner, the cache lookup, and the
+/// descriptor path).
 pub(crate) fn validate(
     ctx: &Context,
     mask: MatrixHandle,
     a: MatrixHandle,
     b: MatrixHandle,
 ) -> Result<(), SparseError> {
-    let (em, ea, eb) = (ctx.entry(mask), ctx.entry(a), ctx.entry(b));
+    let (em, ea, eb) = (ctx.try_entry(mask)?, ctx.try_entry(a)?, ctx.try_entry(b)?);
     if ea.matrix.ncols() != eb.matrix.nrows() {
         return Err(SparseError::DimMismatch {
             op: "engine plan (A·B)",
@@ -159,112 +155,47 @@ pub(crate) fn validate(
 /// Cost-model planning proper. Operand shapes are the caller's
 /// responsibility ([`Context::plan`] runs [`validate`] before the cache
 /// lookup, which is the only path here).
+///
+/// Structure-only: the planner reads patterns and degrees, never a value
+/// lane, so it costs the same whatever lane the operands are natively
+/// stored on.
 pub(crate) fn plan(
     ctx: &Context,
     mask: MatrixHandle,
     complemented: bool,
     a: MatrixHandle,
     b: MatrixHandle,
-) -> Result<Plan, SparseError> {
+) -> Plan {
     let (ea, eb) = (ctx.entry(a), ctx.entry(b));
-
     let cfg = ctx.config();
     let flops_total = ctx.flops(a, b);
     let mask_deg = ctx.row_degrees(mask);
     let a_deg = ctx.row_degrees(a);
     let b_deg = ctx.row_degrees(b);
-    let avg_b_col_nnz = if eb.matrix.ncols() > 0 {
-        eb.matrix.nnz() as f64 / eb.matrix.ncols() as f64
-    } else {
-        0.0
-    };
+    let avg_b_col_nnz = avg_col_nnz(eb.matrix.nnz(), eb.matrix.ncols());
+    let complement_ncols = complemented.then_some(eb.matrix.ncols());
 
-    // Aggregate the per-row model exactly: one pass over A's indices for
-    // per-row flops, one pass over rows for the family sums.
-    //
-    // Under a complemented mask the pull algorithm's work per row is driven
-    // by the *unmasked* column count (`ncols − mm` dots — an empty mask row
-    // is the maximal-work row, not a free one), and such rows must not be
-    // skipped.
-    // Structure-only: the planner reads patterns and degrees, never a
-    // value lane, so it costs the same whatever lane the operands are
-    // natively stored on.
-    let a_mat = &ea.matrix;
-    let ncols_out = eb.matrix.ncols() as f64;
-    let mut costs = CostBreakdown {
-        flops: flops_total,
-        ..CostBreakdown::default()
-    };
-    let mut row_choices_differ = false;
-    let mut first_choice: Option<u8> = None;
-    let mut active_rows = 0usize;
-    for i in 0..a_mat.nrows() {
-        let mm = mask_deg[i] as usize;
-        let u = a_deg[i] as usize;
+    // Sum the per-row model over the rows with work. Under a complemented
+    // mask an empty mask row is the pull's costliest row, so it counts.
+    let mut totals = CostTotals::default();
+    for i in 0..ea.matrix.nrows() {
+        let (mm, u) = (mask_deg[i] as usize, a_deg[i] as usize);
         if u == 0 || (mm == 0 && !complemented) {
             continue;
         }
-        let acols = a_mat.row_cols(i);
-        let f: u64 = acols.iter().map(|&k| b_deg[k as usize] as u64).sum();
+        let f = row_flops(ea.matrix.row_cols(i), |k| b_deg[k] as usize);
         if f == 0 {
             continue;
         }
-        let (mm_f, u_f, f_f) = (mm as f64, u as f64, f as f64);
-        // Output positions the pull algorithm visits on this row.
-        let dots_f = if complemented { ncols_out - mm_f } else { mm_f };
-        let msa = mm_f + f_f + cfg.msa_overhead;
-        let mca = u_f * mm_f + f_f;
-        let heap = mm_f + cfg.heap_factor * f_f * (1.0 + (u_f + 1.0).log2());
-        let inner = cfg.inner_factor * dots_f * (u_f + avg_b_col_nnz);
-        costs.msa += msa;
-        costs.mca += mca;
-        costs.heap += heap;
-        costs.inner += inner;
-        let (mut rc, mut row_min) = (0u8, msa);
-        for (tag, cost) in [(1u8, mca), (2, heap), (3, inner)] {
-            if cost < row_min {
-                (rc, row_min) = (tag, cost);
-            }
-        }
-        costs.hybrid += row_min;
-        active_rows += 1;
-        match first_choice {
-            None => first_choice = Some(rc),
-            Some(prev) if prev != rc => row_choices_differ = true,
-            Some(_) => {}
-        }
+        totals.add_row(row_costs(&cfg, mm, u, f, avg_b_col_nnz, complement_ncols));
     }
-
-    let candidates: &[(Choice, f64)] = &[
-        (Choice::Fixed(Algorithm::Msa), costs.msa),
-        (Choice::Fixed(Algorithm::Mca), costs.mca),
-        (Choice::Fixed(Algorithm::Heap), costs.heap),
-        (Choice::Fixed(Algorithm::Inner), costs.inner),
-    ];
-    let mut best = candidates[0];
-    for &cand in &candidates[1..] {
-        let supported = match cand.0 {
-            Choice::Fixed(alg) => !complemented || alg.supports_complement(),
-            Choice::Hybrid => !complemented,
-        };
-        if supported && cand.1 < best.1 {
-            best = cand;
-        }
-    }
-    // The hybrid only pays off when rows genuinely disagree about the best
-    // family and the idealized mixed cost still clears the bar after its
-    // real overheads: per-row choice/dispatch, and the CSC copy of `B` its
-    // pull rows require (free only if already cached for this version).
-    let mut choice = best.0;
-    let csc_cost = if matches!(best.0, Choice::Fixed(Algorithm::Inner)) {
-        0.0 // the best fixed plan would build it anyway
+    let fixed = cheapest(totals.families, complemented);
+    let (hybrid, hybrid_wins) = totals.hybrid(fixed, eb.matrix.nnz(), complemented);
+    let choice = if hybrid_wins {
+        Choice::Hybrid
     } else {
-        eb.matrix.nnz() as f64
+        Choice::Fixed(algorithm(fixed.0))
     };
-    costs.hybrid += HYBRID_ROW_DISPATCH * active_rows as f64 + csc_cost;
-    if !complemented && row_choices_differ && costs.hybrid < HYBRID_MARGIN * best.1 {
-        choice = Choice::Hybrid;
-    }
 
     // Paper finding (Section 8): 1P beats 2P when the transient copy is
     // affordable. Plain masks bound the output by nnz(mask); complemented
@@ -276,31 +207,39 @@ pub(crate) fn plan(
         Phases::One
     };
 
-    // Calibrated serial cutoff (ROADMAP follow-on from the persistent
-    // pool): when the whole product's estimated work is below the cost of
-    // waking the workers, dispatching the pool is pure overhead — run the
-    // serial scratch driver on the calling thread instead.
+    // When the whole product's estimated work is below the cost of waking
+    // the workers, dispatching the pool is pure overhead: run the serial
+    // scratch driver on the calling thread instead.
     let serial = (flops_total as f64) < ctx.serial_cutoff_flops();
 
-    Ok(Plan {
+    let [msa, mca, heap, inner] = totals.families;
+    Plan {
         choice,
         phases,
         complemented,
         serial,
-        costs,
-    })
+        costs: CostBreakdown {
+            msa,
+            mca,
+            heap,
+            inner,
+            hybrid,
+            flops: flops_total,
+        },
+    }
 }
 
-/// Validate that a vector-operand multiply `v = m ⊙ (u·B)` is well-shaped.
+/// Validate that the operands of a vector-operand multiply `v = m ⊙ (u·B)`
+/// are registered and well-shaped.
 pub(crate) fn validate_vec(
     ctx: &Context,
     mask: VectorHandle,
     u: VectorHandle,
     b: MatrixHandle,
 ) -> Result<(), SparseError> {
-    let (mv, uv) = (ctx.vector(mask), ctx.vector(u));
+    let (mv, uv) = (ctx.try_vector(mask)?, ctx.try_vector(u)?);
     // Shape checks are structure-only: never materialize a lane view here.
-    let b_shape = ctx.entry(b).matrix.shape();
+    let b_shape = ctx.try_entry(b)?.matrix.shape();
     if uv.dim() != b_shape.0 {
         return Err(SparseError::DimMismatch {
             op: "engine plan (u·B)",
@@ -339,33 +278,23 @@ pub(crate) fn plan_vec(
     complemented: bool,
     u: VectorHandle,
     b: MatrixHandle,
-) -> Result<Plan, SparseError> {
+) -> Plan {
     let (mv, uv) = (ctx.vector(mask), ctx.vector(u));
-    let cfg = ctx.config();
     let b_deg = ctx.row_degrees(b);
     // Structure-only statistics — no lane view is materialized to plan.
     let bs = ctx.stats(b);
-
-    let flops: u64 = uv.indices().iter().map(|&k| b_deg[k as usize] as u64).sum();
-    let (mm, un) = (mv.nnz() as f64, uv.nnz() as f64);
-    let ncols = bs.shape.1 as f64;
-    let avg_b_col_nnz = if bs.shape.1 > 0 {
-        bs.nnz as f64 / ncols
-    } else {
-        0.0
-    };
-    // Output positions the pull algorithm visits (Beamer's "unvisited"
-    // term under a complemented visited mask).
-    let dots = if complemented { ncols - mm } else { mm };
-    let msa = mm + flops as f64 + cfg.msa_overhead;
-    let inner = cfg.inner_factor * dots * (un + avg_b_col_nnz);
-
-    let choice = if inner < msa && flops > 0 {
+    let flops = row_flops(uv.indices(), |k| b_deg[k] as usize);
+    let avg = avg_col_nnz(bs.nnz, bs.shape.1);
+    let compl_ncols = complemented.then_some(bs.shape.1);
+    let [msa, _, _, inner] = row_costs(&ctx.config(), mv.nnz(), uv.nnz(), flops, avg, compl_ncols);
+    // One row plans push or pull only: the other families are priced out.
+    let (family, min_cost) = cheapest([msa, f64::INFINITY, f64::INFINITY, inner], complemented);
+    let choice = if family == RowChoice::Inner && flops > 0 {
         Choice::Fixed(Algorithm::Inner)
     } else {
         Choice::Fixed(Algorithm::Msa)
     };
-    Ok(Plan {
+    Plan {
         choice,
         phases: Phases::One,
         complemented,
@@ -373,9 +302,76 @@ pub(crate) fn plan_vec(
         costs: CostBreakdown {
             msa,
             inner,
-            hybrid: msa.min(inner),
+            hybrid: min_cost,
             flops,
             ..CostBreakdown::default()
         },
-    })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sparse::{CooMatrix, SparseVec};
+
+    /// The inputs of the pinned plans in `tests/engine_context.rs`.
+    fn pinned_plans(ctx: &Context) -> Vec<Plan> {
+        let hub = {
+            let mut coo = CooMatrix::new(64, 64);
+            for j in 1..64u32 {
+                coo.push(0, j, 1.0);
+                coo.push(j, 0, 1.0);
+            }
+            for j in 1..63u32 {
+                coo.push(j, j + 1, 1.0);
+                coo.push(j + 1, j, 1.0);
+            }
+            ctx.insert(coo.to_csr())
+        };
+        let bool_vec = |dim: usize, idx: Vec<u32>| {
+            let n = idx.len();
+            ctx.insert_vec(SparseVec::try_new(dim, idx, vec![true; n]).unwrap())
+        };
+        let rmat = ctx.insert(graphs::rmat(8, graphs::RmatParams::default(), 1));
+        let dense_mask = ctx.insert(graphs::erdos_renyi(256, 64.0, 5));
+        let heavy = ctx.insert(graphs::erdos_renyi(2048, 64.0, 3));
+        let sparse_mask = ctx.insert(graphs::erdos_renyi(2048, 2.0, 4));
+        let grid = ctx.insert(graphs::grid2d(16, 16));
+        let source = bool_vec(256, vec![17]);
+        let wide_frontier = bool_vec(256, (0..256).step_by(2).collect());
+        let nearly_all = bool_vec(256, (0..250).collect());
+        vec![
+            ctx.plan(dense_mask, false, rmat, rmat).unwrap(),
+            ctx.plan(hub, false, hub, hub).unwrap(),
+            ctx.plan(sparse_mask, true, heavy, heavy).unwrap(),
+            ctx.plan_vec(source, true, source, grid).unwrap(),
+            ctx.plan_vec(nearly_all, true, wide_frontier, grid).unwrap(),
+        ]
+    }
+
+    /// The algorithm a plan reduces to (serial runs, batch workers) is the
+    /// cheapest supported family of the plan's own estimates — the same
+    /// rule the planner chose with, so the two cannot drift apart.
+    #[test]
+    fn fixed_algorithm_is_the_cheapest_family_of_the_plans_costs() {
+        let ctx = Context::with_threads(1);
+        let plans = pinned_plans(&ctx);
+        assert!(plans.iter().any(|p| p.choice == Choice::Hybrid));
+        for plan in plans {
+            let c = &plan.costs;
+            let mut families = [c.msa, c.mca, c.heap, c.inner];
+            if plan.serial {
+                // Vector plans choose between push and pull only.
+                families[1..3].fill(f64::INFINITY);
+            }
+            let (family, _) = cheapest(families, plan.complemented);
+            assert_eq!(
+                plan.fixed_algorithm(),
+                algorithm(family),
+                "{}: {:?}",
+                plan.label(),
+                plan.costs
+            );
+        }
+    }
 }

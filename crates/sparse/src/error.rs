@@ -72,6 +72,9 @@ pub enum SparseError {
     },
     /// I/O error (stringified; `std::io::Error` is not `Clone`).
     Io(String),
+    /// A handle that names no registered matrix or vector (never
+    /// registered, or removed).
+    UnknownHandle,
 }
 
 impl fmt::Display for SparseError {
@@ -105,6 +108,7 @@ impl fmt::Display for SparseError {
             SparseError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             SparseError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             SparseError::Io(msg) => write!(f, "io error: {msg}"),
+            SparseError::UnknownHandle => write!(f, "handle not registered"),
         }
     }
 }

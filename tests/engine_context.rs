@@ -3,6 +3,7 @@
 //! never serve stale data after a matrix is updated.
 
 use engine::{Choice, Context, Plan, SemiringKind};
+use masked_spgemm::hybrid::{hybrid_choices, RowChoice};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use proptest::prelude::*;
 use sparse::{CsrMatrix, Idx, PlusTimes, SparseVec};
@@ -431,4 +432,21 @@ fn planner_numbers_are_pinned() {
         );
         assert_eq!(c.flops, flops, "{name}");
     }
+}
+
+/// The planner accepts the per-row hybrid only when rows disagree about
+/// their cheapest family; the executor's own row choices for the pinned
+/// hybrid case must show that disagreement.
+#[test]
+fn hybrid_plan_rests_on_executor_row_choices() {
+    let ctx = Context::with_threads(1);
+    let plans = pinned_plans(&ctx);
+    let (_, plan) = plans.iter().find(|(name, _)| *name == "hybrid").unwrap();
+    assert_eq!(plan.choice, Choice::Hybrid);
+    let hub = hub_and_fringe();
+    let families: std::collections::HashSet<_> = hybrid_choices(ctx.config(), &hub, &hub, &hub)
+        .into_iter()
+        .filter(|c| *c != RowChoice::Empty)
+        .collect();
+    assert!(families.len() >= 2, "row choices {families:?}");
 }

@@ -655,3 +655,34 @@ fn pooled_batch_and_intra_op_parallelism_match_serial() {
         .collect();
     assert_eq!(batched, expect, "pooled batch path diverged");
 }
+
+/// Handles that name nothing (removed, or never registered) are a uniform
+/// `UnknownHandle` error on every op path — single ops, plans, vector ops,
+/// accumulation targets and batch entries — and a failed op registers
+/// nothing.
+#[test]
+fn unknown_handles_are_errors_on_the_op_path() {
+    let ctx = Context::with_threads(2);
+    let g = ctx.insert(graphs::erdos_renyi(32, 4.0, 60));
+    let gone = ctx.insert(graphs::erdos_renyi(32, 4.0, 61));
+    ctx.remove(gone);
+    let frontier = ctx.insert_vec(sparse::SparseVec::try_new(32, vec![3], vec![true]).unwrap());
+    let gone_vec = ctx.insert_vec(sparse::SparseVec::try_new(32, vec![4], vec![true]).unwrap());
+    ctx.remove_vec(gone_vec);
+    let bytes = ctx.registry_bytes();
+    let unknown = |r: Result<(), SparseError>| assert_eq!(r, Err(SparseError::UnknownHandle));
+
+    unknown(ctx.op(g, gone, g).run().map(drop));
+    unknown(ctx.op(gone, g, g).plan().map(drop));
+    unknown(ctx.op(g, g, g).accumulate_into(gone).run().map(drop));
+    unknown(ctx.plan(g, false, g, gone).map(drop));
+    unknown(ctx.vec_op(frontier, gone_vec, g).run_out().map(drop));
+    unknown(ctx.vec_op(gone_vec, frontier, g).run_out().map(drop));
+    unknown(ctx.vec_op(frontier, frontier, gone).run_out().map(drop));
+    unknown(ctx.plan_vec(frontier, true, gone_vec, g).map(drop));
+    let ops = [ctx.op(g, g, g).build(), ctx.op(g, g, gone).build()];
+    let results = ctx.run_batch_collect(&ops);
+    assert!(results[0].is_ok());
+    unknown(results[1].clone().map(drop));
+    assert_eq!(ctx.registry_bytes(), bytes, "a failed op registered data");
+}
