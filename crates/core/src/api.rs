@@ -3,7 +3,7 @@
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError};
 
 use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
-use crate::exec::{inner_driver, push_one_phase, push_two_phase};
+use crate::exec::{inner_driver, push_driver};
 
 /// The Masked SpGEMM algorithm families of the paper (Section 8's scheme
 /// names, minus the 1P/2P suffix which is [`Phases`]).
@@ -56,9 +56,9 @@ impl Algorithm {
 
     /// Validate a requested mask polarity against this algorithm.
     ///
-    /// Every execution path in this workspace — direct calls, the serial
-    /// scratch drivers, DCSR execution, and the engine's planned/forced/
-    /// batched paths — funnels complement support through this check, so a
+    /// Every execution path in this workspace — direct calls, serial runs
+    /// on reused scratch, and the engine's planned/forced/batched paths —
+    /// funnels complement support through this check, so a
     /// complemented-mask request on [`Algorithm::Mca`] uniformly yields
     /// [`SparseError::Unsupported`] with [`COMPLEMENT_UNSUPPORTED`] instead
     /// of a panic or a silent fallback.
@@ -156,40 +156,19 @@ where
 {
     check_shapes(mask, a, b.shape())?;
     algorithm.check_complement_support(complemented)?;
-    let c = match (algorithm, phases) {
-        (Algorithm::Msa, Phases::One) => {
-            push_one_phase::<S, MsaKernel<S>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Msa, Phases::Two) => {
-            push_two_phase::<S, MsaKernel<S>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Hash, Phases::One) => {
-            push_one_phase::<S, HashKernel<S>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Hash, Phases::Two) => {
-            push_two_phase::<S, HashKernel<S>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Mca, Phases::One) => {
-            push_one_phase::<S, McaKernel<S>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Mca, Phases::Two) => {
-            push_two_phase::<S, McaKernel<S>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Heap, Phases::One) => {
-            push_one_phase::<S, HeapKernel<S, { ninspect::ONE }>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Heap, Phases::Two) => {
-            push_two_phase::<S, HeapKernel<S, { ninspect::ONE }>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::HeapDot, Phases::One) => {
-            push_one_phase::<S, HeapKernel<S, { ninspect::INF }>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::HeapDot, Phases::Two) => {
-            push_two_phase::<S, HeapKernel<S, { ninspect::INF }>, MT>(sr, mask, complemented, a, b)
-        }
-        (Algorithm::Inner, _) => {
-            let bcsc = CscMatrix::from_csr(b);
-            inner_driver(sr, mask, complemented, a, &bcsc, phases == Phases::Two)
+    macro_rules! push {
+        ($kernel:ty) => {
+            push_driver::<S, $kernel, MT>(phases, sr, mask, complemented, a, b)
+        };
+    }
+    let c = match algorithm {
+        Algorithm::Msa => push!(MsaKernel<S>),
+        Algorithm::Hash => push!(HashKernel<S>),
+        Algorithm::Mca => push!(McaKernel<S>),
+        Algorithm::Heap => push!(HeapKernel<S, { ninspect::ONE }>),
+        Algorithm::HeapDot => push!(HeapKernel<S, { ninspect::INF }>),
+        Algorithm::Inner => {
+            inner_driver(phases, sr, mask, complemented, a, &CscMatrix::from_csr(b))
         }
     };
     Ok(c)
@@ -219,14 +198,7 @@ where
         ));
     }
     algorithm.check_complement_support(complemented)?;
-    Ok(inner_driver(
-        sr,
-        mask,
-        complemented,
-        a,
-        b,
-        phases == Phases::Two,
-    ))
+    Ok(inner_driver(phases, sr, mask, complemented, a, b))
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 //! are `u32`).
 
 use std::marker::PhantomData;
+use std::ops::{Add, Mul};
 
 use sparse::Semiring;
 
@@ -73,6 +74,11 @@ impl ValueKind {
 /// The associated operations define what the [`SemiringKind`]s mean on this
 /// lane: `lane_add`/`lane_mul` are the lane's notion of `+`/`×` (`||`/`&&`
 /// on `bool`), `lane_min` its meet, `lane_one` its multiplicative identity.
+///
+/// On `i64`, `lane_add` and `lane_mul` wrap on overflow (two's
+/// complement) in debug and release builds alike, so a product's bits do
+/// not depend on the build profile. That includes [`SemiringKind::MinPlus`],
+/// whose `+` wraps rather than saturating at a tropical infinity.
 ///
 /// # Lane cast rules
 ///
@@ -155,7 +161,7 @@ impl LaneValue for bool {
 }
 
 macro_rules! impl_numeric_lane {
-    ($t:ty, $kind:expr, $one:expr, $from:expr) => {
+    ($t:ty, $kind:expr, $one:expr, $from:expr, $add:ident, $mul:ident) => {
         impl LaneValue for $t {
             const KIND: ValueKind = $kind;
 
@@ -171,12 +177,12 @@ macro_rules! impl_numeric_lane {
 
             #[inline(always)]
             fn lane_add(a: $t, b: $t) -> $t {
-                a + b
+                a.$add(b)
             }
 
             #[inline(always)]
             fn lane_mul(a: $t, b: $t) -> $t {
-                a * b
+                a.$mul(b)
             }
 
             #[inline(always)]
@@ -196,8 +202,15 @@ macro_rules! impl_numeric_lane {
     };
 }
 
-impl_numeric_lane!(i64, ValueKind::I64, 1i64, |v: f64| v as i64);
-impl_numeric_lane!(f64, ValueKind::F64, 1.0f64, |v: f64| v);
+impl_numeric_lane!(
+    i64,
+    ValueKind::I64,
+    1i64,
+    |v: f64| v as i64,
+    wrapping_add,
+    wrapping_mul
+);
+impl_numeric_lane!(f64, ValueKind::F64, 1.0f64, |v: f64| v, add, mul);
 
 /// Which semiring a [`DynLane`] evaluates, mirroring the typed semirings of
 /// [`sparse::semiring`] instantiated at the lane's scalar type.

@@ -1,5 +1,5 @@
-//! Parallel drivers: one-phase and two-phase row-parallel execution
-//! (Sections 4.2 and 6).
+//! The row drivers: one-phase and two-phase execution (Sections 4.2 and
+//! 6). Every matrix product in this crate is assembled by one of the two.
 //!
 //! Parallelism is coarse-grained across rows, as in the paper ("our
 //! algorithms do not parallelize the formation of individual rows").
@@ -12,9 +12,15 @@
 //! claims within a driver call ([`crate::scratch::WorkerLocal`] keyed by
 //! the pool's stable worker indices).
 //!
+//! A serial run is the same drivers on the one row range `0..nrows` with
+//! one producer the caller lends (`Producers::One`): a one-part
+//! parallel iterator runs inline on the calling thread, so it never
+//! dispatches the pool.
+//!
 //! * **One phase**: each chunk computes its rows into growable thread-local
 //!   buffers; per-row counts are prefix-summed into the final row pointers
-//!   and the buffers are scattered into the output arrays in parallel.
+//!   and the buffers are scattered into the output arrays in parallel (a
+//!   single chunk's buffers become the output arrays).
 //!   Memory overhead: one transient copy of the output (the paper's
 //!   "allocate enough, then copy" strategy).
 //! * **Two phases**: a symbolic pass counts each row's nonzeros (pattern
@@ -23,10 +29,13 @@
 //!   Memory overhead: `O(rows per thread)` scratch, at the cost of doing
 //!   the traversal twice.
 
+use std::sync::Mutex;
+
 use rayon::prelude::*;
 use sparse::{CscMatrix, CsrMatrix, Idx, Semiring};
 
 use crate::algos::inner;
+use crate::api::Phases;
 use crate::kernel::RowKernel;
 use crate::scratch::WorkerLocal;
 
@@ -90,12 +99,11 @@ where
     fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
         let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
+        let kernel = &mut self.kernel;
         if self.complemented {
-            self.kernel
-                .compute_row_complemented(self.sr, mc, ac, av, self.b, out_cols, out_vals);
+            kernel.compute_row_complemented(self.sr, mc, ac, av, self.b, out_cols, out_vals);
         } else {
-            self.kernel
-                .compute_row(self.sr, mc, ac, av, self.b, out_cols, out_vals);
+            kernel.compute_row(self.sr, mc, ac, av, self.b, out_cols, out_vals);
         }
     }
 
@@ -103,10 +111,11 @@ where
     fn count_row(&mut self, i: usize) -> usize {
         let mc = self.mask.row(i);
         let (ac, av) = self.a.row(i);
+        let kernel = &mut self.kernel;
         if self.complemented {
-            self.kernel.count_row_complemented(mc, ac, av, self.b)
+            kernel.count_row_complemented(mc, ac, av, self.b)
         } else {
-            self.kernel.count_row(mc, ac, av, self.b)
+            kernel.count_row(mc, ac, av, self.b)
         }
     }
 }
@@ -176,27 +185,69 @@ fn split_at_bounds<'a, T>(mut buf: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut
     out
 }
 
-/// One-phase driver: a single numeric pass into thread-local buffers,
-/// followed by a parallel scatter into the final CSR arrays.
-pub(crate) fn one_phase_driver<C, P, F>(nrows: usize, ncols: usize, make: F) -> CsrMatrix<C>
+/// Where a driver's rows run and which producers compute them.
+pub(crate) enum Producers<'f, P> {
+    /// Rows in chunks at the pool's claim granularity; one producer per
+    /// pool worker, built by the function on the worker's first chunk.
+    PerWorker(WorkerLocal<P>, &'f (dyn Fn() -> P + Sync)),
+    /// Every row as the one range `0..nrows`, computed by the caller's
+    /// producer on the calling thread (the lock is never contended).
+    One(Mutex<&'f mut P>),
+}
+
+impl<P> Producers<'_, P> {
+    fn chunks(&self, nrows: usize) -> Vec<(usize, usize)> {
+        match self {
+            Producers::PerWorker(..) => row_chunks(nrows),
+            Producers::One(_) => vec![(0, nrows)],
+        }
+    }
+
+    fn with<R>(&self, body: impl FnOnce(&mut P) -> R) -> R {
+        match self {
+            Producers::PerWorker(local, make) => local.with(make, body),
+            Producers::One(producer) => body(&mut producer.lock().expect("producer lock")),
+        }
+    }
+}
+
+/// Run `producers` over every row under the `phases` discipline.
+pub(crate) fn drive<C, P>(
+    phases: Phases,
+    nrows: usize,
+    ncols: usize,
+    producers: Producers<'_, P>,
+) -> CsrMatrix<C>
 where
     C: Copy + Default + Send + Sync,
     P: RowProducer<C>,
-    F: Fn() -> P + Sync,
 {
-    let chunks = row_chunks(nrows);
+    match phases {
+        Phases::One => one_phase_driver(nrows, ncols, producers),
+        Phases::Two => two_phase_driver(nrows, ncols, producers),
+    }
+}
+
+/// One-phase driver: a single numeric pass into per-chunk buffers,
+/// followed by a parallel scatter into the final CSR arrays (a single
+/// chunk's buffers are moved in instead).
+fn one_phase_driver<C, P>(nrows: usize, ncols: usize, producers: Producers<'_, P>) -> CsrMatrix<C>
+where
+    C: Copy + Default + Send + Sync,
+    P: RowProducer<C>,
+{
+    let chunks = producers.chunks(nrows);
     struct ChunkOut<C> {
         counts: Vec<usize>,
         cols: Vec<Idx>,
         vals: Vec<C>,
     }
-    // One producer (kernel scratch) per pool worker, shared across every
+    // Per worker, one producer (kernel scratch) is shared across every
     // chunk that worker claims — with skewed rows a worker may claim many.
-    let producers: WorkerLocal<P> = WorkerLocal::new();
-    let outs: Vec<ChunkOut<C>> = chunks
+    let mut outs: Vec<ChunkOut<C>> = chunks
         .par_iter()
         .map(|&(s, e)| {
-            producers.with(&make, |producer| {
+            producers.with(|producer| {
                 let mut counts = Vec::with_capacity(e - s);
                 let mut cols = Vec::new();
                 let mut vals = Vec::new();
@@ -218,6 +269,10 @@ where
             rowptr.push(rowptr.last().unwrap() + c);
         }
     }
+    if outs.len() == 1 {
+        let out = outs.pop().expect("one chunk");
+        return CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, out.cols, out.vals);
+    }
     let nnz = *rowptr.last().unwrap();
 
     // Parallel scatter of chunk buffers into the final arrays.
@@ -238,25 +293,19 @@ where
 
 /// Two-phase driver: symbolic count, exact allocation, then a numeric pass
 /// that writes each row through a small scratch straight into its slot.
-pub(crate) fn two_phase_driver<C, P, F>(nrows: usize, ncols: usize, make: F) -> CsrMatrix<C>
+fn two_phase_driver<C, P>(nrows: usize, ncols: usize, producers: Producers<'_, P>) -> CsrMatrix<C>
 where
     C: Copy + Default + Send + Sync,
     P: RowProducer<C>,
-    F: Fn() -> P + Sync,
 {
-    let chunks = row_chunks(nrows);
-    // One producer per pool worker, shared by both passes: the symbolic
-    // count and the numeric write reuse the same accumulator scratch.
-    let producers: WorkerLocal<P> = WorkerLocal::new();
+    let chunks = producers.chunks(nrows);
+    // Both passes share the producers: the symbolic count and the numeric
+    // write reuse the same accumulator scratch.
 
     // Symbolic phase.
     let chunk_counts: Vec<Vec<usize>> = chunks
         .par_iter()
-        .map(|&(s, e)| {
-            producers.with(&make, |producer| {
-                (s..e).map(|i| producer.count_row(i)).collect()
-            })
-        })
+        .map(|&(s, e)| producers.with(|producer| (s..e).map(|i| producer.count_row(i)).collect()))
         .collect();
     let mut rowptr = Vec::with_capacity(nrows + 1);
     rowptr.push(0usize);
@@ -278,7 +327,7 @@ where
         .zip(col_slices)
         .zip(val_slices)
         .for_each(|((&(s, e), cs), vs)| {
-            producers.with(&make, |producer| {
+            producers.with(|producer| {
                 let mut rc: Vec<Idx> = Vec::new();
                 let mut rv: Vec<C> = Vec::new();
                 let mut cursor = 0usize;
@@ -312,13 +361,9 @@ pub(crate) fn check_dims<MT, A>(
     assert_eq!(mask.ncols(), ncols_b, "mask cols mismatch");
 }
 
-/// Largest mask-row nonzero count (sizes hash/MCA accumulators).
-pub fn max_mask_row_nnz<MT>(mask: &CsrMatrix<MT>) -> usize {
-    MaskRows::of(mask).max_row_nnz()
-}
-
-/// Run a push-based kernel `K` in one phase.
-pub fn push_one_phase<S, K, MT>(
+/// Run a push-based kernel `K` in one or two phases.
+pub fn push_driver<S, K, MT>(
+    phases: Phases,
     sr: S,
     mask: &CsrMatrix<MT>,
     complemented: bool,
@@ -332,35 +377,17 @@ where
     MT: Copy + Sync,
 {
     check_dims(mask, a, b.nrows(), b.ncols());
-    push_rows::<S, K>(sr, MaskRows::of(mask), complemented, a, b, false)
+    push_rows::<S, K>(phases, sr, MaskRows::of(mask), complemented, a, b)
 }
 
-/// Run a push-based kernel `K` in two phases (symbolic + numeric).
-pub fn push_two_phase<S, K, MT>(
-    sr: S,
-    mask: &CsrMatrix<MT>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    S::C: Default,
-    K: RowKernel<S>,
-    MT: Copy + Sync,
-{
-    check_dims(mask, a, b.nrows(), b.ncols());
-    push_rows::<S, K>(sr, MaskRows::of(mask), complemented, a, b, true)
-}
-
-/// [`push_one_phase`] / [`push_two_phase`] on the mask's pattern.
+/// [`push_driver`] on the mask's pattern.
 fn push_rows<S, K>(
+    phases: Phases,
     sr: S,
     mask: MaskRows<'_>,
     complemented: bool,
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
-    two_phase: bool,
 ) -> CsrMatrix<S::C>
 where
     S: Semiring,
@@ -376,21 +403,48 @@ where
         b,
         complemented,
     };
-    if two_phase {
-        two_phase_driver(a.nrows(), ncols, make)
-    } else {
-        one_phase_driver(a.nrows(), ncols, make)
-    }
+    let producers = Producers::PerWorker(WorkerLocal::new(), &make);
+    drive(phases, a.nrows(), ncols, producers)
+}
+
+/// A serial push run: the drivers on the one row range `0..nrows` with
+/// the caller's reused `kernel` (sized for `b` and the mask by the
+/// caller), which is handed back with the product.
+pub(crate) fn push_rows_serial<S, K>(
+    phases: Phases,
+    sr: S,
+    mask: MaskRows<'_>,
+    complemented: bool,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+    kernel: K,
+) -> (CsrMatrix<S::C>, K)
+where
+    S: Semiring,
+    S::C: Default,
+    K: RowKernel<S>,
+{
+    let mut producer = PushProducer {
+        sr,
+        kernel,
+        mask,
+        a,
+        b,
+        complemented,
+    };
+    let producers = Producers::One(Mutex::new(&mut producer));
+    let c = drive(phases, a.nrows(), b.ncols(), producers);
+    (c, producer.kernel)
 }
 
 /// Run the pull-based `Inner` algorithm (B in CSC) in one or two phases.
 pub fn inner_driver<S, MT>(
+    phases: Phases,
     sr: S,
     mask: &CsrMatrix<MT>,
     complemented: bool,
     a: &CsrMatrix<S::A>,
     b: &CscMatrix<S::B>,
-    two_phase: bool,
 ) -> CsrMatrix<S::C>
 where
     S: Semiring,
@@ -398,23 +452,24 @@ where
     MT: Copy + Sync,
 {
     check_dims(mask, a, b.nrows(), b.ncols());
-    inner_rows(sr, MaskRows::of(mask), complemented, a, b, two_phase)
+    inner_rows(phases, false, sr, MaskRows::of(mask), complemented, a, b)
 }
 
-/// [`inner_driver`] on the mask's pattern.
-fn inner_rows<S>(
+/// [`inner_driver`] on the mask's pattern, row-parallel or, when `serial`,
+/// on the one row range `0..nrows`.
+pub(crate) fn inner_rows<S>(
+    phases: Phases,
+    serial: bool,
     sr: S,
     mask: MaskRows<'_>,
     complemented: bool,
     a: &CsrMatrix<S::A>,
     b: &CscMatrix<S::B>,
-    two_phase: bool,
 ) -> CsrMatrix<S::C>
 where
     S: Semiring,
     S::C: Default + Sync,
 {
-    let ncols = b.ncols();
     let make = || InnerProducer {
         sr,
         mask,
@@ -422,11 +477,14 @@ where
         b,
         complemented,
     };
-    if two_phase {
-        two_phase_driver(a.nrows(), ncols, make)
+    let mut producer;
+    let producers = if serial {
+        producer = make();
+        Producers::One(Mutex::new(&mut producer))
     } else {
-        one_phase_driver(a.nrows(), ncols, make)
-    }
+        Producers::PerWorker(WorkerLocal::new(), &make)
+    };
+    drive(phases, a.nrows(), b.ncols(), producers)
 }
 
 /// Build a rayon thread pool with `n` persistent workers (strong-scaling
@@ -491,42 +549,60 @@ mod tests {
                 let results = vec![
                     (
                         "msa-1p",
-                        push_one_phase::<S, MsaKernel<S>, ()>(sr, &m, compl, &a, &b),
+                        push_driver::<S, MsaKernel<S>, ()>(Phases::One, sr, &m, compl, &a, &b),
                     ),
                     (
                         "msa-2p",
-                        push_two_phase::<S, MsaKernel<S>, ()>(sr, &m, compl, &a, &b),
+                        push_driver::<S, MsaKernel<S>, ()>(Phases::Two, sr, &m, compl, &a, &b),
                     ),
                     (
                         "hash-1p",
-                        push_one_phase::<S, HashKernel<S>, ()>(sr, &m, compl, &a, &b),
+                        push_driver::<S, HashKernel<S>, ()>(Phases::One, sr, &m, compl, &a, &b),
                     ),
                     (
                         "hash-2p",
-                        push_two_phase::<S, HashKernel<S>, ()>(sr, &m, compl, &a, &b),
+                        push_driver::<S, HashKernel<S>, ()>(Phases::Two, sr, &m, compl, &a, &b),
                     ),
                     (
                         "heap1-1p",
-                        push_one_phase::<S, HeapKernel<S, { ninspect::ONE }>, ()>(
-                            sr, &m, compl, &a, &b,
+                        push_driver::<S, HeapKernel<S, { ninspect::ONE }>, ()>(
+                            Phases::One,
+                            sr,
+                            &m,
+                            compl,
+                            &a,
+                            &b,
                         ),
                     ),
                     (
                         "heapinf-2p",
-                        push_two_phase::<S, HeapKernel<S, { ninspect::INF }>, ()>(
-                            sr, &m, compl, &a, &b,
+                        push_driver::<S, HeapKernel<S, { ninspect::INF }>, ()>(
+                            Phases::Two,
+                            sr,
+                            &m,
+                            compl,
+                            &a,
+                            &b,
                         ),
                     ),
-                    ("inner-1p", inner_driver(sr, &m, compl, &a, &bc, false)),
-                    ("inner-2p", inner_driver(sr, &m, compl, &a, &bc, true)),
+                    (
+                        "inner-1p",
+                        inner_driver(Phases::One, sr, &m, compl, &a, &bc),
+                    ),
+                    (
+                        "inner-2p",
+                        inner_driver(Phases::Two, sr, &m, compl, &a, &bc),
+                    ),
                 ];
                 for (name, got) in results {
                     assert_eq!(got, expect, "{name} seed={seed} compl={compl}");
                 }
                 if !compl {
-                    let got = push_one_phase::<S, McaKernel<S>, ()>(sr, &m, compl, &a, &b);
+                    let got =
+                        push_driver::<S, McaKernel<S>, ()>(Phases::One, sr, &m, compl, &a, &b);
                     assert_eq!(got, expect, "mca-1p seed={seed}");
-                    let got = push_two_phase::<S, McaKernel<S>, ()>(sr, &m, compl, &a, &b);
+                    let got =
+                        push_driver::<S, McaKernel<S>, ()>(Phases::Two, sr, &m, compl, &a, &b);
                     assert_eq!(got, expect, "mca-2p seed={seed}");
                 }
             }
@@ -539,10 +615,10 @@ mod tests {
         let a = CsrMatrix::<f64>::empty(5, 4);
         let b = CsrMatrix::<f64>::empty(4, 3);
         let m = CsrMatrix::<()>::empty(5, 3);
-        let c = push_one_phase::<_, MsaKernel<_>, _>(sr, &m, false, &a, &b);
+        let c = push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b);
         assert_eq!(c.shape(), (5, 3));
         assert_eq!(c.nnz(), 0);
-        let c = push_two_phase::<_, HashKernel<_>, _>(sr, &m, true, &a, &b);
+        let c = push_driver::<_, HashKernel<_>, _>(Phases::Two, sr, &m, true, &a, &b);
         assert_eq!(c.nnz(), 0);
     }
 
@@ -552,9 +628,10 @@ mod tests {
         let a = random_csr(50, 50, 9, 20);
         let b = random_csr(50, 50, 10, 20);
         let m = random_csr(50, 50, 11, 30).pattern();
-        let expect = push_one_phase::<_, MsaKernel<_>, _>(sr, &m, false, &a, &b);
+        let expect = push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b);
         let pool = thread_pool(2);
-        let got = pool.install(|| push_one_phase::<_, MsaKernel<_>, _>(sr, &m, false, &a, &b));
+        let got =
+            pool.install(|| push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b));
         assert_eq!(got, expect);
     }
 
@@ -565,6 +642,6 @@ mod tests {
         let a = CsrMatrix::<f64>::empty(2, 3);
         let b = CsrMatrix::<f64>::empty(4, 2);
         let m = CsrMatrix::<()>::empty(2, 2);
-        push_one_phase::<_, MsaKernel<_>, _>(sr, &m, false, &a, &b);
+        push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b);
     }
 }

@@ -26,8 +26,9 @@ use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError};
 
 use crate::algos::{inner, ninspect, HeapKernel, McaKernel, MsaKernel};
 use crate::api::Phases;
-use crate::exec::{one_phase_driver, two_phase_driver, MaskRows, RowProducer};
+use crate::exec::{drive, MaskRows, Producers, RowProducer};
 use crate::kernel::RowKernel;
+use crate::scratch::WorkerLocal;
 
 /// Which family the hybrid picked for a row (exposed for diagnostics).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -334,10 +335,8 @@ where
         mca: McaKernel::new(ncols, max_m),
         heap: HeapKernel::new(ncols, max_m),
     };
-    match phases {
-        Phases::One => one_phase_driver(a.nrows(), ncols, make),
-        Phases::Two => two_phase_driver(a.nrows(), ncols, make),
-    }
+    let producers = Producers::PerWorker(WorkerLocal::new(), &make);
+    drive(phases, a.nrows(), ncols, producers)
 }
 
 /// Per-row choices for a whole multiply (diagnostics / ablation).

@@ -68,7 +68,5 @@ pub use dynsr::{DynLane, LaneValue, SemiringKind, ValueKind};
 pub use estimate::{flops, flops_masked, flops_per_row};
 pub use exec::thread_pool;
 pub use hybrid::{hybrid_choices, hybrid_masked_spgemm, HybridConfig};
-pub use scratch::{
-    masked_spgemm_serial, masked_spgemm_serial_csc, KernelScratch, ScratchSet, WorkerLocal,
-};
+pub use scratch::{KernelScratch, ScratchSet, WorkerLocal};
 pub use spgevm::{masked_spgevm, masked_spgevm_csc};

@@ -1,28 +1,31 @@
-//! Reusable kernel scratch and serial drivers for batch execution.
+//! Reusable kernel scratch for serial runs.
 //!
-//! The parallel drivers in [`crate::exec`] create fresh accumulator scratch
-//! for every multiply. That is the right call for one large product, but an
-//! engine executing *many independent* masked multiplies concurrently (one
-//! worker per product) wants the opposite: each worker runs its products
+//! A row-parallel run of the drivers in [`crate::exec`] builds fresh
+//! accumulator scratch, one per pool worker ([`WorkerLocal`]). That is the
+//! right call for one large product, but an engine executing *many small or
+//! independent* masked multiplies (a batch worker per product, or a product
+//! below the dispatch cutoff) wants the opposite: it runs each product
 //! serially and keeps one set of accumulators alive across all of them, so
 //! repeated multiplies stop paying the `O(ncols)` (MSA) or
 //! `O(max mask row)` (hash/MCA) allocation and page-touch cost per call.
 //!
-//! [`KernelScratch`] owns one [`RowKernel`] and regrows it only when a
-//! product needs more capacity than any earlier one (accumulators are
-//! generation-stamped, so a larger-than-necessary accumulator is valid for
-//! any smaller product). [`ScratchSet`] bundles one scratch per push
-//! algorithm and dispatches on [`Algorithm`] at runtime, which is what the
-//! `engine` crate's batch workers hold.
+//! A serial run is the same one- or two-phase driver on the one row range
+//! `0..nrows`. [`KernelScratch`] owns one [`RowKernel`] and regrows it only
+//! when a product needs more capacity than any earlier one (accumulators
+//! are generation-stamped, so a larger-than-necessary accumulator is valid
+//! for any smaller product). [`ScratchSet`] bundles one scratch per push
+//! algorithm and dispatches on [`Algorithm`] at runtime, for matrix
+//! ([`ScratchSet::run`]) and vector ([`ScratchSet::run_vec`]) products;
+//! it is what the `engine` crate's serial paths hold.
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
-use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError, SparseVec};
+use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
-use crate::algos::{inner, ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
-use crate::api::Algorithm;
-use crate::exec::{check_dims, MaskRows};
+use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
+use crate::api::{Algorithm, Phases};
+use crate::exec::{check_dims, inner_rows, push_rows_serial, MaskRows};
 use crate::kernel::RowKernel;
 
 /// Per-worker state for one parallel region, keyed by the pool's stable
@@ -119,108 +122,6 @@ impl<S: Semiring, K: RowKernel<S>> KernelScratch<S, K> {
     }
 }
 
-/// Serial push-based masked SpGEMM reusing caller-provided scratch.
-///
-/// Row-by-row single-pass execution with exact output assembly (rows are
-/// appended in order, so no transient copy is needed). Intended for batch
-/// workers that parallelize *across* products.
-///
-/// A complemented mask on a kernel without complement support (MCA) is a
-/// uniform [`SparseError::Unsupported`], never a panic.
-pub fn masked_spgemm_serial<S, K, MT>(
-    sr: S,
-    mask: &CsrMatrix<MT>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    scratch: &mut KernelScratch<S, K>,
-) -> Result<CsrMatrix<S::C>, SparseError>
-where
-    S: Semiring,
-    K: RowKernel<S>,
-    MT: Copy + Sync,
-{
-    if complemented && !K::SUPPORTS_COMPLEMENT {
-        return Err(SparseError::Unsupported(crate::api::COMPLEMENT_UNSUPPORTED));
-    }
-    check_dims(mask, a, b.nrows(), b.ncols());
-    let mask = MaskRows::of(mask);
-    let kernel = scratch.acquire(b.ncols(), mask.max_row_nnz());
-    Ok(serial_push(sr, mask, complemented, a, b, kernel))
-}
-
-/// [`masked_spgemm_serial`] on the mask's pattern.
-fn serial_push<S: Semiring, K: RowKernel<S>>(
-    sr: S,
-    mask: MaskRows<'_>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    kernel: &mut K,
-) -> CsrMatrix<S::C> {
-    serial_rows(mask, a, b.ncols(), |mc, ac, av, cols, vals| {
-        if complemented {
-            kernel.compute_row_complemented(sr, mc, ac, av, b, cols, vals);
-        } else {
-            kernel.compute_row(sr, mc, ac, av, b, cols, vals);
-        }
-    })
-}
-
-/// Assemble a CSR product row by row in order: `row(mask_cols, a_cols,
-/// a_vals, cols, vals)` appends the next output row.
-fn serial_rows<A, C>(
-    mask: MaskRows<'_>,
-    a: &CsrMatrix<A>,
-    ncols: usize,
-    mut row: impl FnMut(&[Idx], &[Idx], &[A], &mut Vec<Idx>, &mut Vec<C>),
-) -> CsrMatrix<C> {
-    let nrows = a.nrows();
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let mut cols: Vec<Idx> = Vec::new();
-    let mut vals: Vec<C> = Vec::new();
-    for i in 0..nrows {
-        let (ac, av) = a.row(i);
-        row(mask.row(i), ac, av, &mut cols, &mut vals);
-        rowptr.push(cols.len());
-    }
-    CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, cols, vals)
-}
-
-/// Serial pull-based (`Inner`) masked SpGEMM against a CSC `B`.
-pub fn masked_spgemm_serial_csc<S, MT>(
-    sr: S,
-    mask: &CsrMatrix<MT>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CscMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    MT: Copy + Sync,
-{
-    check_dims(mask, a, b.nrows(), b.ncols());
-    serial_pull(sr, MaskRows::of(mask), complemented, a, b)
-}
-
-/// [`masked_spgemm_serial_csc`] on the mask's pattern.
-fn serial_pull<S: Semiring>(
-    sr: S,
-    mask: MaskRows<'_>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CscMatrix<S::B>,
-) -> CsrMatrix<S::C> {
-    serial_rows(mask, a, b.ncols(), |mc, ac, av, cols, vals| {
-        if complemented {
-            inner::inner_row_complemented(sr, mc, ac, av, b, cols, vals);
-        } else {
-            inner::inner_row(sr, mc, ac, av, b, cols, vals);
-        }
-    })
-}
-
 /// One reusable scratch per algorithm family, dispatched at runtime.
 pub struct ScratchSet<S: Semiring>
 where
@@ -257,14 +158,19 @@ where
         }
     }
 
-    /// Run one masked SpGEMM serially with this set's reused scratch.
+    /// Run one masked SpGEMM serially with this set's reused scratch: the
+    /// `phases` driver on the one row range `0..nrows`, on the calling
+    /// thread, with the family's [`KernelScratch`] kernel.
     ///
     /// `b_csc` is consulted only by [`Algorithm::Inner`]; passing `None`
     /// converts on the fly (callers with a cached CSC should pass it).
+    /// A complemented mask on [`Algorithm::Mca`] is a uniform
+    /// [`SparseError::Unsupported`], never a panic.
     #[allow(clippy::too_many_arguments)]
     pub fn run<MT>(
         &mut self,
         algorithm: Algorithm,
+        phases: Phases,
         complemented: bool,
         sr: S,
         mask: &CsrMatrix<MT>,
@@ -277,22 +183,36 @@ where
         S::B: Clone,
     {
         algorithm.check_complement_support(complemented)?;
-        match algorithm {
-            Algorithm::Msa => masked_spgemm_serial(sr, mask, complemented, a, b, &mut self.msa),
-            Algorithm::Hash => masked_spgemm_serial(sr, mask, complemented, a, b, &mut self.hash),
-            Algorithm::Mca => masked_spgemm_serial(sr, mask, complemented, a, b, &mut self.mca),
-            Algorithm::Heap => masked_spgemm_serial(sr, mask, complemented, a, b, &mut self.heap),
-            Algorithm::HeapDot => {
-                masked_spgemm_serial(sr, mask, complemented, a, b, &mut self.heap_dot)
-            }
-            Algorithm::Inner => Ok(match b_csc {
-                Some(csc) => masked_spgemm_serial_csc(sr, mask, complemented, a, csc),
-                None => {
-                    let csc = CscMatrix::from_csr(b);
-                    masked_spgemm_serial_csc(sr, mask, complemented, a, &csc)
-                }
-            }),
+        check_dims(mask, a, b.nrows(), b.ncols());
+        let mask = MaskRows::of(mask);
+        let (ncols, max_m) = (b.ncols(), mask.max_row_nnz());
+        macro_rules! push {
+            ($scratch:expr) => {{
+                $scratch.acquire(ncols, max_m);
+                let kernel = $scratch.kernel.take().expect("acquired above");
+                let (c, kernel) = push_rows_serial(phases, sr, mask, complemented, a, b, kernel);
+                $scratch.kernel = Some(kernel);
+                c
+            }};
         }
+        Ok(match algorithm {
+            Algorithm::Msa => push!(self.msa),
+            Algorithm::Hash => push!(self.hash),
+            Algorithm::Mca => push!(self.mca),
+            Algorithm::Heap => push!(self.heap),
+            Algorithm::HeapDot => push!(self.heap_dot),
+            Algorithm::Inner => {
+                let converted;
+                let csc = match b_csc {
+                    Some(csc) => csc,
+                    None => {
+                        converted = CscMatrix::from_csr(b);
+                        &converted
+                    }
+                };
+                inner_rows(phases, true, sr, mask, complemented, a, csc)
+            }
+        })
     }
 
     /// Run one masked SpGEVM `v = m ⊙ (u·B)` with this set's reused
@@ -380,7 +300,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{masked_spgemm, Phases};
+    use crate::api::masked_spgemm;
     use crate::kernel::testutil::random_csr;
     use sparse::PlusTimes;
 
@@ -400,16 +320,27 @@ mod tests {
             let b = random_csr(k, m, seed * 13 + 2, 25);
             let mask = random_csr(n, m, seed * 13 + 3, 35).pattern();
             let bc = CscMatrix::from_csr(&b);
-            for compl in [false, true] {
-                for alg in Algorithm::ALL {
-                    if compl && !alg.supports_complement() {
-                        assert!(set.run(alg, compl, sr, &mask, &a, &b, Some(&bc)).is_err());
-                        continue;
-                    }
-                    let expect = masked_spgemm(alg, Phases::One, compl, sr, &mask, &a, &b).unwrap();
-                    let got = set.run(alg, compl, sr, &mask, &a, &b, Some(&bc)).unwrap();
-                    assert_eq!(got, expect, "{alg:?} compl={compl} seed={seed}");
+            for (compl, alg, ph) in [false, true]
+                .into_iter()
+                .flat_map(|c| Algorithm::ALL.map(|alg| (c, alg)))
+                .flat_map(|(c, alg)| Phases::ALL.map(|ph| (c, alg, ph)))
+            {
+                if compl && !alg.supports_complement() {
+                    assert!(set
+                        .run(alg, ph, compl, sr, &mask, &a, &b, Some(&bc))
+                        .is_err());
+                    continue;
                 }
+                let expect = masked_spgemm(alg, ph, compl, sr, &mask, &a, &b).unwrap();
+                let got = set
+                    .run(alg, ph, compl, sr, &mask, &a, &b, Some(&bc))
+                    .unwrap();
+                assert_eq!(
+                    got,
+                    expect,
+                    "{alg:?}-{} compl={compl} seed={seed}",
+                    ph.suffix()
+                );
             }
         }
     }
@@ -469,7 +400,16 @@ mod tests {
         let mask = random_csr(12, 12, 7, 40).pattern();
         let mut set = ScratchSet::new();
         let with = set
-            .run(Algorithm::Inner, false, sr, &mask, &a, &b, None)
+            .run(
+                Algorithm::Inner,
+                Phases::One,
+                false,
+                sr,
+                &mask,
+                &a,
+                &b,
+                None,
+            )
             .unwrap();
         let expect =
             masked_spgemm(Algorithm::Inner, Phases::One, false, sr, &mask, &a, &b).unwrap();

@@ -32,9 +32,12 @@
 //!
 //! Each op is resolved up front on the calling thread (plans read cached
 //! auxiliaries, so this is cheap) exactly as a single op is, except that
-//! its plan is serial: the worker runs one fixed algorithm on its own
-//! scratch — per-row hybrid dispatch buys nothing when the batch already
-//! saturates the workers, and fixed plans let scratch be reused by family.
+//! its plan is marked serial: the worker runs the plan's one- or two-phase
+//! driver on the one row range with its own scratch. A serial plan names
+//! one fixed family — a planned per-row hybrid becomes the cheapest family
+//! of its costs — since per-row dispatch buys nothing when the batch
+//! already saturates the workers, and fixed families let scratch be reused
+//! by family.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -105,9 +108,8 @@ impl Context {
     /// Execute a heterogeneous batch, streaming each result to `sink` as
     /// its worker finishes (completion order, calling thread).
     ///
-    /// Each [`MaskedOp`] is planned individually (forced to a fixed
-    /// algorithm; the serial drivers assemble rows exactly, so the 1P/2P
-    /// phase distinction does not arise here — see [`MaskedOp::phases`])
+    /// Each [`MaskedOp`] is planned individually, under a serial plan (one
+    /// fixed algorithm and the plan's phases, see [`MaskedOp::phases`]),
     /// and runs on its own semiring and value lane. The sink's payload type
     /// chooses the consumption mode: sink [`OpOutput`] for mixed-kind
     /// batches, or a concrete type like `CsrMatrix<f64>` when the batch is

@@ -183,10 +183,9 @@ pub struct MaskedOp {
     pub algorithm: Option<Algorithm>,
     /// Force this phase discipline instead of the planner's choice.
     ///
-    /// Honored by the row-parallel single-op path ([`OpBuilder::run`]).
-    /// Batch execution and vector-operand products instead use serial
-    /// exact-assembly drivers, where the 1P/2P distinction does not arise
-    /// (rows are appended in order with no transient copy) — results are
+    /// Every matrix product runs it: row-parallel, serial under the
+    /// cutoff, and as a batch entry. A vector-operand product is a single
+    /// row, computed once, so it has no phase discipline. Results are
     /// bit-identical either way.
     pub phases: Option<Phases>,
     /// What happens to the result (see [`AccumMode`]).
@@ -326,7 +325,7 @@ impl<'c> OpBuilder<'c> {
     }
 
     /// Force a phase discipline instead of the planner's choice (see
-    /// [`MaskedOp::phases`] for how batch execution treats this).
+    /// [`MaskedOp::phases`]).
     pub fn phases(mut self, phases: Phases) -> Self {
         self.op.phases = Some(phases);
         self
@@ -674,7 +673,9 @@ impl Context {
     /// snapshot what the run reads.
     pub(crate) fn resolve(&self, op: &MaskedOp, serial: bool) -> Result<Resolved, SparseError> {
         let mut plan = self.resolve_plan(op)?;
-        plan.serial |= serial;
+        if serial {
+            plan.make_serial();
+        }
         with_lane!(op.value, T => self.resolve_lane::<T>(op, plan).map(Resolved::from))
     }
 
@@ -712,10 +713,11 @@ impl Context {
 
     /// Run a resolved op — the one executor behind single matrix ops,
     /// vector ops, and batch entries. The op's semiring kind is dispatched
-    /// here, once, to the kernels monomorphized for it ([`Fixed`]). A
-    /// serial plan runs the scratch drivers on the calling thread with the
-    /// kind's set from `scratch`; any other plan runs row-parallel on the
-    /// pool and leaves `scratch` untouched.
+    /// here, once, to the kernels monomorphized for it ([`Fixed`]). Both
+    /// paths run the plan's phase discipline: a serial plan on the one
+    /// row range on the calling thread, with the kind's reused kernels
+    /// from `scratch`; any other plan row-parallel on the pool, leaving
+    /// `scratch` untouched.
     pub(crate) fn execute<T: Lane>(
         &self,
         r: &ResolvedOp<T>,
@@ -750,34 +752,32 @@ impl Context {
         T: Lane,
         S: Semiring<A = T, B = T, C = T> + 'static,
     {
-        let (plan, csc) = (&r.plan, r.b_csc.as_deref());
+        let (csc, phases, compl) = (r.b_csc.as_deref(), r.plan.phases, r.plan.complemented);
         let pulled = || csc.expect("a pulling plan resolves B's CSC");
         match &r.inputs {
             Inputs::Mat { mask, a, b } => on_variant!(mask, ValueMat, m => {
                 let m = m.as_ref();
-                if plan.serial {
-                    let alg = plan.fixed_algorithm();
-                    scratch.get::<S>().run(alg, plan.complemented, sr, m, a, b, csc)
-                } else {
-                    let (phases, compl, cfg) = (plan.phases, plan.complemented, self.config());
-                    self.pool.install(|| match plan.choice {
+                match r.plan.choice {
+                    Choice::Fixed(alg) if r.plan.serial => {
+                        scratch.get::<S>().run(alg, phases, compl, sr, m, a, b, csc)
+                    }
+                    choice => self.pool.install(|| match choice {
                         Choice::Fixed(Algorithm::Inner) => {
                             masked_spgemm_csc(Algorithm::Inner, phases, compl, sr, m, a, pulled())
                         }
                         Choice::Fixed(alg) => masked_spgemm(alg, phases, compl, sr, m, a, b),
-                        Choice::Hybrid => hybrid_masked_spgemm(phases, cfg, sr, m, a, b, pulled()),
-                    })
+                        Choice::Hybrid => {
+                            hybrid_masked_spgemm(phases, self.config(), sr, m, a, b, pulled())
+                        }
+                    }),
                 }
             })
             .map(T::mat_output),
-            Inputs::Vec { mask, u, b } => match b {
-                Some(b) => {
-                    let alg = plan.fixed_algorithm();
-                    scratch
-                        .get::<S>()
-                        .run_vec(alg, plan.complemented, sr, mask, u, b, None)
+            Inputs::Vec { mask, u, b } => match (b, r.plan.choice) {
+                (Some(b), Choice::Fixed(alg)) => {
+                    scratch.get::<S>().run_vec(alg, compl, sr, mask, u, b, None)
                 }
-                None => masked_spgevm_csc(plan.complemented, sr, mask, u, pulled()),
+                _ => masked_spgevm_csc(compl, sr, mask, u, pulled()),
             }
             .map(T::vec_output),
         }

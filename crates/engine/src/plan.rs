@@ -28,7 +28,10 @@ pub enum Choice {
     Hybrid,
 }
 
-/// Estimated unit costs per algorithm family (the planner's working).
+/// Estimated unit costs per algorithm family (the planner's working). A
+/// family the planner did not consider costs [`f64::INFINITY`] (MCA and
+/// heap in a vector plan); a plan built with no cost evaluation
+/// ([`Plan::fixed`]) holds all zeros.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct CostBreakdown {
     /// Masked sparse accumulator.
@@ -57,8 +60,10 @@ pub struct Plan {
     pub complemented: bool,
     /// Run serially on the calling thread instead of dispatching the pool:
     /// the estimated work is below the calibrated dispatch overhead
-    /// ([`Context::set_serial_cutoff_flops`]). Vector-operand plans are
-    /// always serial — a single output row has no row parallelism to win.
+    /// ([`Context::set_serial_cutoff_flops`]), or a batch worker runs the
+    /// op whole. Vector-operand plans are always serial — a single output
+    /// row has no row parallelism to win. A serial plan's choice is never
+    /// [`Choice::Hybrid`].
     pub serial: bool,
     /// The cost estimates that produced the choice.
     pub costs: CostBreakdown,
@@ -76,27 +81,27 @@ impl Plan {
         }
     }
 
-    /// Reduce the plan to one fixed algorithm (serial runs and batch
-    /// workers need one): when the planner wanted the per-row hybrid, take
-    /// the fixed family its own cost breakdown ranked best.
-    pub(crate) fn fixed_algorithm(&self) -> Algorithm {
-        match self.choice {
-            Choice::Fixed(alg) => alg,
-            Choice::Hybrid => {
-                let c = &self.costs;
-                algorithm(cheapest([c.msa, c.mca, c.heap, c.inner], self.complemented).0)
-            }
+    /// Mark the plan serial: it runs on the calling thread and never
+    /// dispatches the pool. A serial run executes one fixed family on
+    /// reused scratch, so a per-row hybrid choice becomes the cheapest
+    /// supported family of the plan's own costs (the rule the planner
+    /// chose with): the plan names what runs.
+    pub(crate) fn make_serial(&mut self) {
+        self.serial = true;
+        if self.choice == Choice::Hybrid {
+            let c = &self.costs;
+            let (family, _) = cheapest([c.msa, c.mca, c.heap, c.inner], self.complemented);
+            self.choice = Choice::Fixed(algorithm(family));
         }
     }
 
     /// Whether running the plan reads `B` in CSC form: the pull family, or
-    /// the per-row hybrid (whose pull rows do) when it runs row-parallel.
+    /// the per-row hybrid (whose pull rows do).
     pub(crate) fn pulls(&self) -> bool {
-        match self.choice {
-            _ if self.serial => self.fixed_algorithm() == Algorithm::Inner,
-            Choice::Fixed(alg) => alg == Algorithm::Inner,
-            Choice::Hybrid => true,
-        }
+        matches!(
+            self.choice,
+            Choice::Fixed(Algorithm::Inner) | Choice::Hybrid
+        )
     }
 
     /// Label like the paper's scheme names (`MSA-1P`, `Hybrid-1P`).
@@ -207,17 +212,12 @@ pub(crate) fn plan(
         Phases::One
     };
 
-    // When the whole product's estimated work is below the cost of waking
-    // the workers, dispatching the pool is pure overhead: run the serial
-    // scratch driver on the calling thread instead.
-    let serial = (flops_total as f64) < ctx.serial_cutoff_flops();
-
     let [msa, mca, heap, inner] = totals.families;
-    Plan {
+    let mut plan = Plan {
         choice,
         phases,
         complemented,
-        serial,
+        serial: false,
         costs: CostBreakdown {
             msa,
             mca,
@@ -226,7 +226,14 @@ pub(crate) fn plan(
             hybrid,
             flops: flops_total,
         },
+    };
+    // When the whole product's estimated work is below the cost of waking
+    // the workers, dispatching the pool is pure overhead: run the drivers
+    // on the calling thread instead.
+    if (flops_total as f64) < ctx.serial_cutoff_flops() {
+        plan.make_serial();
     }
+    plan
 }
 
 /// Validate that the operands of a vector-operand multiply `v = m ⊙ (u·B)`
@@ -270,8 +277,8 @@ pub(crate) fn validate_vec(
 ///   "unvisited count" side under the complemented visited mask of a BFS).
 ///
 /// Single-row products never dispatch the pool, so the plan is always
-/// [`Plan::serial`]; the phase discipline is irrelevant (rows are appended
-/// exactly once) and fixed at [`Phases::One`].
+/// [`Plan::serial`], at [`Phases::One`]. MCA and heap are not candidates;
+/// their costs are [`f64::INFINITY`].
 pub(crate) fn plan_vec(
     ctx: &Context,
     mask: VectorHandle,
@@ -288,7 +295,8 @@ pub(crate) fn plan_vec(
     let compl_ncols = complemented.then_some(bs.shape.1);
     let [msa, _, _, inner] = row_costs(&ctx.config(), mv.nnz(), uv.nnz(), flops, avg, compl_ncols);
     // One row plans push or pull only: the other families are priced out.
-    let (family, min_cost) = cheapest([msa, f64::INFINITY, f64::INFINITY, inner], complemented);
+    let (mca, heap) = (f64::INFINITY, f64::INFINITY);
+    let (family, min_cost) = cheapest([msa, mca, heap, inner], complemented);
     let choice = if family == RowChoice::Inner && flops > 0 {
         Choice::Fixed(Algorithm::Inner)
     } else {
@@ -301,10 +309,11 @@ pub(crate) fn plan_vec(
         serial: true,
         costs: CostBreakdown {
             msa,
+            mca,
+            heap,
             inner,
             hybrid: min_cost,
             flops,
-            ..CostBreakdown::default()
         },
     }
 }
@@ -349,27 +358,29 @@ mod tests {
         ]
     }
 
-    /// The algorithm a plan reduces to (serial runs, batch workers) is the
-    /// cheapest supported family of the plan's own estimates — the same
-    /// rule the planner chose with, so the two cannot drift apart.
+    /// A fixed plan's choice, and the choice of a plan marked serial, is
+    /// the cheapest supported family of the plan's own estimates — the
+    /// one rule, so planning and serial runs cannot drift apart.
     #[test]
-    fn fixed_algorithm_is_the_cheapest_family_of_the_plans_costs() {
+    fn make_serial_fixes_the_cheapest_family_of_the_plans_costs() {
         let ctx = Context::with_threads(1);
         let plans = pinned_plans(&ctx);
         assert!(plans.iter().any(|p| p.choice == Choice::Hybrid));
         for plan in plans {
             let c = &plan.costs;
-            let mut families = [c.msa, c.mca, c.heap, c.inner];
-            if plan.serial {
-                // Vector plans choose between push and pull only.
-                families[1..3].fill(f64::INFINITY);
+            let (family, _) = cheapest([c.msa, c.mca, c.heap, c.inner], plan.complemented);
+            let cheapest_fixed = Choice::Fixed(algorithm(family));
+            let label = plan.label();
+            if plan.choice != Choice::Hybrid {
+                assert_eq!(plan.choice, cheapest_fixed, "{label}: {:?}", plan.costs);
             }
-            let (family, _) = cheapest(families, plan.complemented);
+            let mut serial = plan;
+            serial.make_serial();
+            assert!(serial.serial);
+            assert_eq!(serial.pulls(), family == RowChoice::Inner, "{label}");
             assert_eq!(
-                plan.fixed_algorithm(),
-                algorithm(family),
-                "{}: {:?}",
-                plan.label(),
+                serial.choice, cheapest_fixed,
+                "{label} serial: {:?}",
                 plan.costs
             );
         }

@@ -15,7 +15,6 @@
 pub mod coo;
 pub mod csc;
 pub mod csr;
-pub mod dcsr;
 pub mod degree;
 pub mod dense;
 pub mod error;
@@ -25,7 +24,6 @@ pub mod io;
 pub mod permute;
 pub mod reduce;
 pub mod semiring;
-pub mod spmv;
 pub mod spvec;
 pub mod transpose;
 pub mod triangular;
@@ -33,7 +31,6 @@ pub mod triangular;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use dcsr::DcsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use index::Idx;

@@ -2,7 +2,6 @@
 //! transpose involution, permutation inverses, and element-wise algebra.
 
 use proptest::prelude::*;
-use sparse::dcsr::DcsrMatrix;
 use sparse::degree::{degree_sort_perm, invert_perm};
 use sparse::ewise::{ewise_difference, ewise_mult, ewise_union};
 use sparse::io::{read_matrix_market, write_matrix_market};
@@ -77,13 +76,6 @@ proptest! {
             a.iter().map(|(i, j, &v)| (i as Idx, j, v)).collect();
         let coo = CooMatrix::from_triplets(a.nrows(), a.ncols(), triplets).unwrap();
         prop_assert_eq!(coo.to_csr(), a);
-    }
-
-    #[test]
-    fn dcsr_roundtrip(a in small_csr()) {
-        let d = DcsrMatrix::from_csr(&a);
-        prop_assert!(d.nnzr() <= a.nrows());
-        prop_assert_eq!(d.to_csr(), a);
     }
 
     #[test]

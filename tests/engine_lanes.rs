@@ -11,6 +11,7 @@ use engine::{
 use graph_algos::bfs::bfs_reference;
 use graph_algos::reference::sssp_reference;
 use graph_algos::{bfs_auto_with_value, sssp_auto, Direction};
+use masked_spgemm::hybrid::{cheapest, RowChoice};
 use masked_spgemm::{masked_spgemm, masked_spgevm, masked_spgevm_csc, Phases};
 use proptest::prelude::*;
 use sparse::{BoolAndOr, CscMatrix, CsrMatrix, Idx, MinPlus, PlusTimes, SparseError, SparseVec};
@@ -350,14 +351,110 @@ fn serial_cutoff_routes_small_products_without_changing_results() {
         assert_eq!(full.run().unwrap(), parallel);
     }
 
+    // A forced two-phase op runs the two-phase driver serially.
+    let two = ctx.op(hm, ha, ha).phases(Phases::Two);
+    let two_plan = two.plan().unwrap();
+    assert!(two_plan.serial && two_plan.phases == Phases::Two);
+    assert_eq!(two.run().unwrap(), parallel, "serial 2P changed the bits");
+
+    // The hub-plus-fringe graph plans the per-row hybrid on the pool. Its
+    // serial plan names the fixed family that runs instead: the cheapest
+    // of the plan's own costs.
+    let hub = ctx.insert(hub_and_fringe());
+    let serial_hub = ctx.op(hub, hub, hub).plan().unwrap();
+    assert!(serial_hub.serial);
+    let c = serial_hub.costs;
+    let family = match cheapest([c.msa, c.mca, c.heap, c.inner], false).0 {
+        RowChoice::Msa => Algorithm::Msa,
+        RowChoice::Mca => Algorithm::Mca,
+        RowChoice::Heap => Algorithm::Heap,
+        RowChoice::Inner => Algorithm::Inner,
+        RowChoice::Empty => unreachable!("the cheapest family is never Empty"),
+    };
+    assert_eq!(serial_hub.choice, Choice::Fixed(family), "{c:?}");
+    let serial_hub_result = ctx.op(hub, hub, hub).run().unwrap();
+
     // Dropping the cutoff restores pool dispatch (plan cache invalidated).
     ctx.set_serial_cutoff_flops(0.0);
     assert!(!ctx.op(hm, ha, ha).plan().unwrap().serial);
+    let hybrid_plan = ctx.op(hub, hub, hub).plan().unwrap();
+    assert_eq!(
+        (hybrid_plan.choice, hybrid_plan.serial),
+        (Choice::Hybrid, false)
+    );
+    let hybrid = ctx.op(hub, hub, hub).run().unwrap();
+    assert_eq!(
+        serial_hub_result, hybrid,
+        "serial hub plan changed the bits"
+    );
 
     // Vector plans are always serial, cutoff or not.
     let u = ctx.insert_vec(SparseVec::try_new(48, vec![0], vec![true]).unwrap());
     let vm = ctx.insert_vec(SparseVec::<bool>::empty(48));
     assert!(ctx.vec_op(vm, u, ha).plan().unwrap().serial);
+}
+
+/// A hub joined to every vertex of a path: hub rows and tiny rows want
+/// different families, so the planner picks the per-row hybrid.
+fn hub_and_fringe() -> CsrMatrix<f64> {
+    let mut coo = sparse::CooMatrix::new(64, 64);
+    for j in 1..64u32 {
+        coo.push(0, j, 1.0);
+        coo.push(j, 0, 1.0);
+    }
+    for j in 1..63u32 {
+        coo.push(j, j + 1, 1.0);
+        coo.push(j + 1, j, 1.0);
+    }
+    coo.to_csr()
+}
+
+/// `i64` sums and products that overflow wrap (two's complement) on every
+/// path — planned, forced, serial and batched — in debug and release
+/// builds alike, instead of panicking inside the engine in debug.
+#[test]
+fn i64_lane_wraps_on_overflow_in_every_profile() {
+    const MAX: i64 = i64::MAX;
+    let ctx = Context::with_threads(2);
+    let a = CsrMatrix::try_new(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![MAX, MAX, MAX]).unwrap();
+    let b = CsrMatrix::try_new(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![1i64, 2, 1]).unwrap();
+    let full = CsrMatrix::try_new(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1i64; 4]).unwrap();
+    // C(0,0) = MAX·1 + MAX·1 wraps in the sum; every `MAX·2` wraps in the
+    // product.
+    let expect = CsrMatrix::try_new(
+        2,
+        2,
+        vec![0, 2, 4],
+        vec![0, 1, 0, 1],
+        vec![
+            MAX.wrapping_add(MAX),
+            MAX.wrapping_mul(2),
+            MAX,
+            MAX.wrapping_mul(2),
+        ],
+    )
+    .unwrap();
+    let (ha, hb, hm) = (
+        ctx.insert_typed(a),
+        ctx.insert_typed(b),
+        ctx.insert_typed(full),
+    );
+    let op = ctx.op(hm, ha, hb).value(ValueKind::I64);
+    let expect = OpOutput::MatI64(expect);
+    assert_eq!(op.run_out().unwrap(), expect, "planned");
+    for alg in Algorithm::ALL {
+        for ph in Phases::ALL {
+            let forced = op.algorithm(alg).phases(ph);
+            assert_eq!(forced.run_out().unwrap(), expect, "{alg:?}-{}", ph.suffix());
+        }
+    }
+    let batch = ctx.run_batch_outputs(&[op.build(), op.algorithm(Algorithm::Inner).build()]);
+    for got in batch {
+        assert_eq!(got.unwrap(), expect, "batched");
+    }
+    ctx.set_serial_cutoff_flops(1e18);
+    assert!(op.plan().unwrap().serial);
+    assert_eq!(op.run_out().unwrap(), expect, "serial");
 }
 
 #[test]

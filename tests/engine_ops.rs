@@ -196,6 +196,7 @@ fn mca_complement_is_a_uniform_error_everywhere() {
     let mut set = masked_spgemm::ScratchSet::<DynLane<f64>>::new();
     let serial = set.run(
         Algorithm::Mca,
+        Phases::One,
         true,
         DynLane::<f64>::new(SemiringKind::PlusTimes),
         &m,

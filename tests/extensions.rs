@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: the adaptive hybrid
-//! scheme, vector-level masked SpGEVM, direction-optimized BFS, and the
-//! hypersparse DCSR format — exercised together on generator output.
+//! scheme, vector-level masked SpGEVM and direction-optimized BFS —
+//! exercised together on generator output.
 
 use graph_algos::{bfs, Direction, Scheme};
 use masked_spgemm::{
@@ -8,7 +8,7 @@ use masked_spgemm::{
 };
 use sparse::dense::reference_masked_spgemm;
 use sparse::semiring::BoolAndOr;
-use sparse::{CscMatrix, DcsrMatrix, PlusTimes, SparseVec};
+use sparse::{CscMatrix, PlusTimes, SparseVec};
 
 #[test]
 fn hybrid_matches_fixed_schemes_across_density_grid() {
@@ -99,23 +99,6 @@ fn bfs_visited_mask_uses_boolean_semiring() {
     assert_eq!(r.levels[3], 0);
     assert!(r.levels.iter().filter(|&&l| l == 2).count() == 7);
     let _ = BoolAndOr; // semiring used inside bfs
-}
-
-#[test]
-fn dcsr_roundtrips_ktruss_output() {
-    // Late k-truss iterations produce hypersparse matrices — the DCSR
-    // use case. Compress/expand must be lossless.
-    let adj = graphs::to_undirected_simple(&graphs::erdos_renyi(512, 6.0, 9));
-    let r = graph_algos::ktruss(Scheme::Hybrid, &adj, 4).unwrap();
-    let d = DcsrMatrix::from_csr(&r.truss);
-    assert_eq!(d.to_csr(), r.truss);
-    assert!(d.nnzr() <= r.truss.nrows());
-    if r.truss.nnz() > 0 {
-        assert!(d.row_occupancy() <= 1.0);
-        let k = 0;
-        let (i, cols, _) = d.compressed_row(k);
-        assert_eq!(d.row(i as usize).0, cols);
-    }
 }
 
 #[test]
