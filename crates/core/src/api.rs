@@ -97,7 +97,9 @@ impl Phases {
     }
 }
 
-fn check_shapes<MT, A>(
+/// A [`SparseError::DimMismatch`] unless `A·B` (`B` of shape `b_shape`)
+/// and the mask agree in shape.
+pub(crate) fn check_shapes<MT, A>(
     mask: &CsrMatrix<MT>,
     a: &CsrMatrix<A>,
     b_shape: (usize, usize),

@@ -5,16 +5,19 @@
 //! choice: the hybrid's per row, the engine planner's per multiply.
 //!
 //! [`row_costs`] prices each family on one output row with `mm` mask
-//! entries, `u = nnz(A(i,:))`, `f` flops ([`row_flops`]) and `B`'s average
-//! column degree `d̄_B` ([`avg_col_nnz`]). A pull visits `dots = mm` output
-//! positions, or `ncols − mm` under a complemented mask.
+//! entries, `u = nnz(A(i,:))` and `f` flops ([`row_flops`]). A pull runs one
+//! sorted-merge dot product per admissible output position and each dot
+//! walks `A(i,:)` and `B(:,j)`, so it is priced by the columns it visits
+//! ([`col_counts`]): a plain mask scans its `mm` entries and dots them all;
+//! a complemented one scans all `ncols` positions and dots the `ncols − mm`
+//! columns it does not name.
 //!
 //! | family | estimate (unit: one MSA flop) | paper complexity it mirrors |
 //! |--------|----------|------------------------------|
 //! | MSA    | `mm + f + msa_overhead` | `O(nnz(m) + flops)` + amortized dense-array traffic |
 //! | MCA    | `u·mm + f` | `O(nnz(u)·nnz(m) + flops)` |
 //! | Heap   | `mm + heap_factor·f·(1 + log₂(u+1))` | `O(nnz(m) + log nnz(u)·flops)` |
-//! | Inner  | `inner_factor·dots·(u + d̄_B)` | `dots` dot products of length `u + d̄_B` |
+//! | Inner  | `inner_factor·(scan + Σ_{dots j} (u + nnz(B(:,j))))` | one dot of length `u + nnz(B(:,j))` per visited column |
 //!
 //! [`HybridConfig`] holds the three constants; `engine`'s
 //! `Context::calibrate` measures them on the machine at hand.
@@ -100,25 +103,35 @@ pub fn cheapest(costs: FamilyCosts, complemented: bool) -> (RowChoice, f64) {
     best
 }
 
-/// The cost model (see the module docs) on one output row. Under a
-/// complemented mask over `ncols` output columns (`complement_ncols`) the
-/// pull visits the `ncols − mm` unmasked positions, so an empty mask row
-/// is its costliest row, not a free one.
+/// The cost model (see the module docs) on one output row.
+/// `mask_col_nnz` is `Σ nnz(B(:,j))` over the mask row's columns `j`.
+/// Under a complemented mask, `complement` holds `B`'s column count and
+/// nonzero count: the pull then scans all `ncols` output positions and dots
+/// the `ncols − mm` columns the mask does not name, which hold
+/// `nnz(B) − mask_col_nnz` entries — so an empty mask row is its costliest
+/// row, not a free one.
 pub fn row_costs(
     cfg: &HybridConfig,
     mm: usize,
     u: usize,
     f: u64,
-    avg_b_col_nnz: f64,
-    complement_ncols: Option<usize>,
+    mask_col_nnz: u64,
+    complement: Option<(usize, usize)>,
 ) -> FamilyCosts {
     let (mm_f, u_f, f_f) = (mm as f64, u as f64, f as f64);
-    let dots_f = complement_ncols.map_or(mm_f, |ncols| ncols as f64 - mm_f);
+    let (scan, dots, dot_col_nnz) = match complement {
+        None => (mm_f, mm_f, mask_col_nnz as f64),
+        Some((ncols, b_nnz)) => (
+            ncols as f64,
+            ncols as f64 - mm_f,
+            b_nnz as f64 - mask_col_nnz as f64,
+        ),
+    };
     [
         mm_f + f_f + cfg.msa_overhead,
         u_f * mm_f + f_f,
         mm_f + cfg.heap_factor * f_f * (1.0 + (u_f + 1.0).log2()),
-        cfg.inner_factor * dots_f * (u_f + avg_b_col_nnz),
+        cfg.inner_factor * (scan + dots * u_f + dot_col_nnz),
     ]
 }
 
@@ -127,27 +140,29 @@ pub fn row_flops(a_cols: &[Idx], b_row_nnz: impl Fn(usize) -> usize) -> u64 {
     a_cols.iter().map(|&k| b_row_nnz(k as usize) as u64).sum()
 }
 
-/// Average column degree `nnz / ncols` (0 with no columns).
-pub fn avg_col_nnz(nnz: usize, ncols: usize) -> f64 {
-    if ncols > 0 {
-        nnz as f64 / ncols as f64
-    } else {
-        0.0
+/// Column degrees `nnz(B(:,j))` of a CSR matrix with `ncols` columns,
+/// counted from its column indices `colidx` in `O(nnz + ncols)`.
+pub fn col_counts(colidx: &[Idx], ncols: usize) -> Vec<u32> {
+    let mut counts = vec![0u32; ncols];
+    for &j in colidx {
+        counts[j as usize] += 1;
     }
+    counts
 }
 
-/// Pick the cheapest family for one row under the cost model.
-pub fn choose_row(
-    cfg: &HybridConfig,
-    mm: usize,
-    u: usize,
-    f: u64,
-    avg_b_col_nnz: f64,
-) -> RowChoice {
+/// `Σ counts[j]` over the columns `cols`: with [`col_counts`], the
+/// `mask_col_nnz` of [`row_costs`].
+pub fn col_sum(cols: &[Idx], counts: &[u32]) -> u64 {
+    cols.iter().map(|&j| counts[j as usize] as u64).sum()
+}
+
+/// Pick the cheapest family for one row under the cost model (plain mask;
+/// `mask_col_nnz` as in [`row_costs`]).
+pub fn choose_row(cfg: &HybridConfig, mm: usize, u: usize, f: u64, mask_col_nnz: u64) -> RowChoice {
     if mm == 0 || u == 0 || f == 0 {
         return RowChoice::Empty;
     }
-    cheapest(row_costs(cfg, mm, u, f, avg_b_col_nnz, None), false).0
+    cheapest(row_costs(cfg, mm, u, f, mask_col_nnz, None), false).0
 }
 
 /// The cost model summed, in row order, over the rows of one multiply.
@@ -209,7 +224,6 @@ where
     a: &'m CsrMatrix<S::A>,
     b: &'m CsrMatrix<S::B>,
     b_csc: &'m CscMatrix<S::B>,
-    avg_b_col_nnz: f64,
     msa: MsaKernel<S>,
     mca: McaKernel<S>,
     heap: HeapKernel<S, { ninspect::ONE }>,
@@ -223,8 +237,12 @@ where
     fn choice(&self, i: usize) -> RowChoice {
         let acols = self.a.row(i).0;
         let f = row_flops(acols, |k| self.b.row_nnz(k));
-        let mm = self.mask.row(i).len();
-        choose_row(&self.cfg, mm, acols.len(), f, self.avg_b_col_nnz)
+        let mcols = self.mask.row(i);
+        let mask_col_nnz = mcols
+            .iter()
+            .map(|&j| self.b_csc.col_nnz(j as usize) as u64)
+            .sum();
+        choose_row(&self.cfg, mcols.len(), acols.len(), f, mask_col_nnz)
     }
 }
 
@@ -321,7 +339,6 @@ where
     S: Semiring,
     S::C: Default + Sync,
 {
-    let avg_b_col_nnz = avg_col_nnz(b.nnz(), b.ncols());
     let (max_m, ncols) = (mask.max_row_nnz(), b.ncols());
     let make = || HybridProducer {
         sr,
@@ -330,7 +347,6 @@ where
         a,
         b,
         b_csc,
-        avg_b_col_nnz,
         msa: MsaKernel::new(ncols, max_m),
         mca: McaKernel::new(ncols, max_m),
         heap: HeapKernel::new(ncols, max_m),
@@ -346,12 +362,13 @@ pub fn hybrid_choices<MT, A, B>(
     a: &CsrMatrix<A>,
     b: &CsrMatrix<B>,
 ) -> Vec<RowChoice> {
-    let avg = avg_col_nnz(b.nnz(), b.ncols());
+    let b_col_nnz = col_counts(b.colidx(), b.ncols());
     (0..a.nrows())
         .map(|i| {
-            let acols = a.row(i).0;
+            let (acols, mcols) = (a.row(i).0, mask.row(i).0);
             let f = row_flops(acols, |k| b.row_nnz(k));
-            choose_row(&cfg, mask.row_nnz(i), acols.len(), f, avg)
+            let mask_col_nnz = col_sum(mcols, &b_col_nnz);
+            choose_row(&cfg, mcols.len(), acols.len(), f, mask_col_nnz)
         })
         .collect()
 }
@@ -362,6 +379,76 @@ mod tests {
     use crate::kernel::testutil::random_csr;
     use sparse::dense::reference_masked_spgemm;
     use sparse::PlusTimes;
+
+    /// Vertex 0 links to every other vertex and the rest form a chain:
+    /// `nnz(B(:,0)) = 63`, the chain's ends have 2 entries, the rest 3.
+    fn hub_and_fringe() -> CsrMatrix<f64> {
+        let mut coo = sparse::CooMatrix::new(64, 64);
+        for j in 1..64u32 {
+            coo.push(0, j, 1.0);
+            coo.push(j, 0, 1.0);
+        }
+        for j in 1..63u32 {
+            coo.push(j, j + 1, 1.0);
+            coo.push(j + 1, j, 1.0);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn pull_is_priced_by_the_columns_it_visits() {
+        let g = hub_and_fringe();
+        let cfg = HybridConfig {
+            inner_factor: 2.0,
+            ..HybridConfig::default()
+        };
+        let counts = col_counts(g.colidx(), g.ncols());
+        // Mask, A and B are all `g`, so a row's mask and A columns agree.
+        let costs = |i: usize, complement| {
+            let cols = g.row(i).0;
+            let f = row_flops(cols, |k| g.row_nnz(k));
+            let mask_col_nnz = col_sum(cols, &counts);
+            row_costs(&cfg, cols.len(), cols.len(), f, mask_col_nnz, complement)
+        };
+        let inner = |i, complement| costs(i, complement)[3];
+        let complement = Some((64, g.nnz()));
+        assert_eq!(g.nnz(), 250);
+        // Hub row: the mask names columns 1..=63 (2 + 61·3 + 2 = 187
+        // entries); the complement leaves only the hub's column 0.
+        assert_eq!(inner(0, None), 2.0 * (63.0 + 63.0 * 63.0 + 187.0));
+        assert_eq!(inner(0, complement), 2.0 * (64.0 + (63.0 + 63.0)));
+        // Fringe row 5: the mask names the hub column (63 entries) and two
+        // chain columns (3 each); the complement dots the other 61 columns,
+        // which hold 250 − 69 entries.
+        assert_eq!(inner(5, None), 2.0 * (3.0 + 3.0 * 3.0 + 69.0));
+        assert_eq!(
+            inner(5, complement),
+            2.0 * (64.0 + 61.0 * 3.0 + (250.0 - 69.0))
+        );
+
+        // The hybrid executor's row choice (column lengths from the CSC
+        // copy), `hybrid_choices` (a column count) and the planner's rule
+        // on the same row agree.
+        let b_csc = CscMatrix::from_csr(&g);
+        let producer = HybridProducer::<PlusTimes<f64>> {
+            sr: PlusTimes::new(),
+            cfg,
+            mask: MaskRows::of(&g),
+            a: &g,
+            b: &g,
+            b_csc: &b_csc,
+            msa: MsaKernel::new(64, 64),
+            mca: McaKernel::new(64, 64),
+            heap: HeapKernel::new(64, 64),
+        };
+        let choices = hybrid_choices(cfg, &g, &g, &g);
+        for (i, &choice) in choices.iter().enumerate() {
+            assert_eq!(choice, producer.choice(i), "row {i}");
+            assert_eq!(choice, cheapest(costs(i, None), false).0, "row {i}");
+        }
+        assert_eq!(choices[0], RowChoice::Msa);
+        assert_eq!(choices[5], RowChoice::Mca);
+    }
 
     #[test]
     fn matches_reference_both_phases() {
@@ -384,18 +471,18 @@ mod tests {
     fn cost_model_prefers_dot_for_tiny_masks() {
         let cfg = HybridConfig::default();
         // Huge row flops, one mask entry: dot wins.
-        assert_eq!(choose_row(&cfg, 1, 4, 100_000, 8.0), RowChoice::Inner);
+        assert_eq!(choose_row(&cfg, 1, 4, 100_000, 8), RowChoice::Inner);
         // Empty cases.
-        assert_eq!(choose_row(&cfg, 0, 4, 100, 8.0), RowChoice::Empty);
-        assert_eq!(choose_row(&cfg, 4, 0, 100, 8.0), RowChoice::Empty);
-        assert_eq!(choose_row(&cfg, 4, 4, 0, 8.0), RowChoice::Empty);
+        assert_eq!(choose_row(&cfg, 0, 4, 100, 32), RowChoice::Empty);
+        assert_eq!(choose_row(&cfg, 4, 0, 100, 32), RowChoice::Empty);
+        assert_eq!(choose_row(&cfg, 4, 4, 0, 32), RowChoice::Empty);
     }
 
     #[test]
     fn cost_model_prefers_accumulators_for_balanced_rows() {
         let cfg = HybridConfig::default();
         // Many mask entries and moderate flops: MSA or MCA, never dot.
-        let c = choose_row(&cfg, 500, 50, 2_000, 64.0);
+        let c = choose_row(&cfg, 500, 50, 2_000, 500 * 64);
         assert!(matches!(c, RowChoice::Msa | RowChoice::Mca), "{c:?}");
     }
 
@@ -403,20 +490,7 @@ mod tests {
     fn choices_vary_across_skewed_rows() {
         // A graph with hub rows and fringe rows should not pick one family
         // for everything when the mask is uniform but inputs are skewed.
-        let adj = {
-            let mut coo = sparse::CooMatrix::new(64, 64);
-            // hub: row 0 connects everywhere
-            for j in 1..64u32 {
-                coo.push(0, j, 1.0);
-                coo.push(j, 0, 1.0);
-            }
-            // fringe chain
-            for j in 1..63u32 {
-                coo.push(j, j + 1, 1.0);
-                coo.push(j + 1, j, 1.0);
-            }
-            coo.to_csr()
-        };
+        let adj = hub_and_fringe();
         let mask = random_csr(64, 64, 9, 40).pattern();
         let choices = hybrid_choices(HybridConfig::default(), &mask, &adj, &adj);
         let distinct: std::collections::HashSet<_> =

@@ -24,8 +24,8 @@ use std::sync::Mutex;
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
 use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
-use crate::api::{Algorithm, Phases};
-use crate::exec::{check_dims, inner_rows, push_rows_serial, MaskRows};
+use crate::api::{check_shapes, Algorithm, Phases};
+use crate::exec::{inner_rows, push_rows_serial, MaskRows};
 use crate::kernel::RowKernel;
 
 /// Per-worker state for one parallel region, keyed by the pool's stable
@@ -165,7 +165,8 @@ where
     /// `b_csc` is consulted only by [`Algorithm::Inner`]; passing `None`
     /// converts on the fly (callers with a cached CSC should pass it).
     /// A complemented mask on [`Algorithm::Mca`] is a uniform
-    /// [`SparseError::Unsupported`], never a panic.
+    /// [`SparseError::Unsupported`], and operands (or a `b_csc`) whose
+    /// shapes disagree are a [`SparseError::DimMismatch`], never a panic.
     #[allow(clippy::too_many_arguments)]
     pub fn run<MT>(
         &mut self,
@@ -182,8 +183,15 @@ where
         MT: Copy + Sync,
         S::B: Clone,
     {
+        check_shapes(mask, a, b.shape())?;
+        if let Some(csc) = b_csc.filter(|csc| csc.shape() != b.shape()) {
+            return Err(SparseError::DimMismatch {
+                op: "ScratchSet::run (CSC copy)",
+                lhs: csc.shape(),
+                rhs: b.shape(),
+            });
+        }
         algorithm.check_complement_support(complemented)?;
-        check_dims(mask, a, b.nrows(), b.ncols());
         let mask = MaskRows::of(mask);
         let (ncols, max_m) = (b.ncols(), mask.max_row_nnz());
         macro_rules! push {
@@ -414,5 +422,33 @@ mod tests {
         let expect =
             masked_spgemm(Algorithm::Inner, Phases::One, false, sr, &mask, &a, &b).unwrap();
         assert_eq!(with, expect);
+    }
+
+    #[test]
+    fn run_rejects_mismatched_shapes_with_an_error() {
+        let sr = PlusTimes::<f64>::new();
+        let a = random_csr(12, 10, 5, 30);
+        let b = random_csr(10, 14, 6, 30);
+        let mask = random_csr(12, 14, 7, 40).pattern();
+        let wrong_mask = random_csr(12, 13, 7, 40).pattern();
+        let wrong_b = random_csr(11, 14, 6, 30);
+        let wrong_csc = CscMatrix::from_csr(&random_csr(10, 13, 6, 30));
+        let mut set = ScratchSet::new();
+        for alg in Algorithm::ALL {
+            let mut run = |mask: &CsrMatrix<()>, b: &CsrMatrix<f64>, csc| {
+                set.run(alg, Phases::One, false, sr, mask, &a, b, csc)
+            };
+            for (case, got) in [
+                ("mask", run(&wrong_mask, &b, None)),
+                ("A/B", run(&mask, &wrong_b, None)),
+                ("CSC", run(&mask, &b, Some(&wrong_csc))),
+            ] {
+                assert!(
+                    matches!(got, Err(SparseError::DimMismatch { .. })),
+                    "{alg:?} {case}: {got:?}"
+                );
+            }
+            assert!(run(&mask, &b, None).is_ok(), "{alg:?}");
+        }
     }
 }

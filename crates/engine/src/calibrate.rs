@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use masked_spgemm::hybrid::{avg_col_nnz, row_costs};
+use masked_spgemm::hybrid::{col_counts, col_sum, row_costs};
 use masked_spgemm::{masked_spgemm, Algorithm, HybridConfig, Phases};
 use sparse::{CsrMatrix, Idx, PlusTimes};
 
@@ -149,17 +149,19 @@ impl Context {
         let heap_dense = time_kernel(&self.pool, Algorithm::Heap, &mask, &a, &b);
         let inner_dense = time_kernel(&self.pool, Algorithm::Inner, &mask, &a, &b);
         // Modeled dot units of the dense probe: the model's pull cost with
-        // unit factors, Σ_i mm_i · (u_i + d̄_B).
+        // unit factors, Σ_i (mm_i + Σ_{j ∈ M(i,:)} (u_i + nnz(B(:,j)))).
         let unit = HybridConfig {
             msa_overhead: 0.0,
             heap_factor: 1.0,
             inner_factor: 1.0,
         };
-        let avg_b_col = avg_col_nnz(b.nnz(), b.ncols());
+        let b_col_nnz = col_counts(b.colidx(), b.ncols());
         let inner_units: f64 = (0..n)
             .map(|i| {
+                let mcols = mask.row(i).0;
+                let mask_col_nnz = col_sum(mcols, &b_col_nnz);
                 let [.., dot_units] =
-                    row_costs(&unit, mask.row_nnz(i), a.row_nnz(i), 0, avg_b_col, None);
+                    row_costs(&unit, mcols.len(), a.row_nnz(i), 0, mask_col_nnz, None);
                 dot_units
             })
             .sum();
@@ -180,7 +182,7 @@ impl Context {
 
         // Model units are "one flop of MSA work" = 1.0. The heap's modeled
         // cost of one flop on the probe's 64-entry rows, with unit factors.
-        let [_, _, log_term, _] = row_costs(&unit, 0, 64, 1, avg_b_col, None);
+        let [_, _, log_term, _] = row_costs(&unit, 0, 64, 1, 0, None);
         let heap_factor = (heap_secs_per_flop / msa_secs_per_flop / log_term).clamp(0.25, 8.0);
         let msa_overhead = (msa_secs_per_row / msa_secs_per_flop).clamp(8.0, 4096.0);
         let inner_factor = (inner_secs_per_unit / msa_secs_per_flop).clamp(0.25, 8.0);

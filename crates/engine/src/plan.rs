@@ -13,7 +13,9 @@
 //! [`crate::Context`] auxiliary cache, so repeated planning over the same
 //! operands (k-truss peeling, BC sweeps) is cheap.
 
-use masked_spgemm::hybrid::{avg_col_nnz, cheapest, row_costs, row_flops, CostTotals, RowChoice};
+use masked_spgemm::hybrid::{
+    cheapest, col_counts, col_sum, row_costs, row_flops, CostTotals, RowChoice,
+};
 use masked_spgemm::{Algorithm, Phases};
 use sparse::SparseError;
 
@@ -171,14 +173,16 @@ pub(crate) fn plan(
     a: MatrixHandle,
     b: MatrixHandle,
 ) -> Plan {
-    let (ea, eb) = (ctx.entry(a), ctx.entry(b));
+    let (em, ea, eb) = (ctx.entry(mask), ctx.entry(a), ctx.entry(b));
     let cfg = ctx.config();
     let flops_total = ctx.flops(a, b);
     let mask_deg = ctx.row_degrees(mask);
     let a_deg = ctx.row_degrees(a);
     let b_deg = ctx.row_degrees(b);
-    let avg_b_col_nnz = avg_col_nnz(eb.matrix.nnz(), eb.matrix.ncols());
-    let complement_ncols = complemented.then_some(eb.matrix.ncols());
+    // The pull is priced by the columns it visits; counting them is one
+    // pass over B, the same order as the flop count.
+    let b_col_nnz = col_counts(eb.matrix.colidx(), eb.matrix.ncols());
+    let complement = complemented.then_some((eb.matrix.ncols(), eb.matrix.nnz()));
 
     // Sum the per-row model over the rows with work. Under a complemented
     // mask an empty mask row is the pull's costliest row, so it counts.
@@ -192,7 +196,8 @@ pub(crate) fn plan(
         if f == 0 {
             continue;
         }
-        totals.add_row(row_costs(&cfg, mm, u, f, avg_b_col_nnz, complement_ncols));
+        let mask_col_nnz = col_sum(em.matrix.row_cols(i), &b_col_nnz);
+        totals.add_row(row_costs(&cfg, mm, u, f, mask_col_nnz, complement));
     }
     let fixed = cheapest(totals.families, complemented);
     let (hybrid, hybrid_wins) = totals.hybrid(fixed, eb.matrix.nnz(), complemented);
@@ -274,7 +279,8 @@ pub(crate) fn validate_vec(
 ///   "frontier's outgoing work" side of the heuristic;
 /// * **pull** ([`Algorithm::Inner`]) runs one dot product per admissible
 ///   output position (`nnz(m)` plain, `ncols − nnz(m)` complemented — the
-///   "unvisited count" side under the complemented visited mask of a BFS).
+///   "unvisited count" side under the complemented visited mask of a BFS),
+///   each priced by the length of the `B` column it reads.
 ///
 /// Single-row products never dispatch the pool, so the plan is always
 /// [`Plan::serial`], at [`Phases::One`]. MCA and heap are not candidates;
@@ -286,14 +292,21 @@ pub(crate) fn plan_vec(
     u: VectorHandle,
     b: MatrixHandle,
 ) -> Plan {
-    let (mv, uv) = (ctx.vector(mask), ctx.vector(u));
+    let (mv, uv, eb) = (ctx.vector(mask), ctx.vector(u), ctx.entry(b));
     let b_deg = ctx.row_degrees(b);
     // Structure-only statistics — no lane view is materialized to plan.
-    let bs = ctx.stats(b);
     let flops = row_flops(uv.indices(), |k| b_deg[k] as usize);
-    let avg = avg_col_nnz(bs.nnz, bs.shape.1);
-    let compl_ncols = complemented.then_some(bs.shape.1);
-    let [msa, _, _, inner] = row_costs(&ctx.config(), mv.nnz(), uv.nnz(), flops, avg, compl_ncols);
+    let b_col_nnz = col_counts(eb.matrix.colidx(), eb.matrix.ncols());
+    let mask_col_nnz = col_sum(mv.indices(), &b_col_nnz);
+    let complement = complemented.then_some((eb.matrix.ncols(), eb.matrix.nnz()));
+    let [msa, _, _, inner] = row_costs(
+        &ctx.config(),
+        mv.nnz(),
+        uv.nnz(),
+        flops,
+        mask_col_nnz,
+        complement,
+    );
     // One row plans push or pull only: the other families are priced out.
     let (mca, heap) = (f64::INFINITY, f64::INFINITY);
     let (family, min_cost) = cheapest([msa, mca, heap, inner], complemented);
@@ -355,6 +368,7 @@ mod tests {
             ctx.plan(sparse_mask, true, heavy, heavy).unwrap(),
             ctx.plan_vec(source, true, source, grid).unwrap(),
             ctx.plan_vec(nearly_all, true, wide_frontier, grid).unwrap(),
+            ctx.plan_vec(source, false, wide_frontier, grid).unwrap(),
         ]
     }
 

@@ -2,7 +2,8 @@
 //! bit-identical to direct `masked_spgemm` calls; the auxiliary cache must
 //! never serve stale data after a matrix is updated.
 
-use engine::{Choice, Context, Plan, SemiringKind};
+use engine::{Choice, Context, HybridConfig, Plan, SemiringKind};
+use graph_algos::prepare_triangle_input;
 use masked_spgemm::hybrid::{hybrid_choices, RowChoice};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use proptest::prelude::*;
@@ -378,7 +379,9 @@ fn bool_vec(dim: usize, indices: Vec<Idx>) -> SparseVec<bool> {
 
 /// One plan of each kind the planner makes, on a fresh default-config
 /// context: a fixed `MSA-1P`, a per-row `Hybrid-1P`, a complemented
-/// two-phase product, a vector push and a complemented vector pull.
+/// two-phase product, two complemented vector products (a lone source, and
+/// a wide frontier with six unvisited vertices, both pushes: the pull would
+/// scan all 256 positions) and a plain vector pull.
 fn pinned_plans(ctx: &Context) -> Vec<(&'static str, Plan)> {
     let rmat = ctx.insert(graphs::rmat(8, graphs::RmatParams::default(), 1));
     let dense_mask = ctx.insert(graphs::erdos_renyi(256, 64.0, 5));
@@ -401,6 +404,10 @@ fn pinned_plans(ctx: &Context) -> Vec<(&'static str, Plan)> {
             "pull",
             ctx.plan_vec(nearly_all, true, wide_frontier, grid).unwrap(),
         ),
+        (
+            "plain pull",
+            ctx.plan_vec(source, false, wide_frontier, grid).unwrap(),
+        ),
     ]
 }
 
@@ -413,12 +420,13 @@ fn planner_numbers_are_pinned() {
     // Vector plans price MCA and heap out.
     const INF: u64 = 0x7ff0000000000000;
     #[rustfmt::skip]
-    const PINNED: [(&str, &str, [u64; 5], u64); 5] = [
-        ("rmat", "MSA-1P", [0x40fde9b000000000, 0x410f4e2000000000, 0x411d1857e61f71e3, 0x4112b92170000000, 0x40fe13edbd150474], 88111),
-        ("hybrid", "Hybrid-1P", [0x40c5540000000000, 0x40c1ae0000000000, 0x40cc5c9b86c2f2ed, 0x40b57e9000000000, 0x40a0c2f000000000], 4526),
-        ("complemented", "MSA-2P", [0x416082e520000000, 0x4160a16680000000, 0x418c62a5d428172a, 0x41c00d64d2968000, 0x4160b47ca0000000], 8455985),
-        ("push", "MSA-1P", [0x4059400000000000, INF, INF, 0x4092ed0000000000, 0x4059400000000000], 4),
-        ("pull", "Inner-1P", [0x4089d00000000000, INF, INF, 0x4088b40000000000, 0x4088b40000000000], 480),
+    const PINNED: [(&str, &str, [u64; 5], u64); 6] = [
+        ("rmat", "MSA-1P", [0x40fde9b000000000, 0x410f4e2000000000, 0x411d1857e61f71e3, 0x411367f000000000, 0x40fe13edbd150474], 88111),
+        ("hybrid", "Hybrid-1P", [0x40c5540000000000, 0x40c1ae0000000000, 0x40cc5c9b86c2f2ed, 0x40c22b0000000000, 0x40b7740000000000], 4526),
+        ("complemented", "MSA-2P", [0x416082e520000000, 0x4160a16680000000, 0x418c62a5d428172a, 0x41c02d63ca800000, 0x4160b47ca0000000], 8455985),
+        ("push", "MSA-1P", [0x4059400000000000, INF, INF, 0x4096ec0000000000, 0x4059400000000000], 4),
+        ("pull", "MSA-1P", [0x4089d00000000000, INF, INF, 0x4090440000000000, 0x4089d00000000000], 480),
+        ("plain pull", "Inner-1P", [0x4082080000000000, INF, INF, 0x4060a00000000000, 0x4060a00000000000], 480),
     ];
     let ctx = Context::with_threads(1);
     let plans = pinned_plans(&ctx);
@@ -433,6 +441,41 @@ fn planner_numbers_are_pinned() {
             "{name}: {c:?}"
         );
         assert_eq!(c.flops, flops, "{name}");
+    }
+}
+
+/// The headline triangle-counting product `L ⊙ (L·L)` on a
+/// degree-ordered R-MAT graph. Its mask rows point at hub columns, so a
+/// pull priced by `B`'s average column degree looks about 10× cheaper than
+/// it is and sends most rows to dots (`Hybrid-1P`, about 3× slower than
+/// MSA). Priced by the columns it visits, the product plans `MSA-1P` at the
+/// default constants and across the range `calibrate()` returns.
+#[test]
+fn headline_triangle_product_plans_msa() {
+    let adj = graphs::to_undirected_simple(&graphs::rmat(10, graphs::RmatParams::default(), 7));
+    let l = prepare_triangle_input(&adj);
+    let mut configs = vec![HybridConfig::default()];
+    for msa_overhead in [8.0, 22.0] {
+        for heap_factor in [1.4, 2.6] {
+            for inner_factor in [1.7, 2.6] {
+                configs.push(HybridConfig {
+                    msa_overhead,
+                    heap_factor,
+                    inner_factor,
+                });
+            }
+        }
+    }
+    for cfg in configs {
+        let ctx = Context::with_threads(1);
+        ctx.set_config(cfg);
+        let l = ctx.insert(l.clone());
+        let plan = ctx
+            .op(l, l, l)
+            .semiring(SemiringKind::PlusPair)
+            .plan()
+            .unwrap();
+        assert_eq!(plan.label(), "MSA-1P", "{cfg:?}: {:?}", plan.costs);
     }
 }
 
