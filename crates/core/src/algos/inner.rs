@@ -13,7 +13,7 @@
 //! `Inner` (and SS:DOT) as prohibitively slow for betweenness centrality.
 //! It is implemented for completeness and measured rather than skipped.
 
-use sparse::{CscMatrix, CsrMatrix, Idx, Semiring};
+use sparse::{CscMatrix, Idx, Semiring};
 
 /// Sorted-merge dot product of a CSR row and a CSC column.
 ///
@@ -156,34 +156,10 @@ pub fn patterns_intersect(a: &[Idx], b: &[Idx]) -> bool {
     false
 }
 
-/// Serial whole-matrix Inner for tests; the parallel driver is in
-/// [`crate::exec::inner_driver`].
-pub fn inner_serial<S: Semiring, MT: Copy>(
-    sr: S,
-    mask: &CsrMatrix<MT>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CscMatrix<S::B>,
-) -> CsrMatrix<S::C> {
-    let mut rowptr = vec![0usize];
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    for i in 0..a.nrows() {
-        let (mc, _) = mask.row(i);
-        let (ac, av) = a.row(i);
-        if complemented {
-            inner_row_complemented(sr, mc, ac, av, b, &mut cols, &mut vals);
-        } else {
-            inner_row(sr, mc, ac, av, b, &mut cols, &mut vals);
-        }
-        rowptr.push(cols.len());
-    }
-    CsrMatrix::from_parts_unchecked(a.nrows(), b.ncols(), rowptr, cols, vals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{masked_spgemm_csc, Algorithm, Phases};
     use crate::kernel::testutil::random_csr;
     use sparse::dense::reference_masked_spgemm;
     use sparse::PlusTimes;
@@ -226,7 +202,8 @@ mod tests {
             let bc = sparse::CscMatrix::from_csr(&b);
             for compl in [false, true] {
                 let expect = reference_masked_spgemm(sr, &m, compl, &a, &b);
-                let got = inner_serial(sr, &m, compl, &a, &bc);
+                let got = masked_spgemm_csc(Algorithm::Inner, Phases::One, compl, sr, &m, &a, &bc)
+                    .unwrap();
                 assert_eq!(got, expect, "seed={seed} compl={compl}");
             }
         }
@@ -240,7 +217,8 @@ mod tests {
         let m = random_csr(6, 6, 44, 50).pattern();
         let bc = sparse::CscMatrix::from_csr(&b);
         for compl in [false, true] {
-            let c = inner_serial(sr, &m, compl, &a, &bc);
+            let c =
+                masked_spgemm_csc(Algorithm::Inner, Phases::One, compl, sr, &m, &a, &bc).unwrap();
             for i in 0..6 {
                 let (mc, _) = m.row(i);
                 let (ac, _) = a.row(i);

@@ -6,7 +6,7 @@
 //! * [`HeapKernel`] — k-way merge heap with configurable `NInspect`
 //!   (Section 5.5);
 //! * [`inner`] — the pull-based dot-product algorithm (Section 4.1), which
-//!   has its own driver since it consumes `B` in CSC form.
+//!   reads `B` in CSC form; the drivers run it through its own row producer.
 
 mod hash;
 mod heap;

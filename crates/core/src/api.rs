@@ -97,25 +97,39 @@ impl Phases {
     }
 }
 
-/// A [`SparseError::DimMismatch`] unless `A·B` (`B` of shape `b_shape`)
-/// and the mask agree in shape.
-pub(crate) fn check_shapes<MT, A>(
-    mask: &CsrMatrix<MT>,
-    a: &CsrMatrix<A>,
-    b_shape: (usize, usize),
+/// A [`SparseError::DimMismatch`] unless a mask of shape `mask`, `A` of
+/// shape `a` and `B` of shape `b` form the product `M ⊙ (A·B)`. A vector
+/// operand is one row: shape `(1, dim)`.
+pub(crate) fn check_shapes(
+    mask: (usize, usize),
+    a: (usize, usize),
+    b: (usize, usize),
 ) -> Result<(), SparseError> {
-    if a.ncols() != b_shape.0 {
+    if a.1 != b.0 {
         return Err(SparseError::DimMismatch {
-            op: "masked_spgemm (A·B)",
-            lhs: a.shape(),
-            rhs: b_shape,
+            op: "masked product (A·B)",
+            lhs: a,
+            rhs: b,
         });
     }
-    if mask.shape() != (a.nrows(), b_shape.1) {
+    if mask != (a.0, b.1) {
         return Err(SparseError::DimMismatch {
-            op: "masked_spgemm (mask)",
-            lhs: mask.shape(),
-            rhs: (a.nrows(), b_shape.1),
+            op: "masked product (mask)",
+            lhs: mask,
+            rhs: (a.0, b.1),
+        });
+    }
+    Ok(())
+}
+
+/// A [`SparseError::DimMismatch`] unless a CSC copy of `B` (shape `csc`)
+/// has `B`'s shape `b`.
+pub(crate) fn check_csc(csc: (usize, usize), b: (usize, usize)) -> Result<(), SparseError> {
+    if csc != b {
+        return Err(SparseError::DimMismatch {
+            op: "masked product (CSC copy of B)",
+            lhs: csc,
+            rhs: b,
         });
     }
     Ok(())
@@ -156,7 +170,7 @@ where
     S::C: Default + Sync,
     MT: Copy + Sync,
 {
-    check_shapes(mask, a, b.shape())?;
+    check_shapes(mask.shape(), a.shape(), b.shape())?;
     algorithm.check_complement_support(complemented)?;
     macro_rules! push {
         ($kernel:ty) => {
@@ -193,7 +207,7 @@ where
     S::C: Default + Sync,
     MT: Copy + Sync,
 {
-    check_shapes(mask, a, b.shape())?;
+    check_shapes(mask.shape(), a.shape(), b.shape())?;
     if algorithm != Algorithm::Inner {
         return Err(SparseError::Unsupported(
             "masked_spgemm_csc supports only Algorithm::Inner",

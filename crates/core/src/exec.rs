@@ -1,5 +1,11 @@
 //! The row drivers: one-phase and two-phase execution (Sections 4.2 and
-//! 6). Every matrix product in this crate is assembled by one of the two.
+//! 6). Every product in this crate is assembled by one of the two.
+//!
+//! A vector product `v⊺ = m⊺ ⊙ (u⊺·B)` is the one-row matrix product
+//! (Section 5 writes every row-wise algorithm this way): the drivers read
+//! the mask through `MaskRows` and the left operand through `Rows`, and
+//! both view a sparse vector in place as a `1 × n` matrix (`one_row`), so
+//! a vector runs the same producers and driver as a matrix.
 //!
 //! Parallelism is coarse-grained across rows, as in the paper ("our
 //! algorithms do not parallelize the formation of individual rows").
@@ -32,7 +38,7 @@
 use std::sync::Mutex;
 
 use rayon::prelude::*;
-use sparse::{CscMatrix, CsrMatrix, Idx, Semiring};
+use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError, SparseVec};
 
 use crate::algos::inner;
 use crate::api::Phases;
@@ -81,11 +87,65 @@ impl<'m> MaskRows<'m> {
     }
 }
 
+/// The left operand `A` as the kernels read it: row pointers, column
+/// indices and values. Built from a [`CsrMatrix`], or with no copy from a
+/// [`SparseVec`] as its one row.
+#[derive(Copy, Clone)]
+pub(crate) struct Rows<'a, T> {
+    rowptr: &'a [usize],
+    colidx: &'a [Idx],
+    values: &'a [T],
+}
+
+impl<'a, T> Rows<'a, T> {
+    pub(crate) fn of(a: &'a CsrMatrix<T>) -> Self {
+        Rows {
+            rowptr: a.rowptr(),
+            colidx: a.colidx(),
+            values: a.values(),
+        }
+    }
+
+    pub(crate) fn nrows(self) -> usize {
+        self.rowptr.len() - 1
+    }
+
+    /// Column indices and values of row `i`.
+    #[inline]
+    pub(crate) fn row(self, i: usize) -> (&'a [Idx], &'a [T]) {
+        let range = self.rowptr[i]..self.rowptr[i + 1];
+        (&self.colidx[range.clone()], &self.values[range])
+    }
+}
+
+/// Run a vector product as the one-row matrix product: `product` gets the
+/// mask and `u` as one-row views and its `1 × n` result comes back as a
+/// vector.
+pub(crate) fn one_row<MT, A, C>(
+    mask: &SparseVec<MT>,
+    u: &SparseVec<A>,
+    product: impl FnOnce(MaskRows<'_>, Rows<'_, A>) -> Result<CsrMatrix<C>, SparseError>,
+) -> Result<SparseVec<C>, SparseError> {
+    let (mask_ptr, u_ptr) = ([0, mask.nnz()], [0, u.nnz()]);
+    let mask = MaskRows {
+        rowptr: &mask_ptr,
+        colidx: mask.indices(),
+    };
+    let u = Rows {
+        rowptr: &u_ptr,
+        colidx: u.indices(),
+        values: u.values(),
+    };
+    let c = product(mask, u)?;
+    let (_, ncols, _, cols, vals) = c.into_parts();
+    SparseVec::try_new(ncols, cols, vals)
+}
+
 struct PushProducer<'m, S: Semiring, K> {
     sr: S,
     kernel: K,
     mask: MaskRows<'m>,
-    a: &'m CsrMatrix<S::A>,
+    a: Rows<'m, S::A>,
     b: &'m CsrMatrix<S::B>,
     complemented: bool,
 }
@@ -123,7 +183,7 @@ where
 struct InnerProducer<'m, S: Semiring> {
     sr: S,
     mask: MaskRows<'m>,
-    a: &'m CsrMatrix<S::A>,
+    a: Rows<'m, S::A>,
     b: &'m CscMatrix<S::B>,
     complemented: bool,
 }
@@ -350,19 +410,9 @@ where
     CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
 }
 
-pub(crate) fn check_dims<MT, A>(
-    mask: &CsrMatrix<MT>,
-    a: &CsrMatrix<A>,
-    nrows_b: usize,
-    ncols_b: usize,
-) {
-    assert_eq!(a.ncols(), nrows_b, "inner dimension mismatch");
-    assert_eq!(mask.nrows(), a.nrows(), "mask rows mismatch");
-    assert_eq!(mask.ncols(), ncols_b, "mask cols mismatch");
-}
-
-/// Run a push-based kernel `K` in one or two phases.
-pub fn push_driver<S, K, MT>(
+/// Run a push-based kernel `K` in one or two phases. Shapes are the
+/// caller's to check ([`crate::api::check_shapes`]).
+pub(crate) fn push_driver<S, K, MT>(
     phases: Phases,
     sr: S,
     mask: &CsrMatrix<MT>,
@@ -376,8 +426,7 @@ where
     K: RowKernel<S>,
     MT: Copy + Sync,
 {
-    check_dims(mask, a, b.nrows(), b.ncols());
-    push_rows::<S, K>(phases, sr, MaskRows::of(mask), complemented, a, b)
+    push_rows::<S, K>(phases, sr, MaskRows::of(mask), complemented, Rows::of(a), b)
 }
 
 /// [`push_driver`] on the mask's pattern.
@@ -386,7 +435,7 @@ fn push_rows<S, K>(
     sr: S,
     mask: MaskRows<'_>,
     complemented: bool,
-    a: &CsrMatrix<S::A>,
+    a: Rows<'_, S::A>,
     b: &CsrMatrix<S::B>,
 ) -> CsrMatrix<S::C>
 where
@@ -415,7 +464,7 @@ pub(crate) fn push_rows_serial<S, K>(
     sr: S,
     mask: MaskRows<'_>,
     complemented: bool,
-    a: &CsrMatrix<S::A>,
+    a: Rows<'_, S::A>,
     b: &CsrMatrix<S::B>,
     kernel: K,
 ) -> (CsrMatrix<S::C>, K)
@@ -438,7 +487,8 @@ where
 }
 
 /// Run the pull-based `Inner` algorithm (B in CSC) in one or two phases.
-pub fn inner_driver<S, MT>(
+/// Shapes are the caller's to check ([`crate::api::check_shapes`]).
+pub(crate) fn inner_driver<S, MT>(
     phases: Phases,
     sr: S,
     mask: &CsrMatrix<MT>,
@@ -451,8 +501,15 @@ where
     S::C: Default + Sync,
     MT: Copy + Sync,
 {
-    check_dims(mask, a, b.nrows(), b.ncols());
-    inner_rows(phases, false, sr, MaskRows::of(mask), complemented, a, b)
+    inner_rows(
+        phases,
+        false,
+        sr,
+        MaskRows::of(mask),
+        complemented,
+        Rows::of(a),
+        b,
+    )
 }
 
 /// [`inner_driver`] on the mask's pattern, row-parallel or, when `serial`,
@@ -463,7 +520,7 @@ pub(crate) fn inner_rows<S>(
     sr: S,
     mask: MaskRows<'_>,
     complemented: bool,
-    a: &CsrMatrix<S::A>,
+    a: Rows<'_, S::A>,
     b: &CscMatrix<S::B>,
 ) -> CsrMatrix<S::C>
 where
@@ -633,15 +690,5 @@ mod tests {
         let got =
             pool.install(|| push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b));
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn dim_mismatch_panics() {
-        let sr = PlusTimes::<f64>::new();
-        let a = CsrMatrix::<f64>::empty(2, 3);
-        let b = CsrMatrix::<f64>::empty(4, 2);
-        let m = CsrMatrix::<()>::empty(2, 2);
-        push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b);
     }
 }

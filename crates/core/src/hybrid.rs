@@ -28,7 +28,7 @@
 use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError};
 
 use crate::algos::{inner, ninspect, HeapKernel, McaKernel, MsaKernel};
-use crate::api::Phases;
+use crate::api::{check_csc, check_shapes, Phases};
 use crate::exec::{drive, MaskRows, Producers, RowProducer};
 use crate::kernel::RowKernel;
 use crate::scratch::WorkerLocal;
@@ -300,20 +300,8 @@ where
     S::C: Default + Sync,
     MT: Copy + Sync,
 {
-    if a.ncols() != b.nrows() || mask.shape() != (a.nrows(), b.ncols()) {
-        return Err(SparseError::DimMismatch {
-            op: "hybrid_masked_spgemm",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    if b_csc.shape() != b.shape() {
-        return Err(SparseError::DimMismatch {
-            op: "hybrid_masked_spgemm (CSC copy)",
-            lhs: b_csc.shape(),
-            rhs: b.shape(),
-        });
-    }
+    check_shapes(mask.shape(), a.shape(), b.shape())?;
+    check_csc(b_csc.shape(), b.shape())?;
     Ok(hybrid_rows(
         phases,
         cfg,

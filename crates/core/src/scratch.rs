@@ -16,7 +16,9 @@
 //! for any smaller product). [`ScratchSet`] bundles one scratch per push
 //! algorithm and dispatches on [`Algorithm`] at runtime, for matrix
 //! ([`ScratchSet::run`]) and vector ([`ScratchSet::run_vec`]) products;
-//! it is what the `engine` crate's serial paths hold.
+//! it is what the `engine` crate's serial paths hold. A vector is one row:
+//! `run_vec` is `run`'s body at [`Phases::One`] on a one-row mask and a
+//! one-row `A`, both viewing the vectors in place.
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -24,8 +26,8 @@ use std::sync::Mutex;
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
 use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
-use crate::api::{check_shapes, Algorithm, Phases};
-use crate::exec::{inner_rows, push_rows_serial, MaskRows};
+use crate::api::{check_csc, check_shapes, Algorithm, Phases};
+use crate::exec::{inner_rows, one_row, push_rows_serial, MaskRows, Rows};
 use crate::kernel::RowKernel;
 
 /// Per-worker state for one parallel region, keyed by the pool's stable
@@ -183,16 +185,62 @@ where
         MT: Copy + Sync,
         S::B: Clone,
     {
-        check_shapes(mask, a, b.shape())?;
-        if let Some(csc) = b_csc.filter(|csc| csc.shape() != b.shape()) {
-            return Err(SparseError::DimMismatch {
-                op: "ScratchSet::run (CSC copy)",
-                lhs: csc.shape(),
-                rhs: b.shape(),
-            });
+        check_shapes(mask.shape(), a.shape(), b.shape())?;
+        let (mask, a) = (MaskRows::of(mask), Rows::of(a));
+        self.run_rows(algorithm, phases, complemented, sr, mask, a, b, b_csc)
+    }
+
+    /// Run one masked SpGEVM `v = m ⊙ (u·B)` with this set's reused
+    /// accumulators: [`ScratchSet::run`] at [`Phases::One`] on the one row
+    /// `u`, under the one-row mask `m`.
+    ///
+    /// Where [`crate::masked_spgevm`] builds a fresh `O(ncols)` accumulator
+    /// per call, this borrows the family's [`KernelScratch`] (regrown
+    /// monotonically), so frontier loops that issue one product per BFS
+    /// level stop paying the allocation and page-touch cost per level.
+    /// Errors are those of [`ScratchSet::run`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_vec<MT>(
+        &mut self,
+        algorithm: Algorithm,
+        complemented: bool,
+        sr: S,
+        mask: &SparseVec<MT>,
+        u: &SparseVec<S::A>,
+        b: &CsrMatrix<S::B>,
+        b_csc: Option<&CscMatrix<S::B>>,
+    ) -> Result<SparseVec<S::C>, SparseError>
+    where
+        MT: Copy,
+        S::B: Clone,
+    {
+        check_shapes((1, mask.dim()), (1, u.dim()), b.shape())?;
+        one_row(mask, u, |mask, u| {
+            self.run_rows(algorithm, Phases::One, complemented, sr, mask, u, b, b_csc)
+        })
+    }
+
+    /// The body of [`ScratchSet::run`] and [`ScratchSet::run_vec`] on
+    /// shape-checked row views.
+    #[allow(clippy::too_many_arguments)]
+    fn run_rows(
+        &mut self,
+        algorithm: Algorithm,
+        phases: Phases,
+        complemented: bool,
+        sr: S,
+        mask: MaskRows<'_>,
+        a: Rows<'_, S::A>,
+        b: &CsrMatrix<S::B>,
+        b_csc: Option<&CscMatrix<S::B>>,
+    ) -> Result<CsrMatrix<S::C>, SparseError>
+    where
+        S::B: Clone,
+    {
+        if let Some(csc) = b_csc {
+            check_csc(csc.shape(), b.shape())?;
         }
         algorithm.check_complement_support(complemented)?;
-        let mask = MaskRows::of(mask);
         let (ncols, max_m) = (b.ncols(), mask.max_row_nnz());
         macro_rules! push {
             ($scratch:expr) => {{
@@ -221,87 +269,6 @@ where
                 inner_rows(phases, true, sr, mask, complemented, a, csc)
             }
         })
-    }
-
-    /// Run one masked SpGEVM `v = m ⊙ (u·B)` with this set's reused
-    /// accumulators — the vector counterpart of [`ScratchSet::run`].
-    ///
-    /// Where [`crate::masked_spgevm`] builds a fresh `O(ncols)` accumulator
-    /// per call, this borrows the family's [`KernelScratch`] (regrown
-    /// monotonically), so frontier loops that issue one product per BFS
-    /// level stop paying the allocation and page-touch cost per level.
-    /// [`Algorithm::Inner`] carries no accumulator (dots write straight to
-    /// the output); it runs through the CSC path (`b_csc`, converted on the
-    /// fly when absent) exactly like the matrix driver.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_vec<MT>(
-        &mut self,
-        algorithm: Algorithm,
-        complemented: bool,
-        sr: S,
-        mask: &SparseVec<MT>,
-        u: &SparseVec<S::A>,
-        b: &CsrMatrix<S::B>,
-        b_csc: Option<&CscMatrix<S::B>>,
-    ) -> Result<SparseVec<S::C>, SparseError>
-    where
-        MT: Copy,
-        S::B: Clone,
-    {
-        if u.dim() != b.nrows() {
-            return Err(SparseError::DimMismatch {
-                op: "ScratchSet::run_vec (u·B)",
-                lhs: (1, u.dim()),
-                rhs: b.shape(),
-            });
-        }
-        if mask.dim() != b.ncols() {
-            return Err(SparseError::DimMismatch {
-                op: "ScratchSet::run_vec (mask)",
-                lhs: (1, mask.dim()),
-                rhs: (1, b.ncols()),
-            });
-        }
-        algorithm.check_complement_support(complemented)?;
-        if algorithm == Algorithm::Inner {
-            return Ok(match b_csc {
-                Some(csc) => crate::spgevm::masked_spgevm_csc(complemented, sr, mask, u, csc)?,
-                None => {
-                    let csc = CscMatrix::from_csr(b);
-                    crate::spgevm::masked_spgevm_csc(complemented, sr, mask, u, &csc)?
-                }
-            });
-        }
-        let (mcols, ucols, uvals) = (mask.indices(), u.indices(), u.values());
-        let mut out_cols = Vec::new();
-        let mut out_vals = Vec::new();
-        macro_rules! run_kernel {
-            ($scratch:expr) => {{
-                let k = $scratch.acquire(b.ncols(), mcols.len());
-                if complemented {
-                    k.compute_row_complemented(
-                        sr,
-                        mcols,
-                        ucols,
-                        uvals,
-                        b,
-                        &mut out_cols,
-                        &mut out_vals,
-                    );
-                } else {
-                    k.compute_row(sr, mcols, ucols, uvals, b, &mut out_cols, &mut out_vals);
-                }
-            }};
-        }
-        match algorithm {
-            Algorithm::Msa => run_kernel!(self.msa),
-            Algorithm::Hash => run_kernel!(self.hash),
-            Algorithm::Mca => run_kernel!(self.mca),
-            Algorithm::Heap => run_kernel!(self.heap),
-            Algorithm::HeapDot => run_kernel!(self.heap_dot),
-            Algorithm::Inner => unreachable!("handled above"),
-        }
-        SparseVec::try_new(b.ncols(), out_cols, out_vals)
     }
 }
 

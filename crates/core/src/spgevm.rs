@@ -4,11 +4,14 @@
 //! `v⊺ = m⊺ ⊙ (u⊺·B)` (Section 5) — Masked SpGEMM is just this, once per
 //! row. This module exposes the operation directly on sparse vectors,
 //! which is what frontier-based graph traversals (BFS, push-pull) consume.
+//! A vector is one row: each product here is the one-row matrix product,
+//! run by the same one-phase driver as a matrix, on views of the vectors
+//! (no copy).
 
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
-use crate::algos::inner;
-use crate::api::Algorithm;
+use crate::api::{check_shapes, Algorithm, Phases};
+use crate::exec::{inner_rows, one_row};
 use crate::scratch::ScratchSet;
 
 /// Compute `v = m ⊙ (u·B)` (or `¬m ⊙` with `complemented`) with the chosen
@@ -44,56 +47,24 @@ pub fn masked_spgevm_csc<S, MT>(
 ) -> Result<SparseVec<S::C>, SparseError>
 where
     S: Semiring,
+    S::C: Default + Sync,
     MT: Copy,
 {
-    if u.dim() != b.nrows() {
-        return Err(SparseError::DimMismatch {
-            op: "masked_spgevm_csc (u·B)",
-            lhs: (1, u.dim()),
-            rhs: b.shape(),
-        });
-    }
-    if mask.dim() != b.ncols() {
-        return Err(SparseError::DimMismatch {
-            op: "masked_spgevm_csc (mask)",
-            lhs: (1, mask.dim()),
-            rhs: (1, b.ncols()),
-        });
-    }
+    check_shapes((1, mask.dim()), (1, u.dim()), b.shape())?;
     // Inner does support complemented masks; the check is here so every
     // SpGEVM entry point funnels polarity support through the same
     // `check_complement_support` gate as the matrix paths (uniform
     // `SparseError::Unsupported`, never a panic or silent fallback).
     Algorithm::Inner.check_complement_support(complemented)?;
-    let mut out_cols = Vec::new();
-    let mut out_vals = Vec::new();
-    if complemented {
-        inner::inner_row_complemented(
-            sr,
-            mask.indices(),
-            u.indices(),
-            u.values(),
-            b,
-            &mut out_cols,
-            &mut out_vals,
-        );
-    } else {
-        inner::inner_row(
-            sr,
-            mask.indices(),
-            u.indices(),
-            u.values(),
-            b,
-            &mut out_cols,
-            &mut out_vals,
-        );
-    }
-    SparseVec::try_new(b.ncols(), out_cols, out_vals)
+    one_row(mask, u, |mask, u| {
+        Ok(inner_rows(Phases::One, true, sr, mask, complemented, u, b))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::COMPLEMENT_UNSUPPORTED;
     use crate::kernel::testutil::random_csr;
     use sparse::PlusTimes;
 
@@ -159,12 +130,98 @@ mod tests {
     fn dimension_errors() {
         let sr = PlusTimes::<f64>::new();
         let b = random_csr(4, 4, 1, 50);
-        let u = SparseVec::try_new(5, vec![0], vec![1.0]).unwrap();
-        let m = SparseVec::<()>::empty(4);
-        assert!(masked_spgevm(Algorithm::Msa, false, sr, &m, &u, &b).is_err());
-        let u = SparseVec::try_new(4, vec![0], vec![1.0]).unwrap();
-        let m = SparseVec::<()>::empty(9);
-        assert!(masked_spgevm(Algorithm::Msa, false, sr, &m, &u, &b).is_err());
+        let bc = CscMatrix::from_csr(&b);
+        fn dim_mismatch<T: std::fmt::Debug>(got: Result<T, SparseError>, case: &str) {
+            assert!(
+                matches!(got, Err(SparseError::DimMismatch { .. })),
+                "{case}: {got:?}"
+            );
+        }
+        let good_u = SparseVec::try_new(4, vec![0], vec![1.0]).unwrap();
+        let good_m = SparseVec::<()>::empty(4);
+        let wrong_u = SparseVec::try_new(5, vec![0], vec![1.0]).unwrap();
+        let wrong_m = SparseVec::<()>::empty(9);
+        for (m, u, case) in [(&good_m, &wrong_u, "u·B"), (&wrong_m, &good_u, "mask")] {
+            dim_mismatch(masked_spgevm(Algorithm::Msa, false, sr, m, u, &b), case);
+            dim_mismatch(masked_spgevm_csc(false, sr, m, u, &bc), case);
+            for alg in Algorithm::ALL {
+                let got = ScratchSet::new().run_vec(alg, false, sr, m, u, &b, None);
+                dim_mismatch(got, case);
+            }
+        }
+        // A CSC copy of the wrong shape is a shape error, never a panic.
+        let wrong_csc = CscMatrix::from_csr(&random_csr(4, 3, 1, 50));
+        for alg in Algorithm::ALL {
+            let got =
+                ScratchSet::new().run_vec(alg, false, sr, &good_m, &good_u, &b, Some(&wrong_csc));
+            dim_mismatch(got, "run_vec CSC");
+        }
+        let (m, a) = (random_csr(4, 4, 2, 50).pattern(), random_csr(4, 4, 3, 50));
+        let got = crate::hybrid_masked_spgemm(
+            Phases::One,
+            crate::HybridConfig::default(),
+            sr,
+            &m,
+            &a,
+            &b,
+            &wrong_csc,
+        );
+        dim_mismatch(got, "hybrid CSC");
+    }
+
+    /// A vector product is the one-row matrix product: `run_vec` equals the
+    /// row of `run` on `m` and `u` as `1 × n` matrices, for every family,
+    /// both polarities and both phase disciplines, with one scratch set
+    /// reused as the sizes grow and shrink; `masked_spgevm_csc` equals the
+    /// Inner row.
+    #[test]
+    fn vector_form_is_the_one_row_matrix_form() {
+        let sr = PlusTimes::<f64>::new();
+        let mut set = ScratchSet::new();
+        let as_row = |v: &SparseVec<f64>| {
+            CsrMatrix::try_new(
+                1,
+                v.dim(),
+                vec![0, v.nnz()],
+                v.indices().to_vec(),
+                v.values().to_vec(),
+            )
+            .unwrap()
+        };
+        for (k, n, seed) in [
+            (12usize, 15usize, 1u64),
+            (40, 60, 2),
+            (6, 5, 3),
+            (30, 33, 4),
+        ] {
+            let b = random_csr(k, n, seed * 11 + 1, 35);
+            let bc = CscMatrix::from_csr(&b);
+            let urow = random_csr(1, k, seed * 11 + 2, 50);
+            let u = SparseVec::try_new(k, urow.row(0).0.to_vec(), urow.row(0).1.to_vec()).unwrap();
+            let mrow = random_csr(1, n, seed * 11 + 3, 45).pattern();
+            let m =
+                SparseVec::try_new(n, mrow.row(0).0.to_vec(), vec![(); mrow.row_nnz(0)]).unwrap();
+            let a = as_row(&u);
+            for compl in [false, true] {
+                for alg in Algorithm::ALL {
+                    let vec = set
+                        .run_vec(alg, compl, sr, &m, &u, &b, Some(&bc))
+                        .map(|v| as_row(&v));
+                    for ph in Phases::ALL {
+                        let mat = set.run(alg, ph, compl, sr, &mrow, &a, &b, Some(&bc));
+                        assert_eq!(vec, mat, "{alg:?}-{ph:?} compl={compl} seed={seed}");
+                    }
+                    if compl && !alg.supports_complement() {
+                        let unsupported = SparseError::Unsupported(COMPLEMENT_UNSUPPORTED);
+                        assert_eq!(vec, Err(unsupported), "{alg:?} seed={seed}");
+                    }
+                    if alg == Algorithm::Inner {
+                        let csc = masked_spgevm_csc(compl, sr, &m, &u, &bc).map(|v| as_row(&v));
+                        assert_eq!(csc, vec, "Inner compl={compl} seed={seed}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,8 @@ impl ValueVec {
         on_variant!(self, ValueVec, v => v.indices())
     }
 
-    /// Pattern-only copy (for mask operands of SpGEVM kernels).
+    /// Pattern-only copy (the engine reads a vector mask's pattern in
+    /// place; this is for callers that want it detached).
     pub fn pattern(&self) -> SparseVec<()> {
         on_variant!(self, ValueVec, v => v.pattern())
     }

@@ -184,8 +184,9 @@ pub struct MaskedOp {
     /// Force this phase discipline instead of the planner's choice.
     ///
     /// Every matrix product runs it: row-parallel, serial under the
-    /// cutoff, and as a batch entry. A vector-operand product is a single
-    /// row, computed once, so it has no phase discipline. Results are
+    /// cutoff, and as a batch entry. A vector-operand product is the
+    /// one-row matrix product and always runs the one-phase driver on
+    /// that row, so this setting does not apply to it. Results are
     /// bit-identical either way.
     pub phases: Option<Phases>,
     /// What happens to the result (see [`AccumMode`]).
@@ -693,7 +694,7 @@ impl Context {
                 b: self.view(b),
             },
             Operands::VecMat { mask, u, b } => Inputs::Vec {
-                mask: self.vector(mask).pattern(),
+                mask: self.vector(mask),
                 // Lane agreement was validated by `resolve_plan`; a
                 // mismatch here means a concurrent lane change.
                 u: T::native_vec(&self.vector(u))
@@ -773,12 +774,15 @@ impl Context {
                 }
             })
             .map(T::mat_output),
-            Inputs::Vec { mask, u, b } => match (b, r.plan.choice) {
-                (Some(b), Choice::Fixed(alg)) => {
-                    scratch.get::<S>().run_vec(alg, compl, sr, mask, u, b, None)
+            Inputs::Vec { mask, u, b } => on_variant!(mask, ValueVec, m => {
+                let m = m.as_ref();
+                match (b, r.plan.choice) {
+                    (Some(b), Choice::Fixed(alg)) => {
+                        scratch.get::<S>().run_vec(alg, compl, sr, m, u, b, None)
+                    }
+                    _ => masked_spgevm_csc(compl, sr, m, u, pulled()),
                 }
-                _ => masked_spgevm_csc(compl, sr, mask, u, pulled()),
-            }
+            })
             .map(T::vec_output),
         }
     }
@@ -880,10 +884,11 @@ enum Inputs<T> {
         a: Arc<CsrMatrix<T>>,
         b: Arc<CsrMatrix<T>>,
     },
-    /// `m ⊙ (u·B)`: the mask pattern, the operand vector, and `B`'s lane
-    /// CSR view, built only when the plan pushes.
+    /// `m ⊙ (u·B)`: the mask in its **native** stored lane (an `Arc`
+    /// clone; the kernels read only its pattern), the operand vector, and
+    /// `B`'s lane CSR view, built only when the plan pushes.
     Vec {
-        mask: SparseVec<()>,
+        mask: ValueVec,
         u: Arc<SparseVec<T>>,
         b: Option<Arc<CsrMatrix<T>>>,
     },

@@ -64,7 +64,8 @@ pub struct Plan {
     /// the estimated work is below the calibrated dispatch overhead
     /// ([`Context::set_serial_cutoff_flops`]), or a batch worker runs the
     /// op whole. Vector-operand plans are always serial — a single output
-    /// row has no row parallelism to win. A serial plan's choice is never
+    /// row has no row parallelism to win — and run the one-phase driver
+    /// on that one row. A serial plan's choice is never
     /// [`Choice::Hybrid`].
     pub serial: bool,
     /// The cost estimates that produced the choice.
@@ -142,18 +143,29 @@ pub(crate) fn validate(
     b: MatrixHandle,
 ) -> Result<(), SparseError> {
     let (em, ea, eb) = (ctx.try_entry(mask)?, ctx.try_entry(a)?, ctx.try_entry(b)?);
-    if ea.matrix.ncols() != eb.matrix.nrows() {
+    check_shapes(em.matrix.shape(), ea.matrix.shape(), eb.matrix.shape())
+}
+
+/// A [`SparseError::DimMismatch`] unless a mask of shape `mask`, `A` of
+/// shape `a` and `B` of shape `b` form `M ⊙ (A·B)`; a vector operand is
+/// one row, of shape `(1, dim)`.
+fn check_shapes(
+    mask: (usize, usize),
+    a: (usize, usize),
+    b: (usize, usize),
+) -> Result<(), SparseError> {
+    if a.1 != b.0 {
         return Err(SparseError::DimMismatch {
             op: "engine plan (A·B)",
-            lhs: ea.matrix.shape(),
-            rhs: eb.matrix.shape(),
+            lhs: a,
+            rhs: b,
         });
     }
-    if em.matrix.shape() != (ea.matrix.nrows(), eb.matrix.ncols()) {
+    if mask != (a.0, b.1) {
         return Err(SparseError::DimMismatch {
             op: "engine plan (mask)",
-            lhs: em.matrix.shape(),
-            rhs: (ea.matrix.nrows(), eb.matrix.ncols()),
+            lhs: mask,
+            rhs: (a.0, b.1),
         });
     }
     Ok(())
@@ -252,21 +264,7 @@ pub(crate) fn validate_vec(
     let (mv, uv) = (ctx.try_vector(mask)?, ctx.try_vector(u)?);
     // Shape checks are structure-only: never materialize a lane view here.
     let b_shape = ctx.try_entry(b)?.matrix.shape();
-    if uv.dim() != b_shape.0 {
-        return Err(SparseError::DimMismatch {
-            op: "engine plan (u·B)",
-            lhs: (1, uv.dim()),
-            rhs: b_shape,
-        });
-    }
-    if mv.dim() != b_shape.1 {
-        return Err(SparseError::DimMismatch {
-            op: "engine plan (vector mask)",
-            lhs: (1, mv.dim()),
-            rhs: (1, b_shape.1),
-        });
-    }
-    Ok(())
+    check_shapes((1, mv.dim()), (1, uv.dim()), b_shape)
 }
 
 /// Cost-model planning for a vector-operand multiply `v = m ⊙ (u·B)` (or
