@@ -38,7 +38,8 @@
 //! no slower than direct calls on the repeated-multiply loops. The harness
 //! prints a table of median times and median pair ratios and exits
 //! nonzero if a row's ratio exceeds 1.10, if peel planning shows no
-//! fingerprint-cache reuse, or if the skew guard fails. (The
+//! fingerprint-cache reuse, if the skew guard fails, or if the start-up
+//! `calibrate()` takes over 0.1 s. (The
 //! pool-vs-spawn comparison is recorded in the committed
 //! `BENCH_scheduler.json`.)
 //!
@@ -50,6 +51,10 @@ use graph_algos::{bfs, bfs_auto, ktruss, ktruss_auto, Direction, Scheme};
 use masked_spgemm::{masked_spgemm, Algorithm, Phases};
 use profile::table::{write_text, Table};
 use sparse::{CscMatrix, CsrMatrix, PlusPair, PlusTimes};
+
+/// Wall-time bound on the context's start-up `calibrate()`, which sits on
+/// every set-up path.
+const MAX_CALIBRATE_S: f64 = 0.1;
 
 /// One row's interleaved timing: the median time of each side and the
 /// median of the per-pair engine/direct ratios.
@@ -113,10 +118,11 @@ fn main() {
     let batch = args.pick(8usize, 32, 128);
 
     let ctx = Context::new();
-    let cal = ctx.calibrate();
+    let (cal, calibrate_t) = profile::time_once(|| ctx.calibrate());
+    let calibrate_s = calibrate_t.as_secs_f64();
     println!(
-        "calibrated cost model: msa_overhead={:.1} heap_factor={:.2}",
-        cal.config.msa_overhead, cal.config.heap_factor
+        "calibrate(): dispatch overhead {:.3e}s, serial cutoff {:.1} flops, took {calibrate_s:.4}s",
+        cal.dispatch_overhead_secs, cal.serial_cutoff_flops
     );
 
     let adj = graphs::to_undirected_simple(&graphs::rmat(
@@ -355,6 +361,10 @@ fn main() {
 
     println!("worst median engine/direct pair ratio: {worst_ratio:.3}");
     let mut failed = false;
+    if calibrate_s > MAX_CALIBRATE_S {
+        eprintln!("FAIL: calibrate() took {calibrate_s:.4}s (bound {MAX_CALIBRATE_S}s)");
+        failed = true;
+    }
     if worst_ratio > 1.10 {
         eprintln!("FAIL: engine repeated-multiply path regressed beyond 10%");
         failed = true;

@@ -19,8 +19,8 @@
 //! | Heap   | `mm + heap_factor·f·(1 + log₂(u+1))` | `O(nnz(m) + log nnz(u)·flops)` |
 //! | Inner  | `inner_factor·(scan + Σ_{dots j} (u + nnz(B(:,j))))` | one dot of length `u + nnz(B(:,j))` per visited column |
 //!
-//! [`HybridConfig`] holds the three constants; `engine`'s
-//! `Context::calibrate` measures them on the machine at hand.
+//! [`HybridConfig`] holds the three constants; its defaults are the model
+//! every `engine` context plans with unless a caller installs others.
 //! [`cheapest`] picks the family: per row for the hybrid
 //! (dense hub rows to MSA, sparse fringe rows to dots, a mix no fixed
 //! scheme can run), and over the [`CostTotals`] of a whole multiply.
@@ -56,9 +56,8 @@ pub struct HybridConfig {
     pub msa_overhead: f64,
     /// Multiplier on the heap's per-flop cost.
     pub heap_factor: f64,
-    /// Multiplier on the pull-based dot cost (branchy sorted merges cost
-    /// more per touched element than MSA's streaming scatter; measured by
-    /// `engine`'s calibration).
+    /// Multiplier on the pull-based dot cost (branchy sorted merges may
+    /// cost more per touched element than MSA's streaming scatter).
     pub inner_factor: f64,
 }
 

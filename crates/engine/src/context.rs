@@ -566,7 +566,8 @@ impl Context {
         *self.cfg.read().expect("config lock")
     }
 
-    /// Replace the cost-model constants (see [`Context::calibrate`]).
+    /// Replace the cost-model constants ([`HybridConfig::default`] until
+    /// then; [`Context::calibrate`] leaves them as they are).
     pub fn set_config(&self, cfg: HybridConfig) {
         *self.cfg.write().expect("config lock") = cfg;
         // Plans embed cost estimates; a new model invalidates them.
@@ -891,8 +892,9 @@ impl Context {
     /// `flops` to the serial in-thread path instead of dispatching the
     /// worker pool ([`Plan::serial`](crate::Plan)). [`Context::calibrate`]
     /// installs `dispatch_overhead / msa_secs_per_flop` here — the work
-    /// level at which waking the pool costs as much as the product itself.
-    /// `0.0` (the default before calibration) disables the cutoff.
+    /// level at which waking the pool costs as much as the product itself;
+    /// it is the one planner input calibration measures. `0.0` (the
+    /// default before calibration) disables the cutoff.
     pub fn set_serial_cutoff_flops(&self, flops: f64) {
         *self.serial_cutoff.write().expect("cutoff lock") = flops;
         // Cached plans embed the serial decision; recompute them.

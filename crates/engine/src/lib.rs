@@ -33,8 +33,10 @@
 //!   *fingerprint classes* ([`Context::plan_fingerprint`]), so
 //!   structurally-similar versions (k-truss peels) reuse plans without
 //!   re-planning at all;
-//! * **calibrates the model** — [`Context::calibrate`] measures the
-//!   machine's actual MSA/heap cost ratios and rescales [`HybridConfig`];
+//! * **calibrates the serial cutoff** — [`Context::calibrate`] measures
+//!   the pool's dispatch cost against a flop on this machine and installs
+//!   the flop count below which products run on the calling thread (the
+//!   cost model itself, [`HybridConfig`], is a committed default);
 //! * **streams heterogeneous batches** — [`Context::for_each_result`] runs
 //!   many independent multiplies concurrently (one worker per product,
 //!   per-worker reused kernel scratch), mixing semirings freely, and hands

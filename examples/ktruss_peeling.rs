@@ -26,7 +26,7 @@ fn main() {
     );
 
     let ctx = Context::new();
-    ctx.calibrate(); // measure this machine's cost-model constants
+    ctx.calibrate(); // measure this machine's serial cutoff
     let h = ctx.insert(adj.clone());
     // Describe the support computation as an operation descriptor and ask
     // what the planner would do with it.

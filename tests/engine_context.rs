@@ -444,12 +444,40 @@ fn planner_numbers_are_pinned() {
     }
 }
 
+/// `calibrate()` measures only the serial cutoff: a calibrated context
+/// plans [`pinned_plans`] exactly like an uncalibrated one given the same
+/// cutoff — the same labels, serial flags and cost bits.
+#[test]
+fn calibration_changes_no_plan_but_the_serial_cutoff() {
+    let calibrated = Context::with_threads(1);
+    let cal = calibrated.calibrate();
+    let uncalibrated = Context::with_threads(1);
+    uncalibrated.set_serial_cutoff_flops(cal.serial_cutoff_flops);
+    let costs = |p: &Plan| {
+        let c = p.costs;
+        (
+            [c.msa, c.mca, c.heap, c.inner, c.hybrid].map(f64::to_bits),
+            c.flops,
+        )
+    };
+    for ((name, got), (_, want)) in pinned_plans(&calibrated)
+        .into_iter()
+        .zip(pinned_plans(&uncalibrated))
+    {
+        assert_eq!(got.label(), want.label(), "{name}");
+        assert_eq!(got.serial, want.serial, "{name}");
+        assert_eq!(costs(&got), costs(&want), "{name}: {:?}", got.costs);
+    }
+}
+
 /// The headline triangle-counting product `L ⊙ (L·L)` on a
 /// degree-ordered R-MAT graph. Its mask rows point at hub columns, so a
 /// pull priced by `B`'s average column degree looks about 10× cheaper than
 /// it is and sends most rows to dots (`Hybrid-1P`, about 3× slower than
 /// MSA). Priced by the columns it visits, the product plans `MSA-1P` at the
-/// default constants and across the range `calibrate()` returns.
+/// default constants and at the 8 corners of a box of other constants
+/// (`msa_overhead` 8–22, `heap_factor` 1.4–2.6, `inner_factor` 1.7–2.6):
+/// the plan does not rest on one constant's exact value.
 #[test]
 fn headline_triangle_product_plans_msa() {
     let adj = graphs::to_undirected_simple(&graphs::rmat(10, graphs::RmatParams::default(), 7));
