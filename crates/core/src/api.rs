@@ -1,9 +1,10 @@
-//! High-level API: algorithm selection and dispatch.
+//! High-level API: algorithm selection and the matrix entry points.
 
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError};
 
-use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
-use crate::exec::{inner_driver, push_driver};
+use crate::exec::Product;
+use crate::hybrid::HybridConfig;
+use crate::scratch::ScratchSet;
 
 /// The Masked SpGEMM algorithm families of the paper (Section 8's scheme
 /// names, minus the 1P/2P suffix which is [`Phases`]).
@@ -70,6 +71,16 @@ impl Algorithm {
     }
 }
 
+/// What runs a product: one algorithm family for every row, or the
+/// per-row hybrid ([`crate::hybrid`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Choice {
+    /// One algorithm for every row.
+    Fixed(Algorithm),
+    /// Per-row adaptive selection (plain masks only).
+    Hybrid,
+}
+
 /// The one error message for "MCA × complemented mask", shared by every
 /// entry point (the MCA accumulator is addressed by mask *rank*, which
 /// presupposes the output pattern is a subset of the mask — Section 5.4).
@@ -100,7 +111,7 @@ impl Phases {
 /// A [`SparseError::DimMismatch`] unless a mask of shape `mask`, `A` of
 /// shape `a` and `B` of shape `b` form the product `M ⊙ (A·B)`. A vector
 /// operand is one row: shape `(1, dim)`.
-pub(crate) fn check_shapes(
+pub fn check_shapes(
     mask: (usize, usize),
     a: (usize, usize),
     b: (usize, usize),
@@ -171,28 +182,14 @@ where
     MT: Copy + Sync,
 {
     check_shapes(mask.shape(), a.shape(), b.shape())?;
-    algorithm.check_complement_support(complemented)?;
-    macro_rules! push {
-        ($kernel:ty) => {
-            push_driver::<S, $kernel, MT>(phases, sr, mask, complemented, a, b)
-        };
-    }
-    let c = match algorithm {
-        Algorithm::Msa => push!(MsaKernel<S>),
-        Algorithm::Hash => push!(HashKernel<S>),
-        Algorithm::Mca => push!(McaKernel<S>),
-        Algorithm::Heap => push!(HeapKernel<S, { ninspect::ONE }>),
-        Algorithm::HeapDot => push!(HeapKernel<S, { ninspect::INF }>),
-        Algorithm::Inner => {
-            inner_driver(phases, sr, mask, complemented, a, &CscMatrix::from_csr(b))
-        }
-    };
-    Ok(c)
+    let p = Product::of(sr, mask, complemented, a);
+    let (choice, cfg) = (Choice::Fixed(algorithm), HybridConfig::default());
+    ScratchSet::new().execute(choice, phases, false, cfg, p, Some(b), None)
 }
 
 /// [`masked_spgemm`] for callers that already hold `B` in CSC form
-/// (only meaningful for [`Algorithm::Inner`]; other algorithms convert
-/// back to CSR, which defeats the purpose — they return an error).
+/// (only meaningful for [`Algorithm::Inner`]; the push algorithms read
+/// `B` in CSR, so they return an error).
 pub fn masked_spgemm_csc<S, MT>(
     algorithm: Algorithm,
     phases: Phases,
@@ -208,13 +205,9 @@ where
     MT: Copy + Sync,
 {
     check_shapes(mask.shape(), a.shape(), b.shape())?;
-    if algorithm != Algorithm::Inner {
-        return Err(SparseError::Unsupported(
-            "masked_spgemm_csc supports only Algorithm::Inner",
-        ));
-    }
-    algorithm.check_complement_support(complemented)?;
-    Ok(inner_driver(phases, sr, mask, complemented, a, b))
+    let p = Product::of(sr, mask, complemented, a);
+    let (choice, cfg) = (Choice::Fixed(algorithm), HybridConfig::default());
+    ScratchSet::new().execute(choice, phases, false, cfg, p, None, Some(b))
 }
 
 #[cfg(test)]

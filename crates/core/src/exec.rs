@@ -18,10 +18,18 @@
 //! claims within a driver call ([`crate::scratch::WorkerLocal`] keyed by
 //! the pool's stable worker indices).
 //!
+//! Every product reaches its row producer through one dispatch,
+//! [`crate::ScratchSet::run`]'s executor: a push producer per accumulator
+//! (closing over CSR `B`), the pull `Inner` producer (closing over CSC
+//! `B`), or the per-row [`crate::hybrid`] producer (both forms). A
+//! producer is shared by every worker; the mutable state it computes rows
+//! with (its kernel: an accumulator, none for `Inner`, three for the
+//! hybrid) is per worker.
+//!
 //! A serial run is the same drivers on the one row range `0..nrows` with
-//! one producer the caller lends (`Producers::One`): a one-part
-//! parallel iterator runs inline on the calling thread, so it never
-//! dispatches the pool.
+//! one kernel the caller lends (`Kernels::One`): a one-part parallel
+//! iterator runs inline on the calling thread, so it never dispatches the
+//! pool.
 //!
 //! * **One phase**: each chunk computes its rows into growable thread-local
 //!   buffers; per-row counts are prefix-summed into the final row pointers
@@ -45,13 +53,14 @@ use crate::api::Phases;
 use crate::kernel::RowKernel;
 use crate::scratch::WorkerLocal;
 
-/// Produce rows of the output, one at a time. Implemented by the push
-/// kernels (closing over CSR `B`), by the pull `Inner` algorithm
-/// (closing over CSC `B`), and by the adaptive [`crate::hybrid`] producer;
-/// lets all of them share the drivers below.
-pub(crate) trait RowProducer<C>: Send {
-    fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<C>);
-    fn count_row(&mut self, i: usize) -> usize;
+/// Produce rows of the output, one at a time, with a per-worker kernel
+/// `K` (the mutable scratch rows are computed in). One producer serves
+/// every worker of a product.
+pub(crate) trait RowProducer<C, K>: Sync {
+    /// A fresh kernel for one pool worker.
+    fn new_kernel(&self) -> K;
+    fn compute_row(&self, kernel: &mut K, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<C>);
+    fn count_row(&self, kernel: &mut K, i: usize) -> usize;
 }
 
 /// A mask as the kernels read it: its pattern, whatever its value type.
@@ -118,61 +127,108 @@ impl<'a, T> Rows<'a, T> {
     }
 }
 
-/// Run a vector product as the one-row matrix product: `product` gets the
-/// mask and `u` as one-row views and its `1 × n` result comes back as a
-/// vector.
-pub(crate) fn one_row<MT, A, C>(
+/// Run a vector product as the one-row matrix product: `product` gets a
+/// [`Product`] viewing the mask and `u` as one-row operands, and its
+/// `1 × n` result comes back as a vector.
+pub(crate) fn one_row<S: Semiring, MT>(
+    sr: S,
     mask: &SparseVec<MT>,
-    u: &SparseVec<A>,
-    product: impl FnOnce(MaskRows<'_>, Rows<'_, A>) -> Result<CsrMatrix<C>, SparseError>,
-) -> Result<SparseVec<C>, SparseError> {
+    complemented: bool,
+    u: &SparseVec<S::A>,
+    product: impl FnOnce(Product<'_, S>) -> Result<CsrMatrix<S::C>, SparseError>,
+) -> Result<SparseVec<S::C>, SparseError> {
     let (mask_ptr, u_ptr) = ([0, mask.nnz()], [0, u.nnz()]);
     let mask = MaskRows {
         rowptr: &mask_ptr,
         colidx: mask.indices(),
     };
-    let u = Rows {
+    let a = Rows {
         rowptr: &u_ptr,
         colidx: u.indices(),
         values: u.values(),
     };
-    let c = product(mask, u)?;
+    let c = product(Product {
+        sr,
+        mask,
+        complemented,
+        a,
+    })?;
     let (_, ncols, _, cols, vals) = c.into_parts();
     SparseVec::try_new(ncols, cols, vals)
 }
 
-struct PushProducer<'m, S: Semiring, K> {
-    sr: S,
-    kernel: K,
-    mask: MaskRows<'m>,
-    a: Rows<'m, S::A>,
-    b: &'m CsrMatrix<S::B>,
-    complemented: bool,
+/// One product's mask, polarity and left operand, as every row producer
+/// reads them.
+#[derive(Copy, Clone)]
+pub(crate) struct Product<'p, S: Semiring> {
+    pub(crate) sr: S,
+    pub(crate) mask: MaskRows<'p>,
+    pub(crate) complemented: bool,
+    pub(crate) a: Rows<'p, S::A>,
 }
 
-impl<'m, S, K> RowProducer<S::C> for PushProducer<'m, S, K>
+impl<'p, S: Semiring> Product<'p, S> {
+    /// The product of matrix operands.
+    pub(crate) fn of<MT>(
+        sr: S,
+        mask: &'p CsrMatrix<MT>,
+        complemented: bool,
+        a: &'p CsrMatrix<S::A>,
+    ) -> Self {
+        let (mask, a) = (MaskRows::of(mask), Rows::of(a));
+        Product {
+            sr,
+            mask,
+            complemented,
+            a,
+        }
+    }
+
+    /// Row `i`'s mask columns, and the columns and values of `A`'s row.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> (&'p [Idx], &'p [Idx], &'p [S::A]) {
+        let (ac, av) = self.a.row(i);
+        (self.mask.row(i), ac, av)
+    }
+}
+
+/// A push producer: any [`RowKernel`] scattering the rows of CSR `B`. Its
+/// kernels are sized for `B`'s columns and the longest mask row `max_m`.
+pub(crate) struct PushProducer<'p, S: Semiring> {
+    pub(crate) p: Product<'p, S>,
+    pub(crate) b: &'p CsrMatrix<S::B>,
+    pub(crate) max_m: usize,
+}
+
+impl<S, K> RowProducer<S::C, K> for PushProducer<'_, S>
 where
     S: Semiring,
     K: RowKernel<S>,
 {
+    fn new_kernel(&self) -> K {
+        K::new(self.b.ncols(), self.max_m)
+    }
+
     #[inline]
-    fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
-        let mc = self.mask.row(i);
-        let (ac, av) = self.a.row(i);
-        let kernel = &mut self.kernel;
-        if self.complemented {
-            kernel.compute_row_complemented(self.sr, mc, ac, av, self.b, out_cols, out_vals);
+    fn compute_row(
+        &self,
+        kernel: &mut K,
+        i: usize,
+        out_cols: &mut Vec<Idx>,
+        out_vals: &mut Vec<S::C>,
+    ) {
+        let ((mc, ac, av), sr, b) = (self.p.row(i), self.p.sr, self.b);
+        if self.p.complemented {
+            kernel.compute_row_complemented(sr, mc, ac, av, b, out_cols, out_vals);
         } else {
-            kernel.compute_row(self.sr, mc, ac, av, self.b, out_cols, out_vals);
+            kernel.compute_row(sr, mc, ac, av, b, out_cols, out_vals);
         }
     }
 
     #[inline]
-    fn count_row(&mut self, i: usize) -> usize {
-        let mc = self.mask.row(i);
-        let (ac, av) = self.a.row(i);
-        let kernel = &mut self.kernel;
-        if self.complemented {
+    fn count_row(&self, kernel: &mut K, i: usize) -> usize {
+        let (mc, ac, av) = self.p.row(i);
+        if self.p.complemented {
             kernel.count_row_complemented(mc, ac, av, self.b)
         } else {
             kernel.count_row(mc, ac, av, self.b)
@@ -180,34 +236,30 @@ where
     }
 }
 
-struct InnerProducer<'m, S: Semiring> {
-    sr: S,
-    mask: MaskRows<'m>,
-    a: Rows<'m, S::A>,
-    b: &'m CscMatrix<S::B>,
-    complemented: bool,
+/// The pull producer: one sorted-merge dot product per admissible output
+/// position, against CSC `B`. It needs no kernel.
+pub(crate) struct InnerProducer<'p, S: Semiring> {
+    pub(crate) p: Product<'p, S>,
+    pub(crate) b: &'p CscMatrix<S::B>,
 }
 
-impl<'m, S> RowProducer<S::C> for InnerProducer<'m, S>
-where
-    S: Semiring,
-{
+impl<S: Semiring> RowProducer<S::C, ()> for InnerProducer<'_, S> {
+    fn new_kernel(&self) {}
+
     #[inline]
-    fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
-        let mc = self.mask.row(i);
-        let (ac, av) = self.a.row(i);
-        if self.complemented {
-            inner::inner_row_complemented(self.sr, mc, ac, av, self.b, out_cols, out_vals);
+    fn compute_row(&self, _: &mut (), i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
+        let ((mc, ac, av), sr, b) = (self.p.row(i), self.p.sr, self.b);
+        if self.p.complemented {
+            inner::inner_row_complemented(sr, mc, ac, av, b, out_cols, out_vals);
         } else {
-            inner::inner_row(self.sr, mc, ac, av, self.b, out_cols, out_vals);
+            inner::inner_row(sr, mc, ac, av, b, out_cols, out_vals);
         }
     }
 
     #[inline]
-    fn count_row(&mut self, i: usize) -> usize {
-        let mc = self.mask.row(i);
-        let (ac, _) = self.a.row(i);
-        if self.complemented {
+    fn count_row(&self, _: &mut (), i: usize) -> usize {
+        let (mc, ac, _) = self.p.row(i);
+        if self.p.complemented {
             inner::inner_count_row_complemented::<S>(mc, ac, self.b)
         } else {
             inner::inner_count_row::<S>(mc, ac, self.b)
@@ -245,75 +297,90 @@ fn split_at_bounds<'a, T>(mut buf: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut
     out
 }
 
-/// Where a driver's rows run and which producers compute them.
-pub(crate) enum Producers<'f, P> {
-    /// Rows in chunks at the pool's claim granularity; one producer per
-    /// pool worker, built by the function on the worker's first chunk.
-    PerWorker(WorkerLocal<P>, &'f (dyn Fn() -> P + Sync)),
-    /// Every row as the one range `0..nrows`, computed by the caller's
-    /// producer on the calling thread (the lock is never contended).
-    One(Mutex<&'f mut P>),
+/// Where a driver's rows run and which kernels compute them.
+enum Kernels<'f, K> {
+    /// Rows in chunks at the pool's claim granularity; one kernel per pool
+    /// worker, built by the function on the worker's first chunk.
+    PerWorker(WorkerLocal<K>, &'f (dyn Fn() -> K + Sync)),
+    /// Every row as the one range `0..nrows`, computed with the caller's
+    /// kernel on the calling thread (the lock is never contended).
+    One(Mutex<&'f mut K>),
 }
 
-impl<P> Producers<'_, P> {
+impl<K> Kernels<'_, K> {
     fn chunks(&self, nrows: usize) -> Vec<(usize, usize)> {
         match self {
-            Producers::PerWorker(..) => row_chunks(nrows),
-            Producers::One(_) => vec![(0, nrows)],
+            Kernels::PerWorker(..) => row_chunks(nrows),
+            Kernels::One(_) => vec![(0, nrows)],
         }
     }
 
-    fn with<R>(&self, body: impl FnOnce(&mut P) -> R) -> R {
+    fn with<R>(&self, body: impl FnOnce(&mut K) -> R) -> R {
         match self {
-            Producers::PerWorker(local, make) => local.with(make, body),
-            Producers::One(producer) => body(&mut producer.lock().expect("producer lock")),
+            Kernels::PerWorker(local, make) => local.with(make, body),
+            Kernels::One(kernel) => body(&mut kernel.lock().expect("kernel lock")),
         }
     }
 }
 
-/// Run `producers` over every row under the `phases` discipline.
-pub(crate) fn drive<C, P>(
+/// Run `producer` over every `nrows × ncols` output row under the `phases`
+/// discipline: serially on the caller's `kernel`, or, given none,
+/// row-parallel with one fresh kernel per pool worker.
+pub(crate) fn drive<C, K, P>(
     phases: Phases,
     nrows: usize,
     ncols: usize,
-    producers: Producers<'_, P>,
+    producer: &P,
+    kernel: Option<&mut K>,
 ) -> CsrMatrix<C>
 where
     C: Copy + Default + Send + Sync,
-    P: RowProducer<C>,
+    K: Send,
+    P: RowProducer<C, K>,
 {
+    let make = || producer.new_kernel();
+    let kernels = match kernel {
+        Some(kernel) => Kernels::One(Mutex::new(kernel)),
+        None => Kernels::PerWorker(WorkerLocal::new(), &make),
+    };
     match phases {
-        Phases::One => one_phase_driver(nrows, ncols, producers),
-        Phases::Two => two_phase_driver(nrows, ncols, producers),
+        Phases::One => one_phase_driver(nrows, ncols, producer, kernels),
+        Phases::Two => two_phase_driver(nrows, ncols, producer, kernels),
     }
 }
 
 /// One-phase driver: a single numeric pass into per-chunk buffers,
 /// followed by a parallel scatter into the final CSR arrays (a single
 /// chunk's buffers are moved in instead).
-fn one_phase_driver<C, P>(nrows: usize, ncols: usize, producers: Producers<'_, P>) -> CsrMatrix<C>
+fn one_phase_driver<C, K, P>(
+    nrows: usize,
+    ncols: usize,
+    producer: &P,
+    kernels: Kernels<'_, K>,
+) -> CsrMatrix<C>
 where
     C: Copy + Default + Send + Sync,
-    P: RowProducer<C>,
+    K: Send,
+    P: RowProducer<C, K>,
 {
-    let chunks = producers.chunks(nrows);
+    let chunks = kernels.chunks(nrows);
     struct ChunkOut<C> {
         counts: Vec<usize>,
         cols: Vec<Idx>,
         vals: Vec<C>,
     }
-    // Per worker, one producer (kernel scratch) is shared across every
+    // Per worker, one kernel (accumulator scratch) is shared across every
     // chunk that worker claims — with skewed rows a worker may claim many.
     let mut outs: Vec<ChunkOut<C>> = chunks
         .par_iter()
         .map(|&(s, e)| {
-            producers.with(|producer| {
+            kernels.with(|kernel| {
                 let mut counts = Vec::with_capacity(e - s);
                 let mut cols = Vec::new();
                 let mut vals = Vec::new();
                 for i in s..e {
                     let before = cols.len();
-                    producer.compute_row(i, &mut cols, &mut vals);
+                    producer.compute_row(kernel, i, &mut cols, &mut vals);
                     counts.push(cols.len() - before);
                 }
                 ChunkOut { counts, cols, vals }
@@ -353,19 +420,27 @@ where
 
 /// Two-phase driver: symbolic count, exact allocation, then a numeric pass
 /// that writes each row through a small scratch straight into its slot.
-fn two_phase_driver<C, P>(nrows: usize, ncols: usize, producers: Producers<'_, P>) -> CsrMatrix<C>
+fn two_phase_driver<C, K, P>(
+    nrows: usize,
+    ncols: usize,
+    producer: &P,
+    kernels: Kernels<'_, K>,
+) -> CsrMatrix<C>
 where
     C: Copy + Default + Send + Sync,
-    P: RowProducer<C>,
+    K: Send,
+    P: RowProducer<C, K>,
 {
-    let chunks = producers.chunks(nrows);
-    // Both passes share the producers: the symbolic count and the numeric
+    let chunks = kernels.chunks(nrows);
+    // Both passes share the kernels: the symbolic count and the numeric
     // write reuse the same accumulator scratch.
 
     // Symbolic phase.
     let chunk_counts: Vec<Vec<usize>> = chunks
         .par_iter()
-        .map(|&(s, e)| producers.with(|producer| (s..e).map(|i| producer.count_row(i)).collect()))
+        .map(|&(s, e)| {
+            kernels.with(|kernel| (s..e).map(|i| producer.count_row(kernel, i)).collect())
+        })
         .collect();
     let mut rowptr = Vec::with_capacity(nrows + 1);
     rowptr.push(0usize);
@@ -387,14 +462,14 @@ where
         .zip(col_slices)
         .zip(val_slices)
         .for_each(|((&(s, e), cs), vs)| {
-            producers.with(|producer| {
+            kernels.with(|kernel| {
                 let mut rc: Vec<Idx> = Vec::new();
                 let mut rv: Vec<C> = Vec::new();
                 let mut cursor = 0usize;
                 for i in s..e {
                     rc.clear();
                     rv.clear();
-                    producer.compute_row(i, &mut rc, &mut rv);
+                    producer.compute_row(kernel, i, &mut rc, &mut rv);
                     debug_assert_eq!(
                         rc.len(),
                         rowptr[i + 1] - rowptr[i],
@@ -408,140 +483,6 @@ where
             });
         });
     CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
-}
-
-/// Run a push-based kernel `K` in one or two phases. Shapes are the
-/// caller's to check ([`crate::api::check_shapes`]).
-pub(crate) fn push_driver<S, K, MT>(
-    phases: Phases,
-    sr: S,
-    mask: &CsrMatrix<MT>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    S::C: Default,
-    K: RowKernel<S>,
-    MT: Copy + Sync,
-{
-    push_rows::<S, K>(phases, sr, MaskRows::of(mask), complemented, Rows::of(a), b)
-}
-
-/// [`push_driver`] on the mask's pattern.
-fn push_rows<S, K>(
-    phases: Phases,
-    sr: S,
-    mask: MaskRows<'_>,
-    complemented: bool,
-    a: Rows<'_, S::A>,
-    b: &CsrMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    S::C: Default,
-    K: RowKernel<S>,
-{
-    let (max_m, ncols) = (mask.max_row_nnz(), b.ncols());
-    let make = || PushProducer {
-        sr,
-        kernel: K::new(ncols, max_m),
-        mask,
-        a,
-        b,
-        complemented,
-    };
-    let producers = Producers::PerWorker(WorkerLocal::new(), &make);
-    drive(phases, a.nrows(), ncols, producers)
-}
-
-/// A serial push run: the drivers on the one row range `0..nrows` with
-/// the caller's reused `kernel` (sized for `b` and the mask by the
-/// caller), which is handed back with the product.
-pub(crate) fn push_rows_serial<S, K>(
-    phases: Phases,
-    sr: S,
-    mask: MaskRows<'_>,
-    complemented: bool,
-    a: Rows<'_, S::A>,
-    b: &CsrMatrix<S::B>,
-    kernel: K,
-) -> (CsrMatrix<S::C>, K)
-where
-    S: Semiring,
-    S::C: Default,
-    K: RowKernel<S>,
-{
-    let mut producer = PushProducer {
-        sr,
-        kernel,
-        mask,
-        a,
-        b,
-        complemented,
-    };
-    let producers = Producers::One(Mutex::new(&mut producer));
-    let c = drive(phases, a.nrows(), b.ncols(), producers);
-    (c, producer.kernel)
-}
-
-/// Run the pull-based `Inner` algorithm (B in CSC) in one or two phases.
-/// Shapes are the caller's to check ([`crate::api::check_shapes`]).
-pub(crate) fn inner_driver<S, MT>(
-    phases: Phases,
-    sr: S,
-    mask: &CsrMatrix<MT>,
-    complemented: bool,
-    a: &CsrMatrix<S::A>,
-    b: &CscMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    S::C: Default + Sync,
-    MT: Copy + Sync,
-{
-    inner_rows(
-        phases,
-        false,
-        sr,
-        MaskRows::of(mask),
-        complemented,
-        Rows::of(a),
-        b,
-    )
-}
-
-/// [`inner_driver`] on the mask's pattern, row-parallel or, when `serial`,
-/// on the one row range `0..nrows`.
-pub(crate) fn inner_rows<S>(
-    phases: Phases,
-    serial: bool,
-    sr: S,
-    mask: MaskRows<'_>,
-    complemented: bool,
-    a: Rows<'_, S::A>,
-    b: &CscMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    S::C: Default + Sync,
-{
-    let make = || InnerProducer {
-        sr,
-        mask,
-        a,
-        b,
-        complemented,
-    };
-    let mut producer;
-    let producers = if serial {
-        producer = make();
-        Producers::One(Mutex::new(&mut producer))
-    } else {
-        Producers::PerWorker(WorkerLocal::new(), &make)
-    };
-    drive(phases, a.nrows(), b.ncols(), producers)
 }
 
 /// Build a rayon thread pool with `n` persistent workers (strong-scaling
@@ -560,8 +501,10 @@ pub fn thread_pool(n: usize) -> rayon::ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
+    use crate::api::{masked_spgemm, Algorithm, Choice};
+    use crate::hybrid::HybridConfig;
     use crate::kernel::testutil::random_csr;
+    use crate::scratch::ScratchSet;
     use sparse::dense::reference_masked_spgemm;
     use sparse::PlusTimes;
 
@@ -591,10 +534,16 @@ mod tests {
         assert_eq!(slices[2].len(), 7);
     }
 
-    /// All drivers × kernels must agree with the dense reference.
+    /// Every choice (the six families and the hybrid) × 1P/2P ×
+    /// pooled/serial agrees with the dense reference through the one
+    /// executor, with one scratch set reused throughout; a complemented
+    /// mask on MCA or the hybrid is an error.
     #[test]
     fn drivers_match_reference_all_kernels() {
         let sr = PlusTimes::<f64>::new();
+        let cfg = HybridConfig::default();
+        let mut set = ScratchSet::new();
+        let choices = Algorithm::ALL.map(Choice::Fixed);
         for seed in 0..3u64 {
             let a = random_csr(33, 29, seed * 7 + 1, 25);
             let b = random_csr(29, 41, seed * 7 + 2, 25);
@@ -602,65 +551,34 @@ mod tests {
             let bc = CscMatrix::from_csr(&b);
             for compl in [false, true] {
                 let expect = reference_masked_spgemm(sr, &m, compl, &a, &b);
-                type S = PlusTimes<f64>;
-                let results = vec![
-                    (
-                        "msa-1p",
-                        push_driver::<S, MsaKernel<S>, ()>(Phases::One, sr, &m, compl, &a, &b),
-                    ),
-                    (
-                        "msa-2p",
-                        push_driver::<S, MsaKernel<S>, ()>(Phases::Two, sr, &m, compl, &a, &b),
-                    ),
-                    (
-                        "hash-1p",
-                        push_driver::<S, HashKernel<S>, ()>(Phases::One, sr, &m, compl, &a, &b),
-                    ),
-                    (
-                        "hash-2p",
-                        push_driver::<S, HashKernel<S>, ()>(Phases::Two, sr, &m, compl, &a, &b),
-                    ),
-                    (
-                        "heap1-1p",
-                        push_driver::<S, HeapKernel<S, { ninspect::ONE }>, ()>(
-                            Phases::One,
-                            sr,
-                            &m,
+                for choice in choices.into_iter().chain([Choice::Hybrid]) {
+                    let supported =
+                        !compl || matches!(choice, Choice::Fixed(alg) if alg.supports_complement());
+                    for (phases, serial) in Phases::ALL
+                        .into_iter()
+                        .flat_map(|ph| [(ph, false), (ph, true)])
+                    {
+                        let got = set.run(
+                            choice,
+                            phases,
+                            serial,
                             compl,
+                            sr,
+                            cfg,
+                            &m,
                             &a,
                             &b,
-                        ),
-                    ),
-                    (
-                        "heapinf-2p",
-                        push_driver::<S, HeapKernel<S, { ninspect::INF }>, ()>(
-                            Phases::Two,
-                            sr,
-                            &m,
-                            compl,
-                            &a,
-                            &b,
-                        ),
-                    ),
-                    (
-                        "inner-1p",
-                        inner_driver(Phases::One, sr, &m, compl, &a, &bc),
-                    ),
-                    (
-                        "inner-2p",
-                        inner_driver(Phases::Two, sr, &m, compl, &a, &bc),
-                    ),
-                ];
-                for (name, got) in results {
-                    assert_eq!(got, expect, "{name} seed={seed} compl={compl}");
-                }
-                if !compl {
-                    let got =
-                        push_driver::<S, McaKernel<S>, ()>(Phases::One, sr, &m, compl, &a, &b);
-                    assert_eq!(got, expect, "mca-1p seed={seed}");
-                    let got =
-                        push_driver::<S, McaKernel<S>, ()>(Phases::Two, sr, &m, compl, &a, &b);
-                    assert_eq!(got, expect, "mca-2p seed={seed}");
+                            Some(&bc),
+                        );
+                        let case = format!(
+                            "{choice:?}-{phases:?} serial={serial} seed={seed} compl={compl}"
+                        );
+                        if supported {
+                            assert_eq!(got.unwrap(), expect, "{case}");
+                        } else {
+                            assert!(matches!(got, Err(SparseError::Unsupported(_))), "{case}");
+                        }
+                    }
                 }
             }
         }
@@ -672,10 +590,10 @@ mod tests {
         let a = CsrMatrix::<f64>::empty(5, 4);
         let b = CsrMatrix::<f64>::empty(4, 3);
         let m = CsrMatrix::<()>::empty(5, 3);
-        let c = push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b);
+        let c = masked_spgemm(Algorithm::Msa, Phases::One, false, sr, &m, &a, &b).unwrap();
         assert_eq!(c.shape(), (5, 3));
         assert_eq!(c.nnz(), 0);
-        let c = push_driver::<_, HashKernel<_>, _>(Phases::Two, sr, &m, true, &a, &b);
+        let c = masked_spgemm(Algorithm::Hash, Phases::Two, true, sr, &m, &a, &b).unwrap();
         assert_eq!(c.nnz(), 0);
     }
 
@@ -685,10 +603,9 @@ mod tests {
         let a = random_csr(50, 50, 9, 20);
         let b = random_csr(50, 50, 10, 20);
         let m = random_csr(50, 50, 11, 30).pattern();
-        let expect = push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b);
-        let pool = thread_pool(2);
-        let got =
-            pool.install(|| push_driver::<_, MsaKernel<_>, _>(Phases::One, sr, &m, false, &a, &b));
+        let run = || masked_spgemm(Algorithm::Msa, Phases::One, false, sr, &m, &a, &b);
+        let expect = run().unwrap();
+        let got = thread_pool(2).install(run).unwrap();
         assert_eq!(got, expect);
     }
 }

@@ -28,10 +28,10 @@
 use sparse::{CscMatrix, CsrMatrix, Idx, Semiring, SparseError};
 
 use crate::algos::{inner, ninspect, HeapKernel, McaKernel, MsaKernel};
-use crate::api::{check_csc, check_shapes, Phases};
-use crate::exec::{drive, MaskRows, Producers, RowProducer};
+use crate::api::{check_shapes, Choice, Phases};
+use crate::exec::{Product, RowProducer};
 use crate::kernel::RowKernel;
-use crate::scratch::WorkerLocal;
+use crate::scratch::ScratchSet;
 
 /// Which family the hybrid picked for a row (exposed for diagnostics).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -213,30 +213,25 @@ impl CostTotals {
     }
 }
 
-struct HybridProducer<'m, S: Semiring>
-where
-    S::C: Default,
-{
-    sr: S,
-    cfg: HybridConfig,
-    mask: MaskRows<'m>,
-    a: &'m CsrMatrix<S::A>,
-    b: &'m CsrMatrix<S::B>,
-    b_csc: &'m CscMatrix<S::B>,
-    msa: MsaKernel<S>,
-    mca: McaKernel<S>,
-    heap: HeapKernel<S, { ninspect::ONE }>,
+/// The per-row hybrid as a row producer: each row runs the family
+/// [`choose_row`] picks for it, push rows on CSR `B` and pull rows on its
+/// CSC copy. Its kernel is one accumulator per push family it can pick,
+/// each sized for `B`'s columns and the longest mask row `max_m`.
+pub(crate) struct HybridProducer<'p, S: Semiring> {
+    pub(crate) p: Product<'p, S>,
+    pub(crate) cfg: HybridConfig,
+    pub(crate) b: &'p CsrMatrix<S::B>,
+    pub(crate) b_csc: &'p CscMatrix<S::B>,
+    pub(crate) max_m: usize,
 }
 
-impl<'m, S> HybridProducer<'m, S>
-where
-    S: Semiring,
-    S::C: Default,
-{
+/// The hybrid's kernel: the MSA, MCA and heap accumulators.
+pub(crate) type HybridKernels<S> = (MsaKernel<S>, McaKernel<S>, HeapKernel<S, { ninspect::ONE }>);
+
+impl<S: Semiring> HybridProducer<'_, S> {
     fn choice(&self, i: usize) -> RowChoice {
-        let acols = self.a.row(i).0;
+        let (mcols, acols, _) = self.p.row(i);
         let f = row_flops(acols, |k| self.b.row_nnz(k));
-        let mcols = self.mask.row(i);
         let mask_col_nnz = mcols
             .iter()
             .map(|&j| self.b_csc.col_nnz(j as usize) as u64)
@@ -245,46 +240,53 @@ where
     }
 }
 
-impl<'m, S> RowProducer<S::C> for HybridProducer<'m, S>
+impl<S> RowProducer<S::C, HybridKernels<S>> for HybridProducer<'_, S>
 where
     S: Semiring,
     S::C: Default,
 {
-    fn compute_row(&mut self, i: usize, out_cols: &mut Vec<Idx>, out_vals: &mut Vec<S::C>) {
-        let mc = self.mask.row(i);
-        let (ac, av) = self.a.row(i);
+    fn new_kernel(&self) -> HybridKernels<S> {
+        let (ncols, max_m) = (self.b.ncols(), self.max_m);
+        (
+            RowKernel::new(ncols, max_m),
+            RowKernel::new(ncols, max_m),
+            RowKernel::new(ncols, max_m),
+        )
+    }
+
+    fn compute_row(
+        &self,
+        (msa, mca, heap): &mut HybridKernels<S>,
+        i: usize,
+        out_cols: &mut Vec<Idx>,
+        out_vals: &mut Vec<S::C>,
+    ) {
+        let ((mc, ac, av), sr, b) = (self.p.row(i), self.p.sr, self.b);
         match self.choice(i) {
             RowChoice::Empty => {}
-            RowChoice::Msa => self
-                .msa
-                .compute_row(self.sr, mc, ac, av, self.b, out_cols, out_vals),
-            RowChoice::Mca => self
-                .mca
-                .compute_row(self.sr, mc, ac, av, self.b, out_cols, out_vals),
-            RowChoice::Heap => self
-                .heap
-                .compute_row(self.sr, mc, ac, av, self.b, out_cols, out_vals),
-            RowChoice::Inner => {
-                inner::inner_row(self.sr, mc, ac, av, self.b_csc, out_cols, out_vals)
-            }
+            RowChoice::Msa => msa.compute_row(sr, mc, ac, av, b, out_cols, out_vals),
+            RowChoice::Mca => mca.compute_row(sr, mc, ac, av, b, out_cols, out_vals),
+            RowChoice::Heap => heap.compute_row(sr, mc, ac, av, b, out_cols, out_vals),
+            RowChoice::Inner => inner::inner_row(sr, mc, ac, av, self.b_csc, out_cols, out_vals),
         }
     }
 
-    fn count_row(&mut self, i: usize) -> usize {
-        let mc = self.mask.row(i);
-        let (ac, av) = self.a.row(i);
+    fn count_row(&self, (msa, mca, heap): &mut HybridKernels<S>, i: usize) -> usize {
+        let ((mc, ac, av), b) = (self.p.row(i), self.b);
         match self.choice(i) {
             RowChoice::Empty => 0,
-            RowChoice::Msa => self.msa.count_row(mc, ac, av, self.b),
-            RowChoice::Mca => self.mca.count_row(mc, ac, av, self.b),
-            RowChoice::Heap => self.heap.count_row(mc, ac, av, self.b),
+            RowChoice::Msa => msa.count_row(mc, ac, av, b),
+            RowChoice::Mca => mca.count_row(mc, ac, av, b),
+            RowChoice::Heap => heap.count_row(mc, ac, av, b),
             RowChoice::Inner => inner::inner_count_row::<S>(mc, ac, self.b_csc),
         }
     }
 }
 
 /// Adaptive Masked SpGEMM choosing an algorithm per output row
-/// (plain masks only; for the complement use a fixed scheme).
+/// (plain masks only; for the complement use a fixed scheme): the
+/// executor ([`crate::ScratchSet::run`]) with [`Choice::Hybrid`],
+/// row-parallel.
 pub fn hybrid_masked_spgemm<S, MT>(
     phases: Phases,
     cfg: HybridConfig,
@@ -300,46 +302,8 @@ where
     MT: Copy + Sync,
 {
     check_shapes(mask.shape(), a.shape(), b.shape())?;
-    check_csc(b_csc.shape(), b.shape())?;
-    Ok(hybrid_rows(
-        phases,
-        cfg,
-        sr,
-        MaskRows::of(mask),
-        a,
-        b,
-        b_csc,
-    ))
-}
-
-/// [`hybrid_masked_spgemm`] on the mask's pattern.
-fn hybrid_rows<S>(
-    phases: Phases,
-    cfg: HybridConfig,
-    sr: S,
-    mask: MaskRows<'_>,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    b_csc: &CscMatrix<S::B>,
-) -> CsrMatrix<S::C>
-where
-    S: Semiring,
-    S::C: Default + Sync,
-{
-    let (max_m, ncols) = (mask.max_row_nnz(), b.ncols());
-    let make = || HybridProducer {
-        sr,
-        cfg,
-        mask,
-        a,
-        b,
-        b_csc,
-        msa: MsaKernel::new(ncols, max_m),
-        mca: McaKernel::new(ncols, max_m),
-        heap: HeapKernel::new(ncols, max_m),
-    };
-    let producers = Producers::PerWorker(WorkerLocal::new(), &make);
-    drive(phases, a.nrows(), ncols, producers)
+    let p = Product::of(sr, mask, false, a);
+    ScratchSet::new().execute(Choice::Hybrid, phases, false, cfg, p, Some(b), Some(b_csc))
 }
 
 /// Per-row choices for a whole multiply (diagnostics / ablation).
@@ -417,16 +381,12 @@ mod tests {
         // copy), `hybrid_choices` (a column count) and the planner's rule
         // on the same row agree.
         let b_csc = CscMatrix::from_csr(&g);
-        let producer = HybridProducer::<PlusTimes<f64>> {
-            sr: PlusTimes::new(),
+        let producer = HybridProducer {
+            p: Product::of(PlusTimes::<f64>::new(), &g, false, &g),
             cfg,
-            mask: MaskRows::of(&g),
-            a: &g,
             b: &g,
             b_csc: &b_csc,
-            msa: MsaKernel::new(64, 64),
-            mca: McaKernel::new(64, 64),
-            heap: HeapKernel::new(64, 64),
+            max_m: 63,
         };
         let choices = hybrid_choices(cfg, &g, &g, &g);
         for (i, &choice) in choices.iter().enumerate() {

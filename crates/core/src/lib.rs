@@ -63,7 +63,7 @@ pub mod kernel;
 pub mod scratch;
 pub mod spgevm;
 
-pub use api::{masked_spgemm, masked_spgemm_csc, Algorithm, Phases};
+pub use api::{masked_spgemm, masked_spgemm_csc, Algorithm, Choice, Phases};
 pub use dynsr::{DynLane, LaneValue, SemiringKind, ValueKind};
 pub use estimate::{flops, flops_masked, flops_per_row};
 pub use exec::thread_pool;

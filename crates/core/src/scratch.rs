@@ -14,11 +14,15 @@
 //! when a product needs more capacity than any earlier one (accumulators
 //! are generation-stamped, so a larger-than-necessary accumulator is valid
 //! for any smaller product). [`ScratchSet`] bundles one scratch per push
-//! algorithm and dispatches on [`Algorithm`] at runtime, for matrix
-//! ([`ScratchSet::run`]) and vector ([`ScratchSet::run_vec`]) products;
-//! it is what the `engine` crate's serial paths hold. A vector is one row:
-//! `run_vec` is `run`'s body at [`Phases::One`] on a one-row mask and a
-//! one-row `A`, both viewing the vectors in place.
+//! algorithm, and its [`ScratchSet::run`] is the one executor: every
+//! product in this crate, matrix or vector, pooled or serial, fixed family
+//! or per-row hybrid, reaches its row producer through the one dispatch
+//! behind it. A serial run computes with the set's kernels (the hybrid
+//! borrows the MSA, MCA and heap ones); a pooled run builds one kernel per
+//! worker and leaves the set untouched. A vector is one row:
+//! [`ScratchSet::run_vec`] is the executor at [`Phases::One`] on a one-row
+//! mask and a one-row `A`, both viewing the vectors in place. The `engine`
+//! crate holds one set per semiring for its serial paths.
 
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -26,8 +30,9 @@ use std::sync::Mutex;
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
 use crate::algos::{ninspect, HashKernel, HeapKernel, McaKernel, MsaKernel};
-use crate::api::{check_csc, check_shapes, Algorithm, Phases};
-use crate::exec::{inner_rows, one_row, push_rows_serial, MaskRows, Rows};
+use crate::api::{check_csc, check_shapes, Algorithm, Choice, Phases};
+use crate::exec::{drive, one_row, InnerProducer, Product, PushProducer};
+use crate::hybrid::{HybridConfig, HybridProducer};
 use crate::kernel::RowKernel;
 
 /// Per-worker state for one parallel region, keyed by the pool's stable
@@ -122,6 +127,17 @@ impl<S: Semiring, K: RowKernel<S>> KernelScratch<S, K> {
         }
         self.kernel.as_mut().expect("kernel built above")
     }
+
+    /// [`KernelScratch::acquire`], moving the kernel out until
+    /// [`KernelScratch::put`] hands it back.
+    fn take(&mut self, (ncols, max_mask_row_nnz): (usize, usize)) -> K {
+        self.acquire(ncols, max_mask_row_nnz);
+        self.kernel.take().expect("kernel built above")
+    }
+
+    fn put(&mut self, kernel: K) {
+        self.kernel = Some(kernel);
+    }
 }
 
 /// One reusable scratch per algorithm family, dispatched at runtime.
@@ -160,39 +176,43 @@ where
         }
     }
 
-    /// Run one masked SpGEMM serially with this set's reused scratch: the
-    /// `phases` driver on the one row range `0..nrows`, on the calling
-    /// thread, with the family's [`KernelScratch`] kernel.
+    /// Run one masked SpGEMM `M ⊙ (A·B)` (or `¬M ⊙` with `complemented`)
+    /// with `choice`: one algorithm family for every row, or the per-row
+    /// hybrid under the cost model `cfg` (`cfg` is read by the hybrid only).
     ///
-    /// `b_csc` is consulted only by [`Algorithm::Inner`]; passing `None`
-    /// converts on the fly (callers with a cached CSC should pass it).
-    /// A complemented mask on [`Algorithm::Mca`] is a uniform
-    /// [`SparseError::Unsupported`], and operands (or a `b_csc`) whose
-    /// shapes disagree are a [`SparseError::DimMismatch`], never a panic.
+    /// A `serial` run is the `phases` driver on the one row range
+    /// `0..nrows`, on the calling thread, computing with this set's reused
+    /// kernels. Otherwise the rows run in parallel on the current pool with
+    /// one fresh kernel per worker, and the set is left as it was.
+    ///
+    /// `b_csc` is read by [`Algorithm::Inner`] and the hybrid; passing
+    /// `None` converts on the fly (callers with a cached CSC should pass
+    /// it). A complemented mask on [`Algorithm::Mca`] or the hybrid is a
+    /// uniform [`SparseError::Unsupported`], and operands (or a `b_csc`)
+    /// whose shapes disagree are a [`SparseError::DimMismatch`], never a
+    /// panic.
     #[allow(clippy::too_many_arguments)]
     pub fn run<MT>(
         &mut self,
-        algorithm: Algorithm,
+        choice: Choice,
         phases: Phases,
+        serial: bool,
         complemented: bool,
         sr: S,
+        cfg: HybridConfig,
         mask: &CsrMatrix<MT>,
         a: &CsrMatrix<S::A>,
         b: &CsrMatrix<S::B>,
         b_csc: Option<&CscMatrix<S::B>>,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        MT: Copy + Sync,
-        S::B: Clone,
-    {
+    ) -> Result<CsrMatrix<S::C>, SparseError> {
         check_shapes(mask.shape(), a.shape(), b.shape())?;
-        let (mask, a) = (MaskRows::of(mask), Rows::of(a));
-        self.run_rows(algorithm, phases, complemented, sr, mask, a, b, b_csc)
+        let p = Product::of(sr, mask, complemented, a);
+        self.execute(choice, phases, serial, cfg, p, Some(b), b_csc)
     }
 
-    /// Run one masked SpGEVM `v = m ⊙ (u·B)` with this set's reused
-    /// accumulators: [`ScratchSet::run`] at [`Phases::One`] on the one row
-    /// `u`, under the one-row mask `m`.
+    /// Run one masked SpGEVM `v = m ⊙ (u·B)` serially with this set's
+    /// reused accumulators: [`ScratchSet::run`] at [`Phases::One`] on the
+    /// one row `u`, under the one-row mask `m`.
     ///
     /// Where [`crate::masked_spgevm`] builds a fresh `O(ncols)` accumulator
     /// per call, this borrows the family's [`KernelScratch`] (regrown
@@ -209,68 +229,124 @@ where
         u: &SparseVec<S::A>,
         b: &CsrMatrix<S::B>,
         b_csc: Option<&CscMatrix<S::B>>,
-    ) -> Result<SparseVec<S::C>, SparseError>
-    where
-        MT: Copy,
-        S::B: Clone,
-    {
+    ) -> Result<SparseVec<S::C>, SparseError> {
         check_shapes((1, mask.dim()), (1, u.dim()), b.shape())?;
-        one_row(mask, u, |mask, u| {
-            self.run_rows(algorithm, Phases::One, complemented, sr, mask, u, b, b_csc)
+        one_row(sr, mask, complemented, u, |p| {
+            let (choice, cfg) = (Choice::Fixed(algorithm), HybridConfig::default());
+            self.execute(choice, Phases::One, true, cfg, p, Some(b), b_csc)
         })
     }
 
-    /// The body of [`ScratchSet::run`] and [`ScratchSet::run_vec`] on
-    /// shape-checked row views.
+    /// The executor behind every entry point, on shape-checked operands and
+    /// `B` in CSR, CSC or both (at least one): the one dispatch from a
+    /// family to its row producer.
+    ///
+    /// Inlined into each entry point, so the optimizer drops the arms a
+    /// caller cannot reach: the hybrid's behind an [`Algorithm`], every
+    /// other family's behind a constant one. Each arm is tens of KB of
+    /// driver code per semiring.
     #[allow(clippy::too_many_arguments)]
-    fn run_rows(
+    #[inline]
+    pub(crate) fn execute(
         &mut self,
-        algorithm: Algorithm,
+        choice: Choice,
         phases: Phases,
-        complemented: bool,
-        sr: S,
-        mask: MaskRows<'_>,
-        a: Rows<'_, S::A>,
-        b: &CsrMatrix<S::B>,
+        serial: bool,
+        cfg: HybridConfig,
+        p: Product<'_, S>,
+        b: Option<&CsrMatrix<S::B>>,
         b_csc: Option<&CscMatrix<S::B>>,
-    ) -> Result<CsrMatrix<S::C>, SparseError>
-    where
-        S::B: Clone,
-    {
-        if let Some(csc) = b_csc {
+    ) -> Result<CsrMatrix<S::C>, SparseError> {
+        if let (Some(b), Some(csc)) = (b, b_csc) {
             check_csc(csc.shape(), b.shape())?;
         }
-        algorithm.check_complement_support(complemented)?;
-        let (ncols, max_m) = (b.ncols(), mask.max_row_nnz());
-        macro_rules! push {
-            ($scratch:expr) => {{
-                $scratch.acquire(ncols, max_m);
-                let kernel = $scratch.kernel.take().expect("acquired above");
-                let (c, kernel) = push_rows_serial(phases, sr, mask, complemented, a, b, kernel);
-                $scratch.kernel = Some(kernel);
-                c
-            }};
+        if let Choice::Fixed(algorithm) = choice {
+            algorithm.check_complement_support(p.complemented)?;
         }
-        Ok(match algorithm {
-            Algorithm::Msa => push!(self.msa),
-            Algorithm::Hash => push!(self.hash),
-            Algorithm::Mca => push!(self.mca),
-            Algorithm::Heap => push!(self.heap),
-            Algorithm::HeapDot => push!(self.heap_dot),
-            Algorithm::Inner => {
-                let converted;
-                let csc = match b_csc {
-                    Some(csc) => csc,
-                    None => {
-                        converted = CscMatrix::from_csr(b);
-                        &converted
-                    }
+        let ncols = b.map(CsrMatrix::ncols).or(b_csc.map(CscMatrix::ncols));
+        let (nrows, ncols) = (p.a.nrows(), ncols.expect("B in CSR or CSC"));
+        let max_m = p.mask.max_row_nnz();
+        let csr = || b.ok_or(SparseError::Unsupported(CSR_REQUIRED));
+        let push = csr().map(|b| PushProducer { p, b, max_m });
+        let mut converted = None;
+        Ok(match choice {
+            Choice::Fixed(Algorithm::Msa) => run_push(phases, push?, serial, &mut self.msa),
+            Choice::Fixed(Algorithm::Hash) => run_push(phases, push?, serial, &mut self.hash),
+            Choice::Fixed(Algorithm::Mca) => run_push(phases, push?, serial, &mut self.mca),
+            Choice::Fixed(Algorithm::Heap) => run_push(phases, push?, serial, &mut self.heap),
+            Choice::Fixed(Algorithm::HeapDot) => {
+                run_push(phases, push?, serial, &mut self.heap_dot)
+            }
+            Choice::Fixed(Algorithm::Inner) => {
+                let producer = InnerProducer {
+                    p,
+                    b: csc_of(b, b_csc, &mut converted),
                 };
-                inner_rows(phases, true, sr, mask, complemented, a, csc)
+                drive(phases, nrows, ncols, &producer, serial.then_some(&mut ()))
+            }
+            Choice::Hybrid if p.complemented => {
+                return Err(SparseError::Unsupported(HYBRID_COMPLEMENT_UNSUPPORTED))
+            }
+            Choice::Hybrid => {
+                let b_csc = csc_of(b, b_csc, &mut converted);
+                let producer = HybridProducer {
+                    p,
+                    cfg,
+                    b: csr()?,
+                    b_csc,
+                    max_m,
+                };
+                // A serial hybrid borrows the set's MSA, MCA and heap kernels.
+                let size = (ncols, max_m);
+                let (msa, mca, heap) = (&mut self.msa, &mut self.mca, &mut self.heap);
+                let mut kernels = serial.then(|| (msa.take(size), mca.take(size), heap.take(size)));
+                let c = drive(phases, nrows, ncols, &producer, kernels.as_mut());
+                if let Some((msa_kernel, mca_kernel, heap_kernel)) = kernels {
+                    msa.put(msa_kernel);
+                    mca.put(mca_kernel);
+                    heap.put(heap_kernel);
+                }
+                c
             }
         })
     }
 }
+
+/// Run a push producer: serially on `scratch`'s kernel, or with one fresh
+/// kernel per pool worker.
+fn run_push<S, K>(
+    phases: Phases,
+    producer: PushProducer<'_, S>,
+    serial: bool,
+    scratch: &mut KernelScratch<S, K>,
+) -> CsrMatrix<S::C>
+where
+    S: Semiring,
+    S::C: Default,
+    K: RowKernel<S>,
+{
+    let (nrows, ncols) = (producer.p.a.nrows(), producer.b.ncols());
+    let kernel = serial.then(|| scratch.acquire(ncols, producer.max_m));
+    drive(phases, nrows, ncols, &producer, kernel)
+}
+
+/// `B` in CSC form: the caller's copy, else `b` converted into `converted`.
+fn csc_of<'c, T: Copy>(
+    b: Option<&CsrMatrix<T>>,
+    b_csc: Option<&'c CscMatrix<T>>,
+    converted: &'c mut Option<CscMatrix<T>>,
+) -> &'c CscMatrix<T> {
+    match b_csc {
+        Some(csc) => csc,
+        None => converted.insert(CscMatrix::from_csr(b.expect("B in CSR or CSC"))),
+    }
+}
+
+/// A complemented mask under the per-row hybrid, which runs plain masks only.
+const HYBRID_COMPLEMENT_UNSUPPORTED: &str = "the hybrid runs plain masks only";
+
+/// A family that scatters the rows of `B`, given `B` in CSC form only.
+const CSR_REQUIRED: &str = "this algorithm reads B in CSR form; only its CSC form was given";
 
 #[cfg(test)]
 mod tests {
@@ -281,7 +357,7 @@ mod tests {
 
     #[test]
     fn serial_matches_parallel_drivers_with_reused_scratch() {
-        let sr = PlusTimes::<f64>::new();
+        let (sr, cfg) = (PlusTimes::<f64>::new(), HybridConfig::default());
         let mut set = ScratchSet::new();
         // Deliberately vary dimensions so the scratch is reused both after
         // growing and after shrinking requests.
@@ -300,16 +376,14 @@ mod tests {
                 .flat_map(|c| Algorithm::ALL.map(|alg| (c, alg)))
                 .flat_map(|(c, alg)| Phases::ALL.map(|ph| (c, alg, ph)))
             {
+                let choice = Choice::Fixed(alg);
+                let got = set.run(choice, ph, true, compl, sr, cfg, &mask, &a, &b, Some(&bc));
                 if compl && !alg.supports_complement() {
-                    assert!(set
-                        .run(alg, ph, compl, sr, &mask, &a, &b, Some(&bc))
-                        .is_err());
+                    assert!(got.is_err());
                     continue;
                 }
                 let expect = masked_spgemm(alg, ph, compl, sr, &mask, &a, &b).unwrap();
-                let got = set
-                    .run(alg, ph, compl, sr, &mask, &a, &b, Some(&bc))
-                    .unwrap();
+                let got = got.unwrap();
                 assert_eq!(
                     got,
                     expect,
@@ -376,10 +450,12 @@ mod tests {
         let mut set = ScratchSet::new();
         let with = set
             .run(
-                Algorithm::Inner,
+                Choice::Fixed(Algorithm::Inner),
                 Phases::One,
+                true,
                 false,
                 sr,
+                HybridConfig::default(),
                 &mask,
                 &a,
                 &b,
@@ -403,7 +479,8 @@ mod tests {
         let mut set = ScratchSet::new();
         for alg in Algorithm::ALL {
             let mut run = |mask: &CsrMatrix<()>, b: &CsrMatrix<f64>, csc| {
-                set.run(alg, Phases::One, false, sr, mask, &a, b, csc)
+                let (choice, cfg) = (Choice::Fixed(alg), HybridConfig::default());
+                set.run(choice, Phases::One, true, false, sr, cfg, mask, &a, b, csc)
             };
             for (case, got) in [
                 ("mask", run(&wrong_mask, &b, None)),

@@ -5,13 +5,14 @@
 //! row. This module exposes the operation directly on sparse vectors,
 //! which is what frontier-based graph traversals (BFS, push-pull) consume.
 //! A vector is one row: each product here is the one-row matrix product,
-//! run by the same one-phase driver as a matrix, on views of the vectors
-//! (no copy).
+//! run by the same executor and one-phase driver as a matrix, on views of
+//! the vectors (no copy).
 
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 
-use crate::api::{check_shapes, Algorithm, Phases};
-use crate::exec::{inner_rows, one_row};
+use crate::api::{check_shapes, Algorithm, Choice, Phases};
+use crate::exec::one_row;
+use crate::hybrid::HybridConfig;
 use crate::scratch::ScratchSet;
 
 /// Compute `v = m ⊙ (u·B)` (or `¬m ⊙` with `complemented`) with the chosen
@@ -51,13 +52,9 @@ where
     MT: Copy,
 {
     check_shapes((1, mask.dim()), (1, u.dim()), b.shape())?;
-    // Inner does support complemented masks; the check is here so every
-    // SpGEVM entry point funnels polarity support through the same
-    // `check_complement_support` gate as the matrix paths (uniform
-    // `SparseError::Unsupported`, never a panic or silent fallback).
-    Algorithm::Inner.check_complement_support(complemented)?;
-    one_row(mask, u, |mask, u| {
-        Ok(inner_rows(Phases::One, true, sr, mask, complemented, u, b))
+    one_row(sr, mask, complemented, u, |p| {
+        let (choice, cfg) = (Choice::Fixed(Algorithm::Inner), HybridConfig::default());
+        ScratchSet::new().execute(choice, Phases::One, true, cfg, p, None, Some(b))
     })
 }
 
@@ -171,12 +168,13 @@ mod tests {
 
     /// A vector product is the one-row matrix product: `run_vec` equals the
     /// row of `run` on `m` and `u` as `1 × n` matrices, for every family,
-    /// both polarities and both phase disciplines, with one scratch set
-    /// reused as the sizes grow and shrink; `masked_spgevm_csc` equals the
-    /// Inner row.
+    /// both polarities and phase disciplines, pooled and serial, with one
+    /// scratch set reused as the sizes grow and shrink; `masked_spgevm_csc`
+    /// equals the Inner row, and the hybrid's one-row form equals them all
+    /// under a plain mask.
     #[test]
     fn vector_form_is_the_one_row_matrix_form() {
-        let sr = PlusTimes::<f64>::new();
+        let (sr, cfg) = (PlusTimes::<f64>::new(), HybridConfig::default());
         let mut set = ScratchSet::new();
         let as_row = |v: &SparseVec<f64>| {
             CsrMatrix::try_new(
@@ -207,9 +205,34 @@ mod tests {
                     let vec = set
                         .run_vec(alg, compl, sr, &m, &u, &b, Some(&bc))
                         .map(|v| as_row(&v));
-                    for ph in Phases::ALL {
-                        let mat = set.run(alg, ph, compl, sr, &mrow, &a, &b, Some(&bc));
-                        assert_eq!(vec, mat, "{alg:?}-{ph:?} compl={compl} seed={seed}");
+                    for (ph, serial) in Phases::ALL
+                        .into_iter()
+                        .flat_map(|ph| [(ph, false), (ph, true)])
+                    {
+                        let choice = Choice::Fixed(alg);
+                        let mat =
+                            set.run(choice, ph, serial, compl, sr, cfg, &mrow, &a, &b, Some(&bc));
+                        let case =
+                            format!("{alg:?}-{ph:?} serial={serial} compl={compl} seed={seed}");
+                        assert_eq!(vec, mat, "{case}");
+                        let hybrid = set.run(
+                            Choice::Hybrid,
+                            ph,
+                            serial,
+                            compl,
+                            sr,
+                            cfg,
+                            &mrow,
+                            &a,
+                            &b,
+                            Some(&bc),
+                        );
+                        if compl {
+                            let plain_only = matches!(hybrid, Err(SparseError::Unsupported(_)));
+                            assert!(plain_only, "hybrid {case}");
+                        } else {
+                            assert_eq!(hybrid, mat, "hybrid vs {case}");
+                        }
                     }
                     if compl && !alg.supports_complement() {
                         let unsupported = SparseError::Unsupported(COMPLEMENT_UNSUPPORTED);

@@ -82,7 +82,12 @@ impl Context {
         // Pool dispatch overhead: time near-empty parallel regions (the
         // workers are woken, claim trivial chunks, and the caller joins).
         // The first region also absorbs any cold-start so the kernel
-        // probe below measures steady-state scheduling.
+        // probe below measures steady-state scheduling. The estimate is the
+        // fastest of several batch means: host noise (a preempted region, a
+        // slow wake) only adds time, and one process's batches spread 1.3–7
+        // µs on a shared 2-vCPU host, so a mean or a median still moves
+        // with it. The MSA probe below takes its best run for the same
+        // reason.
         let dispatch_overhead_secs = self.pool.install(|| {
             use rayon::prelude::*;
             let probe = || {
@@ -93,12 +98,16 @@ impl Context {
                     })
             };
             probe(); // warm the pool
-            let reps = 64;
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                probe();
-            }
-            t0.elapsed().as_secs_f64() / reps as f64
+            let regions = 8;
+            (0..9)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..regions {
+                        probe();
+                    }
+                    t0.elapsed().as_secs_f64() / regions as f64
+                })
+                .fold(f64::INFINITY, f64::min)
         });
 
         // Dense-ish probe: 512 rows, 64 nnz per row of A and B, full mask

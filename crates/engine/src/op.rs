@@ -52,10 +52,7 @@
 //! assert_eq!(nnz_total, 16);
 //! ```
 
-use masked_spgemm::{
-    hybrid_masked_spgemm, masked_spgemm, masked_spgemm_csc, masked_spgevm_csc, Algorithm, DynLane,
-    LaneValue, Phases, SemiringKind, ValueKind,
-};
+use masked_spgemm::{Algorithm, DynLane, LaneValue, Phases, SemiringKind, ValueKind};
 use sparse::ewise::ewise_union;
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 use std::sync::Arc;
@@ -625,16 +622,12 @@ impl Context {
                 if let Some(alg) = op.algorithm {
                     alg.check_complement_support(op.complemented)?;
                     plan::validate_vec(self, mask, u, b)?;
-                    let mut fixed =
-                        Plan::fixed(alg, op.phases.unwrap_or(Phases::One), op.complemented);
-                    fixed.serial = true; // single-row products never dispatch the pool
+                    // One row runs serially at one phase, whatever the op asks.
+                    let mut fixed = Plan::fixed(alg, Phases::One, op.complemented);
+                    fixed.serial = true;
                     return Ok(fixed);
                 }
-                let mut planned = self.plan_vec(mask, op.complemented, u, b)?;
-                if let Some(ph) = op.phases {
-                    planned.phases = ph;
-                }
-                Ok(planned)
+                self.plan_vec(mask, op.complemented, u, b)
             }
         }
     }
@@ -700,7 +693,7 @@ impl Context {
                 u: T::native_vec(&self.vector(u))
                     .cloned()
                     .ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?,
-                b: (!pull).then(|| self.view(b)),
+                b: self.view(b),
             },
         };
         let (Operands::MatMat { b, .. } | Operands::VecMat { b, .. }) = op.operands;
@@ -712,13 +705,14 @@ impl Context {
         })
     }
 
-    /// Run a resolved op — the one executor behind single matrix ops,
-    /// vector ops, and batch entries. The op's semiring kind is dispatched
-    /// here, once, to the kernels monomorphized for it ([`Fixed`]). Both
-    /// paths run the plan's phase discipline: a serial plan on the one
-    /// row range on the calling thread, with the kind's reused kernels
-    /// from `scratch`; any other plan row-parallel on the pool, leaving
-    /// `scratch` untouched.
+    /// Run a resolved op — the one path behind single matrix ops, vector
+    /// ops, and batch entries. The op's semiring kind is dispatched here,
+    /// once, to the kernels monomorphized for it ([`Fixed`]), and the plan
+    /// runs through the core executor ([`ScratchSet::run`]): a serial plan
+    /// on the calling thread with the kind's reused kernels from `scratch`,
+    /// any other plan row-parallel on the pool.
+    ///
+    /// [`ScratchSet::run`]: masked_spgemm::ScratchSet::run
     pub(crate) fn execute<T: Lane>(
         &self,
         r: &ResolvedOp<T>,
@@ -753,35 +747,22 @@ impl Context {
         T: Lane,
         S: Semiring<A = T, B = T, C = T> + 'static,
     {
-        let (csc, phases, compl) = (r.b_csc.as_deref(), r.plan.phases, r.plan.complemented);
-        let pulled = || csc.expect("a pulling plan resolves B's CSC");
+        let (plan, csc, set) = (&r.plan, r.b_csc.as_deref(), scratch.get::<S>());
         match &r.inputs {
             Inputs::Mat { mask, a, b } => on_variant!(mask, ValueMat, m => {
-                let m = m.as_ref();
-                match r.plan.choice {
-                    Choice::Fixed(alg) if r.plan.serial => {
-                        scratch.get::<S>().run(alg, phases, compl, sr, m, a, b, csc)
-                    }
-                    choice => self.pool.install(|| match choice {
-                        Choice::Fixed(Algorithm::Inner) => {
-                            masked_spgemm_csc(Algorithm::Inner, phases, compl, sr, m, a, pulled())
-                        }
-                        Choice::Fixed(alg) => masked_spgemm(alg, phases, compl, sr, m, a, b),
-                        Choice::Hybrid => {
-                            hybrid_masked_spgemm(phases, self.config(), sr, m, a, b, pulled())
-                        }
-                    }),
-                }
+                let (m, cfg) = (m.as_ref(), self.config());
+                let mut run = || {
+                    let (choice, phases, compl) = (plan.choice, plan.phases, plan.complemented);
+                    set.run(choice, phases, plan.serial, compl, sr, cfg, m, a, b, csc)
+                };
+                if plan.serial { run() } else { self.pool.install(run) }
             })
             .map(T::mat_output),
             Inputs::Vec { mask, u, b } => on_variant!(mask, ValueVec, m => {
-                let m = m.as_ref();
-                match (b, r.plan.choice) {
-                    (Some(b), Choice::Fixed(alg)) => {
-                        scratch.get::<S>().run_vec(alg, compl, sr, m, u, b, None)
-                    }
-                    _ => masked_spgevm_csc(compl, sr, m, u, pulled()),
-                }
+                let Choice::Fixed(alg) = plan.choice else {
+                    unreachable!("a vector plan names one family")
+                };
+                set.run_vec(alg, plan.complemented, sr, m.as_ref(), u, b, csc)
             })
             .map(T::vec_output),
         }
@@ -886,11 +867,11 @@ enum Inputs<T> {
     },
     /// `m ⊙ (u·B)`: the mask in its **native** stored lane (an `Arc`
     /// clone; the kernels read only its pattern), the operand vector, and
-    /// `B`'s lane CSR view, built only when the plan pushes.
+    /// `B`'s lane CSR view (a pull reads only its shape).
     Vec {
         mask: ValueVec,
         u: Arc<SparseVec<T>>,
-        b: Option<Arc<CsrMatrix<T>>>,
+        b: Arc<CsrMatrix<T>>,
     },
 }
 

@@ -5,30 +5,23 @@
 //! planner sums each family's per-row estimate using cached degree vectors
 //! and the pair-cached flop count, and takes the cheapest family the mask
 //! polarity supports. When mixing families per row is estimated to beat
-//! every fixed family by a margin, the plan is [`Choice::Hybrid`] and
-//! execution routes through `hybrid_masked_spgemm`. The planner itself
-//! adds only the phase discipline and the serial decision.
+//! every fixed family by a margin, the plan is [`Choice::Hybrid`]; the
+//! core executor runs either choice. The planner itself adds only the
+//! phase discipline and the serial decision.
 //!
 //! All quantities are `O(nnz(A) + nrows)` to evaluate and come from the
 //! [`crate::Context`] auxiliary cache, so repeated planning over the same
 //! operands (k-truss peeling, BC sweeps) is cheap.
 
+use masked_spgemm::api::check_shapes;
 use masked_spgemm::hybrid::{
     cheapest, col_counts, col_sum, row_costs, row_flops, CostTotals, RowChoice,
 };
+pub use masked_spgemm::Choice;
 use masked_spgemm::{Algorithm, Phases};
 use sparse::SparseError;
 
 use crate::context::{Context, MatrixHandle, VectorHandle};
-
-/// What executes the multiply.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Choice {
-    /// One algorithm for every row.
-    Fixed(Algorithm),
-    /// Per-row adaptive selection (plain masks only).
-    Hybrid,
-}
 
 /// Estimated unit costs per algorithm family (the planner's working). A
 /// family the planner did not consider costs [`f64::INFINITY`] (MCA and
@@ -64,9 +57,9 @@ pub struct Plan {
     /// the estimated work is below the calibrated dispatch overhead
     /// ([`Context::set_serial_cutoff_flops`]), or a batch worker runs the
     /// op whole. Vector-operand plans are always serial — a single output
-    /// row has no row parallelism to win — and run the one-phase driver
-    /// on that one row. A serial plan's choice is never
-    /// [`Choice::Hybrid`].
+    /// row has no row parallelism to win — and always [`Phases::One`],
+    /// whatever phases the op asks for: the one row runs the one-phase
+    /// driver. A serial plan's choice is never [`Choice::Hybrid`].
     pub serial: bool,
     /// The cost estimates that produced the choice.
     pub costs: CostBreakdown,
@@ -144,31 +137,6 @@ pub(crate) fn validate(
 ) -> Result<(), SparseError> {
     let (em, ea, eb) = (ctx.try_entry(mask)?, ctx.try_entry(a)?, ctx.try_entry(b)?);
     check_shapes(em.matrix.shape(), ea.matrix.shape(), eb.matrix.shape())
-}
-
-/// A [`SparseError::DimMismatch`] unless a mask of shape `mask`, `A` of
-/// shape `a` and `B` of shape `b` form `M ⊙ (A·B)`; a vector operand is
-/// one row, of shape `(1, dim)`.
-fn check_shapes(
-    mask: (usize, usize),
-    a: (usize, usize),
-    b: (usize, usize),
-) -> Result<(), SparseError> {
-    if a.1 != b.0 {
-        return Err(SparseError::DimMismatch {
-            op: "engine plan (A·B)",
-            lhs: a,
-            rhs: b,
-        });
-    }
-    if mask != (a.0, b.1) {
-        return Err(SparseError::DimMismatch {
-            op: "engine plan (mask)",
-            lhs: mask,
-            rhs: (a.0, b.1),
-        });
-    }
-    Ok(())
 }
 
 /// Cost-model planning proper. Operand shapes are the caller's

@@ -394,6 +394,37 @@ fn serial_cutoff_routes_small_products_without_changing_results() {
     assert!(ctx.vec_op(vm, u, ha).plan().unwrap().serial);
 }
 
+/// A vector plan names what runs: one row runs the one-phase driver, so a
+/// vector op forced to two phases, planned or with a forced algorithm,
+/// plans and labels as 1P and returns what the unforced op returns.
+#[test]
+fn vector_plans_run_one_phase_whatever_the_op_asks() {
+    let ctx = Context::with_threads(1);
+    let g = ctx.insert(graphs::grid2d(8, 8));
+    let u = ctx.insert_vec(SparseVec::try_new(64, vec![0, 9, 27], vec![1.0; 3]).unwrap());
+    let m = ctx.insert_vec(SparseVec::try_new(64, vec![1, 8, 10, 26], vec![1.0; 4]).unwrap());
+    for alg in [None, Some(Algorithm::Msa), Some(Algorithm::Inner)] {
+        for compl in [false, true] {
+            let op = || {
+                let op = ctx.vec_op(m, u, g).complemented(compl);
+                match alg {
+                    Some(alg) => op.algorithm(alg),
+                    None => op,
+                }
+            };
+            let forced = op().phases(Phases::Two);
+            let plan = forced.plan().unwrap();
+            let case = format!("{alg:?} compl={compl}: {}", plan.label());
+            assert_eq!(plan.phases, Phases::One, "{case}");
+            assert!(plan.label().ends_with("-1P"), "{case}");
+            assert!(plan.serial, "{case}");
+            let got: SparseVec<f64> = forced.run_out().unwrap().into_typed().unwrap();
+            let expect: SparseVec<f64> = op().run_out().unwrap().into_typed().unwrap();
+            assert_eq!(got, expect, "{case}");
+        }
+    }
+}
+
 /// A hub joined to every vertex of a path: hub rows and tiny rows want
 /// different families, so the planner picks the per-row hybrid.
 fn hub_and_fringe() -> CsrMatrix<f64> {

@@ -195,10 +195,12 @@ fn mca_complement_is_a_uniform_error_everywhere() {
     // Serial scratch driver (used by batch workers).
     let mut set = masked_spgemm::ScratchSet::<DynLane<f64>>::new();
     let serial = set.run(
-        Algorithm::Mca,
+        masked_spgemm::Choice::Fixed(Algorithm::Mca),
         Phases::One,
         true,
+        true,
         DynLane::<f64>::new(SemiringKind::PlusTimes),
+        masked_spgemm::HybridConfig::default(),
         &m,
         &m,
         &m,
