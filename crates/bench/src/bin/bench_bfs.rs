@@ -5,9 +5,9 @@
 //! frontier expansion `next = ¬visited ⊙ (frontier · A)` — run three ways
 //! through the engine's vector descriptors ([`graph_algos::bfs_auto`]):
 //! **push** forces the scatter kernel (`MSA`), **pull** forces the
-//! per-unvisited-vertex dot products (`Inner`), and **auto** leaves the
-//! per-level switch to the planner's vector cost model (Beamer's heuristic
-//! as a plan decision). The direct `masked_spgevm` loop
+//! per-unvisited-vertex dot products (`Inner`), and **auto** leaves each
+//! level to the planner, which prices every family on the level's one row
+//! (Beamer's direction choice as a plan decision). The direct `masked_spgevm` loop
 //! ([`fn@graph_algos::bfs`]) is measured alongside as the engine-free
 //! baseline.
 //!

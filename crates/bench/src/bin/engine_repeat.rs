@@ -291,7 +291,7 @@ fn main() {
 
     // 5. BFS-level workload (ISSUE 4): the engine-planned traversal —
     //    per-level VecMat descriptors with a complemented visited mask,
-    //    direction chosen by the planner's vector cost model — vs. the
+    //    family chosen by the planner on the level's one row — vs. the
     //    direct masked_spgevm loop, which re-derives the boolean adjacency
     //    and its CSC copy on every call. The engine side must show
     //    fingerprint-cache reuse across levels/repetitions.

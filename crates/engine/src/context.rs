@@ -13,6 +13,7 @@ use sparse::transpose::transpose;
 use sparse::{CscMatrix, CsrMatrix, Idx, SparseError, SparseVec};
 
 use crate::lane::{on_variant, Lane, ScratchSets};
+use crate::op::Operands;
 use crate::plan::{self, Plan};
 
 /// Handle to a matrix registered in a [`Context`].
@@ -523,6 +524,24 @@ fn log_bucket(n: usize) -> u64 {
     1 + ((b << 1) | half)
 }
 
+/// The plan-cache class of a `shape` pattern with `nnz` entries stored on
+/// lane `kind` ([`Context::plan_fingerprint`]).
+fn plan_class((nrows, ncols): (usize, usize), nnz: usize, kind: ValueKind) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| {
+        h ^= word;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    mix(nrows as u64);
+    mix(ncols as u64);
+    mix(log_bucket(nnz));
+    // The stored kind tags the class: a natively-bool operand and its f64
+    // twin resolve operands differently (zero-copy vs cast), so their plans
+    // must not alias.
+    mix(1 + kind as u64);
+    h
+}
+
 impl Context {
     /// Context using the ambient parallelism (the `THREADS` env override,
     /// an enclosing `ThreadPool::install`, or available cores) and the
@@ -866,24 +885,6 @@ impl Context {
             .get(&handle.0)
             .cloned()
             .ok_or(SparseError::UnknownHandle)
-    }
-
-    /// The structural fingerprint class of the vector behind `handle`:
-    /// dimension, nnz quantized to ~1.5× steps, and value lane — the
-    /// vector analogue of [`Context::plan_fingerprint`], so vector-operand
-    /// plans are cached across BFS levels whose frontiers stay in the same
-    /// population regime.
-    pub fn vec_plan_fingerprint(&self, handle: VectorHandle) -> u64 {
-        let e = self.vec_entry(handle);
-        let mut h = 0x9e37_79b9_7f4a_7c15u64; // distinct seed: never collides
-        let mut mix = |word: u64| {
-            h ^= word;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(e.vec.dim() as u64);
-        mix(log_bucket(e.vec.nnz()));
-        mix(1 + e.vec.value_kind() as u64);
-        h
     }
 
     // ------------------------------------------------------- serial cutoff
@@ -1231,21 +1232,9 @@ impl Context {
     /// so a plan computed for one is served for the other.
     pub fn plan_fingerprint(&self, handle: MatrixHandle) -> u64 {
         let e = self.entry(handle);
-        *e.plan_class.get_or_init(|| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut mix = |word: u64| {
-                h ^= word;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            };
-            mix(e.matrix.nrows() as u64);
-            mix(e.matrix.ncols() as u64);
-            mix(log_bucket(e.matrix.nnz()));
-            // The stored kind tags the class: a natively-bool operand and
-            // its f64 twin resolve operands differently (zero-copy vs
-            // cast), so their plans must not alias.
-            mix(1 + e.matrix.value_kind() as u64);
-            h
-        })
+        let m = &e.matrix;
+        *e.plan_class
+            .get_or_init(|| plan_class(m.shape(), m.nnz(), m.value_kind()))
     }
 
     /// `flops(A·B)` with pair-level caching (invalidated by updates to
@@ -1299,39 +1288,32 @@ impl Context {
         a: MatrixHandle,
         b: MatrixHandle,
     ) -> Result<Plan, SparseError> {
-        plan::validate(self, mask, a, b)?;
-        let key: PlanKey = (
-            self.plan_fingerprint(mask),
-            self.plan_fingerprint(a),
-            self.plan_fingerprint(b),
-            complemented,
-        );
-        Ok(self.cached_plan(key, || plan::plan(self, mask, complemented, a, b)))
+        self.plan_operands(Operands::MatMat { mask, a, b }, complemented)
     }
 
-    /// Choose push or pull for the vector-operand multiply `v = m ⊙ (u·B)`
-    /// (or `¬m ⊙`) — Beamer's direction heuristic as a planner decision
-    /// (see [`crate::Plan`]); plans are cached under the operands'
-    /// structural fingerprint classes like matrix plans, with the vector
-    /// classes covering dimension, nnz regime, and value lane
-    /// ([`Context::vec_plan_fingerprint`]). Consecutive BFS levels whose
-    /// frontiers stay in the same population regime — and repeated
-    /// traversals of the same graph — are served from cache.
-    pub fn plan_vec(
+    /// [`Context::plan`] for either operand form. A vector's class is that
+    /// of its `1 × dim` pattern, so consecutive BFS levels whose frontiers
+    /// stay in one population regime, and repeated traversals of the same
+    /// graph, are served from cache — and a vector product shares its entry
+    /// with the one-row matrix product it plans the same as.
+    pub(crate) fn plan_operands(
         &self,
-        mask: VectorHandle,
+        operands: Operands,
         complemented: bool,
-        u: VectorHandle,
-        b: MatrixHandle,
     ) -> Result<Plan, SparseError> {
-        plan::validate_vec(self, mask, u, b)?;
-        let key: PlanKey = (
-            self.vec_plan_fingerprint(mask),
-            self.vec_plan_fingerprint(u),
-            self.plan_fingerprint(b),
-            complemented,
-        );
-        Ok(self.cached_plan(key, || plan::plan_vec(self, mask, complemented, u, b)))
+        plan::validate(self, operands)?;
+        let vec_class = |h| {
+            let v = self.vector(h);
+            plan_class((1, v.dim()), v.nnz(), v.value_kind())
+        };
+        let (mask, a, b) = match operands {
+            Operands::MatMat { mask, a, b } => {
+                (self.plan_fingerprint(mask), self.plan_fingerprint(a), b)
+            }
+            Operands::VecMat { mask, u, b } => (vec_class(mask), vec_class(u), b),
+        };
+        let key: PlanKey = (mask, a, self.plan_fingerprint(b), complemented);
+        Ok(self.cached_plan(key, || plan::plan(self, operands, complemented)))
     }
 
     /// The plan cached under `key` (a hit refreshes its LRU stamp), or the

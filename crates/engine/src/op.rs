@@ -10,8 +10,9 @@
 //!
 //! * [`Operands`] — either a matrix product `M ⊙ (A·B)` ([`Operands::MatMat`])
 //!   or a vector-matrix product `m ⊙ (u·B)` ([`Operands::VecMat`], the
-//!   frontier-expansion step of BFS-style traversals, where the planner's
-//!   push/pull choice is Beamer's direction heuristic);
+//!   frontier-expansion step of BFS-style traversals), planned as the
+//!   one-row matrix product: the planner prices every family on that row,
+//!   so Beamer's push/pull direction choice is one case of its choice;
 //! * a runtime [`SemiringKind`] **and** a [`ValueKind`] lane — `bool`
 //!   frontiers, exact `i64` counts, and `f64` products each run on
 //!   kernels monomorphized for their lane and kind, and one batch can mix
@@ -181,10 +182,10 @@ pub struct MaskedOp {
     /// Force this phase discipline instead of the planner's choice.
     ///
     /// Every matrix product runs it: row-parallel, serial under the
-    /// cutoff, and as a batch entry. A vector-operand product is the
-    /// one-row matrix product and always runs the one-phase driver on
-    /// that row, so this setting does not apply to it. Results are
-    /// bit-identical either way.
+    /// cutoff, and as a batch entry. The planner gives any one-row product
+    /// [`Phases::One`]; a vector-operand product always runs the one-phase
+    /// driver on its row, so this setting does not apply to it. Results
+    /// are bit-identical either way.
     pub phases: Option<Phases>,
     /// What happens to the result (see [`AccumMode`]).
     pub accum: AccumMode,
@@ -594,7 +595,7 @@ impl Context {
             Operands::MatMat { mask, a, b } => {
                 if let Some(alg) = op.algorithm {
                     alg.check_complement_support(op.complemented)?;
-                    plan::validate(self, mask, a, b)?;
+                    plan::validate(self, op.operands)?;
                     // A fully-overridden op skips the cost model entirely —
                     // but still honors the calibrated serial cutoff (the
                     // pair-cached flop count is the only quantity needed).
@@ -618,16 +619,16 @@ impl Context {
                 }
                 Ok(planned)
             }
-            Operands::VecMat { mask, u, b } => {
+            Operands::VecMat { .. } => {
                 if let Some(alg) = op.algorithm {
                     alg.check_complement_support(op.complemented)?;
-                    plan::validate_vec(self, mask, u, b)?;
+                    plan::validate(self, op.operands)?;
                     // One row runs serially at one phase, whatever the op asks.
                     let mut fixed = Plan::fixed(alg, Phases::One, op.complemented);
                     fixed.serial = true;
                     return Ok(fixed);
                 }
-                self.plan_vec(mask, op.complemented, u, b)
+                self.plan_operands(op.operands, op.complemented)
             }
         }
     }

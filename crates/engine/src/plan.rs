@@ -2,16 +2,22 @@
 //!
 //! The per-row cost model of [`masked_spgemm::hybrid`] (Section 9 future
 //! work of the paper) is aggregated over whole operations here: the
-//! planner sums each family's per-row estimate using cached degree vectors
-//! and the pair-cached flop count, and takes the cheapest family the mask
-//! polarity supports. When mixing families per row is estimated to beat
-//! every fixed family by a margin, the plan is [`Choice::Hybrid`]; the
-//! core executor runs either choice. The planner itself adds only the
-//! phase discipline and the serial decision.
+//! planner sums each family's per-row estimate using `B`'s cached degree
+//! vector, and takes the cheapest family the mask polarity supports. When
+//! mixing families per row is estimated to beat every fixed family by a
+//! margin, the plan is [`Choice::Hybrid`]; the core executor runs either
+//! choice. The planner itself adds only the phase discipline and the
+//! serial decision.
 //!
-//! All quantities are `O(nnz(A) + nrows)` to evaluate and come from the
-//! [`crate::Context`] auxiliary cache, so repeated planning over the same
-//! operands (k-truss peeling, BC sweeps) is cheap.
+//! There is one planner body. A vector product `m ⊙ (u·B)` is the one-row
+//! matrix product, so it is planned as that row: every family is priced,
+//! and the cheapest one runs — Beamer's push/pull direction choice is one
+//! case of it, and the heap's k-way merge, which skips the `O(ncols)` scan,
+//! wins the last levels of a BFS.
+//!
+//! Planning is `O(nnz(A) + nnz(B) + ncols)` on a plan-cache miss, and a
+//! hit serves repeated planning over similar operands (k-truss peeling, BC
+//! sweeps, BFS levels) without one cost-model pass.
 
 use masked_spgemm::api::check_shapes;
 use masked_spgemm::hybrid::{
@@ -19,14 +25,16 @@ use masked_spgemm::hybrid::{
 };
 pub use masked_spgemm::Choice;
 use masked_spgemm::{Algorithm, Phases};
-use sparse::SparseError;
+use sparse::{Idx, SparseError};
+use std::iter;
 
-use crate::context::{Context, MatrixHandle, VectorHandle};
+use crate::context::{Context, MatrixHandle};
+use crate::op::Operands;
 
-/// Estimated unit costs per algorithm family (the planner's working). A
-/// family the planner did not consider costs [`f64::INFINITY`] (MCA and
-/// heap in a vector plan); a plan built with no cost evaluation
-/// ([`Plan::fixed`]) holds all zeros.
+/// Estimated unit costs per algorithm family (the planner's working),
+/// summed over the product's rows with work: a vector product's one row
+/// prices all four families like any matrix row. A plan built with no cost
+/// evaluation ([`Plan::fixed`]) holds all zeros.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct CostBreakdown {
     /// Masked sparse accumulator.
@@ -38,7 +46,9 @@ pub struct CostBreakdown {
     /// Pull-based dot products.
     pub inner: f64,
     /// The per-row hybrid's estimate: its row choices plus per-row dispatch
-    /// and, unless the best fixed family pulls too, the CSC copy of `B`.
+    /// and, unless the best fixed family pulls too, the CSC copy of `B`. A
+    /// one-row product's rows cannot disagree, so it never runs the hybrid;
+    /// this is still its one-row estimate.
     pub hybrid: f64,
     /// Flops of the unmasked product (the model's work term).
     pub flops: u64,
@@ -56,10 +66,10 @@ pub struct Plan {
     /// Run serially on the calling thread instead of dispatching the pool:
     /// the estimated work is below the calibrated dispatch overhead
     /// ([`Context::set_serial_cutoff_flops`]), or a batch worker runs the
-    /// op whole. Vector-operand plans are always serial — a single output
-    /// row has no row parallelism to win — and always [`Phases::One`],
-    /// whatever phases the op asks for: the one row runs the one-phase
-    /// driver. A serial plan's choice is never [`Choice::Hybrid`].
+    /// op whole. A product with one output row — a vector product or a
+    /// `1 × n` matrix product — plans serial at [`Phases::One`]: one row
+    /// has no row parallelism to win. A serial plan's choice is never
+    /// [`Choice::Hybrid`].
     pub serial: bool,
     /// The cost estimates that produced the choice.
     pub costs: CostBreakdown,
@@ -126,38 +136,68 @@ fn algorithm(family: RowChoice) -> Algorithm {
 /// under a complemented mask, so exact allocation wins for heavy products).
 const COMPLEMENTED_TWO_PHASE_FLOPS: u64 = 1 << 22;
 
-/// Validate that the three operands are registered and form a well-shaped
-/// masked multiply (shared by the planner, the cache lookup, and the
-/// descriptor path).
-pub(crate) fn validate(
-    ctx: &Context,
-    mask: MatrixHandle,
-    a: MatrixHandle,
-    b: MatrixHandle,
-) -> Result<(), SparseError> {
-    let (em, ea, eb) = (ctx.try_entry(mask)?, ctx.try_entry(a)?, ctx.try_entry(b)?);
-    check_shapes(em.matrix.shape(), ea.matrix.shape(), eb.matrix.shape())
+/// Validate that the operands are registered and form a well-shaped
+/// masked multiply, a vector being the `1 × dim` matrix (shared by the
+/// planner, the cache lookup, and the descriptor path). Shape checks are
+/// structure-only: no lane view is materialized here.
+pub(crate) fn validate(ctx: &Context, operands: Operands) -> Result<(), SparseError> {
+    let (mask, a, b) = match operands {
+        Operands::MatMat { mask, a, b } => (
+            ctx.try_entry(mask)?.matrix.shape(),
+            ctx.try_entry(a)?.matrix.shape(),
+            b,
+        ),
+        Operands::VecMat { mask, u, b } => (
+            (1, ctx.try_vector(mask)?.dim()),
+            (1, ctx.try_vector(u)?.dim()),
+            b,
+        ),
+    };
+    check_shapes(mask, a, ctx.try_entry(b)?.matrix.shape())
 }
 
 /// Cost-model planning proper. Operand shapes are the caller's
-/// responsibility ([`Context::plan`] runs [`validate`] before the cache
-/// lookup, which is the only path here).
+/// responsibility (`Context::plan_operands` runs [`validate`] before the
+/// cache lookup, which is the only path here).
+///
+/// A vector product is the one-row matrix product: its one row is the
+/// mask's and `u`'s indices, planned by the same body as a matrix's rows.
+pub(crate) fn plan(ctx: &Context, operands: Operands, complemented: bool) -> Plan {
+    match operands {
+        Operands::MatMat { mask, a, b } => {
+            let (em, ea) = (ctx.entry(mask), ctx.entry(a));
+            let rows =
+                (0..ea.matrix.nrows()).map(|i| (em.matrix.row_cols(i), ea.matrix.row_cols(i)));
+            plan_rows(ctx, rows, complemented, b)
+        }
+        Operands::VecMat { mask, u, b } => {
+            let (mv, uv) = (ctx.vector(mask), ctx.vector(u));
+            plan_rows(
+                ctx,
+                iter::once((mv.indices(), uv.indices())),
+                complemented,
+                b,
+            )
+        }
+    }
+}
+
+/// The one planner body over a product's `(mask row, A row)` column lists.
 ///
 /// Structure-only: the planner reads patterns and degrees, never a value
 /// lane, so it costs the same whatever lane the operands are natively
 /// stored on.
-pub(crate) fn plan(
+fn plan_rows<'r>(
     ctx: &Context,
-    mask: MatrixHandle,
+    rows: impl ExactSizeIterator<Item = (&'r [Idx], &'r [Idx])>,
     complemented: bool,
-    a: MatrixHandle,
     b: MatrixHandle,
 ) -> Plan {
-    let (em, ea, eb) = (ctx.entry(mask), ctx.entry(a), ctx.entry(b));
+    // A single output row has no row parallelism to win and no transient
+    // copy worth a symbolic pass: it runs serially at one phase.
+    let one_row = rows.len() == 1;
+    let eb = ctx.entry(b);
     let cfg = ctx.config();
-    let flops_total = ctx.flops(a, b);
-    let mask_deg = ctx.row_degrees(mask);
-    let a_deg = ctx.row_degrees(a);
     let b_deg = ctx.row_degrees(b);
     // The pull is priced by the columns it visits; counting them is one
     // pass over B, the same order as the flop count.
@@ -166,19 +206,18 @@ pub(crate) fn plan(
 
     // Sum the per-row model over the rows with work. Under a complemented
     // mask an empty mask row is the pull's costliest row, so it counts.
-    let mut totals = CostTotals::default();
-    for i in 0..ea.matrix.nrows() {
-        let (mm, u) = (mask_deg[i] as usize, a_deg[i] as usize);
-        if u == 0 || (mm == 0 && !complemented) {
+    let (mut totals, mut flops_total) = (CostTotals::default(), 0);
+    for (mask_cols, a_cols) in rows {
+        let f = row_flops(a_cols, |k| b_deg[k] as usize);
+        flops_total += f;
+        if f == 0 || (mask_cols.is_empty() && !complemented) {
             continue;
         }
-        let f = row_flops(ea.matrix.row_cols(i), |k| b_deg[k] as usize);
-        if f == 0 {
-            continue;
-        }
-        let mask_col_nnz = col_sum(em.matrix.row_cols(i), &b_col_nnz);
+        let (mm, u) = (mask_cols.len(), a_cols.len());
+        let mask_col_nnz = col_sum(mask_cols, &b_col_nnz);
         totals.add_row(row_costs(&cfg, mm, u, f, mask_col_nnz, complement));
     }
+    // One row chooses one family, so it never plans the hybrid.
     let fixed = cheapest(totals.families, complemented);
     let (hybrid, hybrid_wins) = totals.hybrid(fixed, eb.matrix.nnz(), complemented);
     let choice = if hybrid_wins {
@@ -191,7 +230,7 @@ pub(crate) fn plan(
     // affordable. Plain masks bound the output by nnz(mask); complemented
     // masks have no such bound, so heavyweight complemented products take
     // the exact-allocation path.
-    let phases = if complemented && flops_total > COMPLEMENTED_TWO_PHASE_FLOPS {
+    let phases = if !one_row && complemented && flops_total > COMPLEMENTED_TWO_PHASE_FLOPS {
         Phases::Two
     } else {
         Phases::One
@@ -215,86 +254,10 @@ pub(crate) fn plan(
     // When the whole product's estimated work is below the cost of waking
     // the workers, dispatching the pool is pure overhead: run the drivers
     // on the calling thread instead.
-    if (flops_total as f64) < ctx.serial_cutoff_flops() {
+    if one_row || (flops_total as f64) < ctx.serial_cutoff_flops() {
         plan.make_serial();
     }
     plan
-}
-
-/// Validate that the operands of a vector-operand multiply `v = m ⊙ (u·B)`
-/// are registered and well-shaped.
-pub(crate) fn validate_vec(
-    ctx: &Context,
-    mask: VectorHandle,
-    u: VectorHandle,
-    b: MatrixHandle,
-) -> Result<(), SparseError> {
-    let (mv, uv) = (ctx.try_vector(mask)?, ctx.try_vector(u)?);
-    // Shape checks are structure-only: never materialize a lane view here.
-    let b_shape = ctx.try_entry(b)?.matrix.shape();
-    check_shapes((1, mv.dim()), (1, uv.dim()), b_shape)
-}
-
-/// Cost-model planning for a vector-operand multiply `v = m ⊙ (u·B)` (or
-/// `¬m ⊙` with `complemented`) — the frontier-expansion step of BFS-style
-/// traversals, where Beamer's direction heuristic becomes a planner
-/// decision:
-///
-/// * **push** ([`Algorithm::Msa`]) scatters the operand's rows; its work is
-///   the exact flop count `Σ_{k ∈ u} deg_B(k)` plus the mask touch — the
-///   "frontier's outgoing work" side of the heuristic;
-/// * **pull** ([`Algorithm::Inner`]) runs one dot product per admissible
-///   output position (`nnz(m)` plain, `ncols − nnz(m)` complemented — the
-///   "unvisited count" side under the complemented visited mask of a BFS),
-///   each priced by the length of the `B` column it reads.
-///
-/// Single-row products never dispatch the pool, so the plan is always
-/// [`Plan::serial`], at [`Phases::One`]. MCA and heap are not candidates;
-/// their costs are [`f64::INFINITY`].
-pub(crate) fn plan_vec(
-    ctx: &Context,
-    mask: VectorHandle,
-    complemented: bool,
-    u: VectorHandle,
-    b: MatrixHandle,
-) -> Plan {
-    let (mv, uv, eb) = (ctx.vector(mask), ctx.vector(u), ctx.entry(b));
-    let b_deg = ctx.row_degrees(b);
-    // Structure-only statistics — no lane view is materialized to plan.
-    let flops = row_flops(uv.indices(), |k| b_deg[k] as usize);
-    let b_col_nnz = col_counts(eb.matrix.colidx(), eb.matrix.ncols());
-    let mask_col_nnz = col_sum(mv.indices(), &b_col_nnz);
-    let complement = complemented.then_some((eb.matrix.ncols(), eb.matrix.nnz()));
-    let [msa, _, _, inner] = row_costs(
-        &ctx.config(),
-        mv.nnz(),
-        uv.nnz(),
-        flops,
-        mask_col_nnz,
-        complement,
-    );
-    // One row plans push or pull only: the other families are priced out.
-    let (mca, heap) = (f64::INFINITY, f64::INFINITY);
-    let (family, min_cost) = cheapest([msa, mca, heap, inner], complemented);
-    let choice = if family == RowChoice::Inner && flops > 0 {
-        Choice::Fixed(Algorithm::Inner)
-    } else {
-        Choice::Fixed(Algorithm::Msa)
-    };
-    Plan {
-        choice,
-        phases: Phases::One,
-        complemented,
-        serial: true,
-        costs: CostBreakdown {
-            msa,
-            mca,
-            heap,
-            inner,
-            hybrid: min_cost,
-            flops,
-        },
-    }
 }
 
 #[cfg(test)]
@@ -332,9 +295,15 @@ mod tests {
             ctx.plan(dense_mask, false, rmat, rmat).unwrap(),
             ctx.plan(hub, false, hub, hub).unwrap(),
             ctx.plan(sparse_mask, true, heavy, heavy).unwrap(),
-            ctx.plan_vec(source, true, source, grid).unwrap(),
-            ctx.plan_vec(nearly_all, true, wide_frontier, grid).unwrap(),
-            ctx.plan_vec(source, false, wide_frontier, grid).unwrap(),
+            ctx.vec_op(source, source, grid)
+                .complemented(true)
+                .plan()
+                .unwrap(),
+            ctx.vec_op(nearly_all, wide_frontier, grid)
+                .complemented(true)
+                .plan()
+                .unwrap(),
+            ctx.vec_op(source, wide_frontier, grid).plan().unwrap(),
         ]
     }
 

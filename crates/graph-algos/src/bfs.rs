@@ -6,8 +6,11 @@
 //! `next = ¬visited ⊙ (frontier · A)`, where the complemented mask *is* the
 //! "don't rediscover visited vertices" filter. **Push** evaluates that with
 //! a row-scatter accumulator (MSA); **pull** evaluates it with one dot
-//! product per unvisited vertex (Inner); the **auto** mode switches per
-//! level with Beamer's work heuristic.
+//! product per unvisited vertex (Inner); the **auto** mode picks per level.
+//! [`bfs`] switches with Beamer's work heuristic; [`bfs_auto`] asks the
+//! engine's planner, which prices every family on the level's one row and
+//! may pick any push family (MSA, or the heap that merges a tiny frontier
+//! without scanning the vertices) or the pull.
 //!
 //! One level loop serves both [`bfs`] (direct `masked_spgevm` calls) and
 //! [`bfs_auto`] (engine-planned vector descriptors); they only differ in
@@ -26,8 +29,9 @@ pub enum Direction {
     Push,
     /// Always gather into unvisited vertices (masked Inner SpGEVM).
     Pull,
-    /// Switch per level: pull when the frontier's outgoing work exceeds
-    /// the number of unvisited vertices, push otherwise.
+    /// Pick per level. [`fn@bfs`] pulls when the frontier's outgoing work
+    /// exceeds the number of unvisited vertices and pushes otherwise;
+    /// [`bfs_auto`] runs whichever family the planner picks.
     Auto,
 }
 
@@ -38,7 +42,9 @@ pub struct BfsResult {
     pub levels: Vec<i64>,
     /// Number of expansion steps taken.
     pub depth: usize,
-    /// Direction actually used at each level (interesting for `Auto`).
+    /// Direction actually used at each level (interesting for `Auto`):
+    /// [`Direction::Pull`] for the pull (Inner), [`Direction::Push`] for
+    /// every push family.
     pub directions: Vec<Direction>,
 }
 
@@ -159,9 +165,12 @@ pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
 /// planned and executed by the [`Context`]: the frontier and visited sets
 /// live in the context as [`engine::VectorHandle`]s, the boolean adjacency view and
 /// its CSC form come from the aux cache (built once, reused across levels
-/// *and* traversals), and with [`Direction::Auto`] the push/pull switch is
-/// the planner's vector cost model — Beamer's heuristic as a plan decision
-/// rather than hand-rolled caller logic. No direct `masked_spgevm` calls.
+/// *and* traversals), and with [`Direction::Auto`] each level runs the
+/// family the planner picks for its one row — Beamer's direction choice as
+/// a plan decision rather than hand-rolled caller logic, widened to every
+/// family: MSA, MCA (never under this complemented mask), the heap, or the
+/// pull. [`BfsResult::directions`] records [`Direction::Pull`] only for the
+/// pull. No direct `masked_spgevm` calls.
 ///
 /// Levels are identical to [`fn@crate::bfs`] and [`crate::bfs::bfs_reference`].
 pub fn bfs_auto(
@@ -218,7 +227,9 @@ pub fn bfs_auto_with_value(
             Direction::Pull => Algorithm::Inner,
             Direction::Auto => match op.plan()?.choice {
                 Choice::Fixed(alg) => alg,
-                Choice::Hybrid => Algorithm::Msa, // vec plans are never hybrid
+                // Unreachable by construction: a one-row product chooses
+                // one family, so it never plans the per-row hybrid.
+                Choice::Hybrid => Algorithm::Msa,
             },
         };
         let expanded = op

@@ -3,12 +3,14 @@
 //!
 //! Each level is one masked SpGEVM `next = ¬visited ⊙ (frontier·A)`:
 //! "push" evaluates it by scattering the frontier's rows, "pull" by one
-//! dot product per unvisited vertex, and the auto policy switches when the
-//! frontier's outgoing work exceeds the unvisited population. The
-//! engine-planned `bfs_auto` runs the same per-level products as vector
-//! descriptors on the `bool` lane: the boolean adjacency views are cached
-//! on the context, and with `Auto` the push/pull switch is the planner's
-//! vector cost model.
+//! dot product per unvisited vertex, and the direct loop's auto policy
+//! switches when the frontier's outgoing work exceeds the unvisited
+//! population. The engine-planned `bfs_auto` runs the same per-level
+//! products as vector descriptors on the `bool` lane: the boolean
+//! adjacency views are cached on the context, and with `Auto` each level
+//! runs the family the planner prices cheapest on its one row — MSA, the
+//! heap (a push that merges a tiny frontier without scanning the
+//! vertices), or the pull. Only the pull prints as `Pull`.
 //!
 //! Run with `cargo run --release --example bfs_frontier -p integration`.
 

@@ -379,9 +379,11 @@ fn bool_vec(dim: usize, indices: Vec<Idx>) -> SparseVec<bool> {
 
 /// One plan of each kind the planner makes, on a fresh default-config
 /// context: a fixed `MSA-1P`, a per-row `Hybrid-1P`, a complemented
-/// two-phase product, two complemented vector products (a lone source, and
-/// a wide frontier with six unvisited vertices, both pushes: the pull would
-/// scan all 256 positions) and a plain vector pull.
+/// two-phase product, two complemented vector products — a lone source,
+/// which the heap merges without the `O(ncols)` scan that MSA and the pull
+/// pay, and a wide frontier with six unvisited vertices, an MSA push (the
+/// pull would scan all 256 positions) — and a plain vector pull. Every
+/// vector plan prices all four families.
 fn pinned_plans(ctx: &Context) -> Vec<(&'static str, Plan)> {
     let rmat = ctx.insert(graphs::rmat(8, graphs::RmatParams::default(), 1));
     let dense_mask = ctx.insert(graphs::erdos_renyi(256, 64.0, 5));
@@ -399,14 +401,23 @@ fn pinned_plans(ctx: &Context) -> Vec<(&'static str, Plan)> {
             "complemented",
             ctx.plan(sparse_mask, true, heavy, heavy).unwrap(),
         ),
-        ("push", ctx.plan_vec(source, true, source, grid).unwrap()),
+        (
+            "push",
+            ctx.vec_op(source, source, grid)
+                .complemented(true)
+                .plan()
+                .unwrap(),
+        ),
         (
             "pull",
-            ctx.plan_vec(nearly_all, true, wide_frontier, grid).unwrap(),
+            ctx.vec_op(nearly_all, wide_frontier, grid)
+                .complemented(true)
+                .plan()
+                .unwrap(),
         ),
         (
             "plain pull",
-            ctx.plan_vec(source, false, wide_frontier, grid).unwrap(),
+            ctx.vec_op(source, wide_frontier, grid).plan().unwrap(),
         ),
     ]
 }
@@ -417,16 +428,14 @@ fn pinned_plans(ctx: &Context) -> Vec<(&'static str, Plan)> {
 /// any plan or any estimate fails here.
 #[test]
 fn planner_numbers_are_pinned() {
-    // Vector plans price MCA and heap out.
-    const INF: u64 = 0x7ff0000000000000;
     #[rustfmt::skip]
     const PINNED: [(&str, &str, [u64; 5], u64); 6] = [
         ("rmat", "MSA-1P", [0x40fde9b000000000, 0x410f4e2000000000, 0x411d1857e61f71e3, 0x411367f000000000, 0x40fe13edbd150474], 88111),
         ("hybrid", "Hybrid-1P", [0x40c5540000000000, 0x40c1ae0000000000, 0x40cc5c9b86c2f2ed, 0x40c22b0000000000, 0x40b7740000000000], 4526),
         ("complemented", "MSA-2P", [0x416082e520000000, 0x4160a16680000000, 0x418c62a5d428172a, 0x41c02d63ca800000, 0x4160b47ca0000000], 8455985),
-        ("push", "MSA-1P", [0x4059400000000000, INF, INF, 0x4096ec0000000000, 0x4059400000000000], 4),
-        ("pull", "MSA-1P", [0x4089d00000000000, INF, INF, 0x4090440000000000, 0x4089d00000000000], 480),
-        ("plain pull", "Inner-1P", [0x4082080000000000, INF, INF, 0x4060a00000000000, 0x4060a00000000000], 480),
+        ("push", "Heap-1P", [0x4059400000000000, 0x4014000000000000, 0x4022000000000000, 0x4096ec0000000000, 0x408e680000000000], 4),
+        ("pull", "MSA-1P", [0x4089d00000000000, 0x40dfb80000000000, 0x40affec735d5c00c, 0x4090440000000000, 0x409c080000000000], 480),
+        ("plain pull", "Inner-1P", [0x4082080000000000, 0x4083000000000000, 0x40ae0cc735d5c00c, 0x4060a00000000000, 0x4061a00000000000], 480),
     ];
     let ctx = Context::with_threads(1);
     let plans = pinned_plans(&ctx);

@@ -425,6 +425,120 @@ fn vector_plans_run_one_phase_whatever_the_op_asks() {
     }
 }
 
+/// The `1 × dim` matrix of a vector's pattern.
+fn row_matrix(dim: usize, indices: &[Idx]) -> CsrMatrix<f64> {
+    let mut coo = sparse::CooMatrix::new(1, dim);
+    for &j in indices {
+        coo.push(0, j, 1.0);
+    }
+    coo.to_csr()
+}
+
+/// A vector plan is the one-row matrix plan: the same choice, phases,
+/// serial flag and cost bits for `m ⊙ (u·B)` and for `M1 ⊙ (U1·B)` on the
+/// `1 × n` matrices of `m` and `u`. The last BFS levels on a grid (a
+/// complemented visited mask holding at least 98% of the vertices and a
+/// frontier of a few) return what the forced MSA and pull return on the
+/// `bool` and `i64` lanes; three levels from the end, with six vertices
+/// left to reach, the plan is the heap, which skips the `O(n)` scan that
+/// MSA and the pull pay. A hub's row under a plain mask plans MCA.
+#[test]
+fn vector_plan_is_the_one_row_matrix_plan() {
+    let grid = graphs::grid2d(32, 32);
+    let n = grid.nrows();
+    let levels = bfs_reference(&grid, 0);
+    let depth = *levels.iter().max().unwrap();
+    let pick = |keep: &dyn Fn(i64) -> bool| -> Vec<Idx> {
+        (0..n as Idx)
+            .filter(|&v| keep(levels[v as usize]))
+            .collect()
+    };
+    // The BFS step that expands level `l`: (visited mask, frontier).
+    let step = |l: i64| (pick(&|x| x <= l), pick(&|x| x == l));
+    let rmat = graphs::to_undirected_simple(&graphs::rmat(10, graphs::RmatParams::default(), 7));
+    let thirds: Vec<Idx> = (0..n as Idx).step_by(3).collect();
+    let mid = step(depth / 2);
+    // (name, B, mask, u, complemented, pinned label)
+    let mut cases = vec![
+        ("source", &grid, vec![0], vec![0], true, None),
+        ("mid level", &grid, mid.0, mid.1.clone(), true, None),
+        ("plain", &grid, thirds.clone(), mid.1, false, None),
+        ("rmat hub", &rmat, vec![0], vec![0], true, None),
+        (
+            "rmat plain",
+            &rmat,
+            thirds.clone(),
+            thirds.clone(),
+            false,
+            None,
+        ),
+        ("rmat mca", &rmat, thirds, vec![0], false, Some("MCA-1P")),
+    ];
+    for (from_end, label) in [(3, Some("Heap-1P")), (2, None), (1, None)] {
+        let (visited, frontier) = step(depth - from_end);
+        cases.push(("last levels", &grid, visited, frontier, true, label));
+    }
+    let bits = |p: &engine::Plan| {
+        let c = p.costs;
+        (
+            [c.msa, c.mca, c.heap, c.inner, c.hybrid].map(f64::to_bits),
+            c.flops,
+        )
+    };
+    for (name, b, mask, u, compl, label) in cases {
+        // A fresh context per case: no plan is served from another case's
+        // cache entry.
+        let ctx = Context::with_threads(1);
+        let hb = ctx.insert(b.clone());
+        let vec = |idx: &[Idx]| {
+            ctx.insert_vec(SparseVec::try_new(n, idx.to_vec(), vec![true; idx.len()]).unwrap())
+        };
+        let (m, uv) = (vec(&mask), vec(&u));
+        let (m1, u1) = (
+            ctx.insert(row_matrix(n, &mask)),
+            ctx.insert(row_matrix(n, &u)),
+        );
+        let op = ctx.vec_op(m, uv, hb).complemented(compl);
+        let got = op.plan().unwrap();
+        let want = ctx.op(m1, u1, hb).complemented(compl).plan().unwrap();
+        let case = format!(
+            "{name} ({} of {n}, u {}): {}",
+            mask.len(),
+            u.len(),
+            got.label()
+        );
+        assert_eq!(got.choice, want.choice, "{case} vs {}", want.label());
+        assert_eq!(got.phases, want.phases, "{case}");
+        assert_eq!(got.serial, want.serial, "{case}");
+        assert!(got.serial && got.phases == Phases::One, "{case}");
+        assert_eq!(bits(&got), bits(&want), "{case}: {:?}", got.costs);
+        if let Some(label) = label {
+            assert_eq!(got.label(), label, "{case}: {:?}", got.costs);
+        }
+        if name != "last levels" {
+            continue;
+        }
+        assert!(
+            mask.len() * 100 >= 98 * n && (1..=7).contains(&u.len()),
+            "{case}"
+        );
+        let ui64 = ctx.insert_vec(SparseVec::try_new(n, u.clone(), vec![1i64; u.len()]).unwrap());
+        for lane_op in [op, ctx.vec_op(m, ui64, hb).complemented(compl)] {
+            let planned = lane_op.run_out().unwrap();
+            assert!(planned.nnz() > 0, "{case}");
+            for alg in [Algorithm::Msa, Algorithm::Inner] {
+                let forced = lane_op.algorithm(alg).run_out().unwrap();
+                assert_eq!(
+                    planned,
+                    forced,
+                    "{case} {:?} vs {alg:?}",
+                    planned.value_kind()
+                );
+            }
+        }
+    }
+}
+
 /// A hub joined to every vertex of a path: hub rows and tiny rows want
 /// different families, so the planner picks the per-row hybrid.
 fn hub_and_fringe() -> CsrMatrix<f64> {
@@ -497,7 +611,13 @@ fn vector_plans_cache_under_fingerprint_classes() {
     let visited = ctx.insert_vec(SparseVec::try_new(200, vec![0], vec![true]).unwrap());
 
     let misses0 = ctx.plan_cache_stats().misses;
-    let p1 = ctx.plan_vec(visited, true, frontier, h).unwrap();
+    let plan = || {
+        ctx.vec_op(visited, frontier, h)
+            .complemented(true)
+            .plan()
+            .unwrap()
+    };
+    let p1 = plan();
     assert!(matches!(p1.choice, Choice::Fixed(_)));
     assert_eq!(ctx.plan_cache_stats().misses, misses0 + 1);
 
@@ -507,7 +627,7 @@ fn vector_plans_cache_under_fingerprint_classes() {
         frontier,
         SparseVec::try_new(200, vec![5], vec![true]).unwrap(),
     );
-    ctx.plan_vec(visited, true, frontier, h).unwrap();
+    plan();
     assert_eq!(ctx.plan_cache_stats().hits, hits0 + 1);
 
     // A frontier in a different population regime is a different class.
@@ -517,7 +637,7 @@ fn vector_plans_cache_under_fingerprint_classes() {
         SparseVec::try_new(200, wide.clone(), vec![true; wide.len()]).unwrap(),
     );
     let misses1 = ctx.plan_cache_stats().misses;
-    ctx.plan_vec(visited, true, frontier, h).unwrap();
+    plan();
     assert_eq!(ctx.plan_cache_stats().misses, misses1 + 1);
 
     // Lane changes the class too (bool vs i64 frontier of equal nnz).
@@ -526,7 +646,7 @@ fn vector_plans_cache_under_fingerprint_classes() {
         frontier,
         SparseVec::try_new(200, wide.clone(), vec![1i64; wide.len()]).unwrap(),
     );
-    ctx.plan_vec(visited, true, frontier, h).unwrap();
+    plan();
     assert_eq!(ctx.plan_cache_stats().misses, misses2 + 1);
 }
 

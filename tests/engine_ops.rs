@@ -682,7 +682,7 @@ fn unknown_handles_are_errors_on_the_op_path() {
     unknown(ctx.vec_op(frontier, gone_vec, g).run_out().map(drop));
     unknown(ctx.vec_op(gone_vec, frontier, g).run_out().map(drop));
     unknown(ctx.vec_op(frontier, frontier, gone).run_out().map(drop));
-    unknown(ctx.plan_vec(frontier, true, gone_vec, g).map(drop));
+    unknown(ctx.vec_op(frontier, gone_vec, g).plan().map(drop));
     let ops = [ctx.op(g, g, g).build(), ctx.op(g, g, gone).build()];
     let results = ctx.run_batch_collect(&ops);
     assert!(results[0].is_ok());
