@@ -120,6 +120,15 @@ pub trait LaneValue: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug 
 
     /// Multiplicative identity (`true` on `bool`).
     fn lane_one() -> Self;
+
+    /// Whether `a` and `b` are the same value bit for bit: `==` on `bool`
+    /// and `i64`; on `f64` the bit patterns are compared, so `-0.0`
+    /// differs from `0.0` and a NaN equals a NaN with the same bits. An
+    /// accumulation counts an entry as changed when this is `false`.
+    #[inline(always)]
+    fn same_bits(a: Self, b: Self) -> bool {
+        a == b
+    }
 }
 
 impl LaneValue for bool {
@@ -197,6 +206,11 @@ macro_rules! impl_numeric_lane {
             #[inline(always)]
             fn lane_one() -> $t {
                 $one
+            }
+
+            #[inline(always)]
+            fn same_bits(a: $t, b: $t) -> bool {
+                a.to_ne_bytes() == b.to_ne_bytes()
             }
         }
     };

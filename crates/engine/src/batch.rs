@@ -118,7 +118,8 @@ impl Context {
     /// unsupported override) delivers an `Err` for its index without
     /// affecting the rest. Accumulating ops ([`AccumMode::MergeInto`]) are
     /// merged on the calling thread before the sink sees them, so
-    /// concurrent ops never race on a target handle.
+    /// concurrent ops never race on a target handle; the sink receives the
+    /// entries each merge changed, as a single op delivers them.
     ///
     /// ```
     /// use engine::{Context, OpOutput, SemiringKind, ValueKind};

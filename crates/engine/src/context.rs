@@ -691,12 +691,18 @@ impl Context {
     /// any derived transpose handle. An update with an identical matrix
     /// (same lane, structure, and values) keeps the cache warm instead.
     pub fn update_typed(&self, handle: MatrixHandle, matrix: impl Into<ValueMat>) {
-        let matrix = matrix.into();
+        self.store_matrix(handle, matrix.into(), true);
+    }
+
+    /// [`Context::update_typed`]; `keep_if_equal: false` skips its
+    /// equality check, for a caller that already knows the bits changed
+    /// (`==` would take a `-0.0` that replaced `0.0` for no change).
+    pub(crate) fn store_matrix(&self, handle: MatrixHandle, matrix: ValueMat, keep_if_equal: bool) {
         let derived;
         {
             let mut store = self.store.write().expect("store lock");
             let entry = store.get_mut(&handle.0).expect("handle not registered");
-            if entry.matrix == matrix {
+            if keep_if_equal && entry.matrix == matrix {
                 return; // no change — cached auxiliaries stay valid
             }
             derived = entry.transpose_handle.get().copied();

@@ -20,7 +20,7 @@
 //! * an [`AccumMode`]: deliver the product as-is, or merge it into a
 //!   registered matrix/vector with an [`AccumMonoid`] chosen independently
 //!   of the multiply semiring (`add`, `min`, the semiring's own `add`, or
-//!   a custom function).
+//!   a custom function) and deliver only the entries the merge changed.
 //!
 //! ```
 //! use engine::{Context, OpOutput, SemiringKind, ValueKind};
@@ -54,7 +54,7 @@
 //! ```
 
 use masked_spgemm::{Algorithm, DynLane, LaneValue, Phases, SemiringKind, ValueKind};
-use sparse::ewise::ewise_union;
+use sparse::ewise::ewise_merge_changes;
 use sparse::{CscMatrix, CsrMatrix, Semiring, SparseError, SparseVec};
 use std::sync::Arc;
 
@@ -142,18 +142,35 @@ pub enum AccumMode {
     /// Deliver the product as computed (the default).
     Replace,
     /// Merge the product into the matrix or vector behind the target with
-    /// the given monoid, [`Context::update`] / [`Context::update_vec`] the
-    /// handle with the merged value, and deliver the merged value.
+    /// the given monoid, store the merged value behind the handle, and
+    /// deliver **only the entries of the target that the merge changed**
+    /// (GraphBLAS's `C<M> ⊕= A·B` with the changed set exposed):
+    ///
+    /// * the entries the target gains, and
+    /// * the entries whose merged value is not bit-identical to the stored
+    ///   one. On `f64`, a `-0.0` that replaces `0.0` is a change, and a NaN
+    ///   that merges to the same NaN bits is not.
+    ///
+    /// The result has the target's shape and holds the merged values. Read
+    /// the whole merged value from the handle, without a copy
+    /// ([`Context::vector`], [`Context::matrix`], [`Context::value_mat`]).
+    /// A merge that changes nothing delivers an empty result and leaves the
+    /// target, its version and its cached auxiliaries as they were. The
+    /// rule is the same for matrix and vector targets, single ops and
+    /// batch entries.
+    ///
+    /// Two shapes fall out of it. A `min` merge into a distance vector
+    /// delivers the strictly improved vertices: SSSP's next frontier. A
+    /// product under the complement of its own target's pattern is
+    /// disjoint from the target, so accumulating it delivers the product
+    /// itself while the target becomes the union: BFS's next frontier and
+    /// visited set in one op.
     ///
     /// In a batch, accumulation is applied on the *calling* thread in
     /// completion order, so two operations targeting the same handle never
     /// race — but their merge order (and therefore float rounding on the
-    /// `f64` lane) follows completion order, which is nondeterministic
-    /// across runs.
-    ///
-    /// Both the handle and the caller receive the merged value, which
-    /// costs one `O(nnz)` copy on top of the merge itself (the two owners
-    /// cannot share storage through an owned return type).
+    /// `f64` lane, and which op reports a shared change) follows completion
+    /// order, which is nondeterministic across runs.
     MergeInto(AccumTarget, AccumMonoid),
 }
 
@@ -331,28 +348,35 @@ impl<'c> OpBuilder<'c> {
     }
 
     /// Merge the result into the matrix behind `target` with the
-    /// operation's own semiring `add` (see [`AccumMode::MergeInto`]).
+    /// operation's own semiring `add`. The op then delivers only the
+    /// entries of `target` that changed (see [`AccumMode::MergeInto`]).
     pub fn accumulate_into(mut self, target: MatrixHandle) -> Self {
         self.op.accum = AccumMode::MergeInto(AccumTarget::Mat(target), AccumMonoid::Semiring);
         self
     }
 
     /// Min-merge the result into the matrix behind `target`, regardless of
-    /// the multiply semiring.
+    /// the multiply semiring. The op then delivers only the entries that
+    /// the merge lowered or added (see [`AccumMode::MergeInto`]).
     pub fn min_into(mut self, target: MatrixHandle) -> Self {
         self.op.accum = AccumMode::MergeInto(AccumTarget::Mat(target), AccumMonoid::Min);
         self
     }
 
     /// Add-merge the result into the vector behind `target` (`||` on the
-    /// `bool` lane — the visited-set union of a BFS).
+    /// `bool` lane). The op then delivers only the entries that changed.
+    /// Under the complement of `target` as its own mask, that is the whole
+    /// product: BFS's next frontier, with `target` its visited set (see
+    /// [`AccumMode::MergeInto`]).
     pub fn accumulate_into_vec(mut self, target: VectorHandle) -> Self {
         self.op.accum = AccumMode::MergeInto(AccumTarget::Vec(target), AccumMonoid::Add);
         self
     }
 
     /// Min-merge the result into the vector behind `target` — the
-    /// distance-relaxation step of a tropical traversal.
+    /// distance-relaxation step of a tropical traversal. The op then
+    /// delivers only the strictly improved entries, the traversal's next
+    /// frontier (see [`AccumMode::MergeInto`]).
     pub fn min_into_vec(mut self, target: VectorHandle) -> Self {
         self.op.accum = AccumMode::MergeInto(AccumTarget::Vec(target), AccumMonoid::Min);
         self
@@ -360,6 +384,8 @@ impl<'c> OpBuilder<'c> {
 
     /// Merge the result into an arbitrary target with an arbitrary
     /// [`AccumMonoid`] (the fully general form of the accumulation modes).
+    /// The op delivers only the entries of the target that changed (see
+    /// [`AccumMode::MergeInto`]).
     pub fn merge_into(mut self, target: AccumTarget, monoid: AccumMonoid) -> Self {
         self.op.accum = AccumMode::MergeInto(target, monoid);
         self
@@ -784,7 +810,8 @@ impl Context {
         })
     }
 
-    /// Merge a lane-`T` matrix product into the matrix behind `handle`.
+    /// Merge a lane-`T` matrix product into the matrix behind `handle`,
+    /// returning the entries the merge changed.
     fn merge_mat<T: Lane>(
         &self,
         op: &MaskedOp,
@@ -806,18 +833,20 @@ impl Context {
             });
         }
         let custom = T::custom_monoid(monoid);
-        let merged = ewise_union(
+        let (merged, changed) = ewise_merge_changes(
             existing.as_ref(),
-            &c,
-            |x, y| apply_monoid(monoid, op.semiring, custom, *x, *y),
-            |x| *x,
-            |y| *y,
+            c,
+            |x, y| apply_monoid(monoid, op.semiring, custom, x, y),
+            T::same_bits,
         );
-        self.update_typed(handle, T::wrap_mat(Arc::new(merged.clone())));
-        Ok(T::mat_output(merged))
+        if changed.nnz() > 0 {
+            self.store_matrix(handle, T::wrap_mat(Arc::new(merged)), false);
+        }
+        Ok(T::mat_output(changed))
     }
 
-    /// Merge a lane-`T` vector product into the vector behind `handle`.
+    /// Merge a lane-`T` vector product into the vector behind `handle`,
+    /// returning the entries the merge changed.
     fn merge_vec<T: Lane>(
         &self,
         op: &MaskedOp,
@@ -837,10 +866,15 @@ impl Context {
             });
         }
         let custom = T::custom_monoid(monoid);
-        let merged =
-            existing.union_with(&v, |x, y| apply_monoid(monoid, op.semiring, custom, x, y));
-        self.update_vec(handle, T::wrap_vec(Arc::new(merged.clone())));
-        Ok(T::vec_output(merged))
+        let (merged, changed) = existing.merge_changes(
+            v,
+            |x, y| apply_monoid(monoid, op.semiring, custom, x, y),
+            T::same_bits,
+        );
+        if !changed.is_empty() {
+            self.update_vec(handle, T::wrap_vec(Arc::new(merged)));
+        }
+        Ok(T::vec_output(changed))
     }
 }
 

@@ -128,6 +128,58 @@ mod tests {
         }
     }
 
+    /// The traverse workload's shape: a grid is deep, so a traversal runs
+    /// dozens of levels (or relaxation rounds) with a thin frontier against
+    /// a growing visited set, the case the shallow random graphs above
+    /// never reach.
+    #[test]
+    fn long_diameter_grid_traversals_match_references() {
+        use crate::bfs::bfs_reference;
+        use crate::reference::sssp_reference;
+        let (side, corner, middle) = (48usize, 0, (24 * 48 + 24) as Idx);
+        let grid = graphs::grid2d(side, side);
+        let ctx = Context::with_threads(2);
+        let h = ctx.insert(grid.clone());
+        for (source, depth) in [(corner, 94), (middle, 48)] {
+            let expect = bfs_reference(&grid, source);
+            for policy in [Direction::Push, Direction::Pull, Direction::Auto] {
+                for value in ValueKind::ALL {
+                    let before = ctx.registry_bytes();
+                    let got = bfs_auto_with_value(&ctx, h, source, policy, value).unwrap();
+                    let at = format!("source {source} {policy:?} {value:?}");
+                    assert_eq!(got.levels, expect, "{at}");
+                    assert_eq!(got.depth, depth, "{at}");
+                    assert_eq!(ctx.registry_bytes(), before, "{at} leaked a handle");
+                }
+            }
+        }
+
+        // Seeded non-negative integer weights (zero included), symmetric.
+        let weight = |i: usize, j: Idx| {
+            let (lo, hi) = ((i as u64).min(j as u64), (i as u64).max(j as u64));
+            let z = lo.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ hi.wrapping_add(0xbf58_476d_1ce4_e5b9);
+            (z.wrapping_mul(0x94d0_49bb_1331_11eb) >> 60) as f64 % 10.0
+        };
+        let mut coo = sparse::CooMatrix::new(grid.nrows(), grid.ncols());
+        for (i, j, _) in grid.iter() {
+            coo.push(i as Idx, j, weight(i, j));
+        }
+        let weighted = coo.to_csr();
+        let hw = ctx.insert(weighted.clone());
+        for source in [corner, middle] {
+            let before = (ctx.registry_bytes(), ctx.plan_cache_stats());
+            let got = sssp_auto(&ctx, hw, source).unwrap();
+            let after = ctx.plan_cache_stats();
+            assert_eq!(got, sssp_reference(&weighted, source), "sssp from {source}");
+            assert_eq!(ctx.registry_bytes(), before.0, "sssp leaked a handle");
+            // Each round plans its product once, through the plan cache.
+            let rounds = (after.hits + after.misses) - (before.1.hits + before.1.misses);
+            if source == corner {
+                assert!(rounds >= 90, "only {rounds} rounds from the corner");
+            }
+        }
+    }
+
     #[test]
     fn bfs_auto_forced_directions_report_correctly() {
         let ctx = Context::with_threads(1);

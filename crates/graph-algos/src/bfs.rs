@@ -13,8 +13,13 @@
 //! without scanning the vertices) or the pull.
 //!
 //! One level loop serves both [`bfs`] (direct `masked_spgevm` calls) and
-//! [`bfs_auto`] (engine-planned vector descriptors); they only differ in
-//! how a level's product is run and its direction picked.
+//! [`bfs_auto`] (engine-planned vector descriptors); they differ in how a
+//! level's product is run, its direction picked, and its visited set kept.
+//! [`bfs`] keeps an index list and unions each level into it. In
+//! [`bfs_auto`] the engine keeps it: each level accumulates into the
+//! visited vector it is masked by, and the entries that merge changed are
+//! exactly the next frontier, so the glue around a level does work in
+//! proportion to the frontier, not to the visited set.
 
 use engine::{Choice, Context, MatrixHandle, SemiringKind, ValueKind, ValueVec};
 use sparse::semiring::BoolAndOr;
@@ -70,24 +75,23 @@ fn union_sorted(a: &[Idx], b: &[Idx]) -> Vec<Idx> {
 
 /// The level loop shared by [`bfs`] and [`bfs_auto`].
 ///
-/// `expand(visited, next)` runs one level's `¬visited ⊙ (frontier · A)`,
-/// writes the new frontier's indices into `next`, and reports whether it
-/// pulled. The closure owns its frontier: the visited set `{source}` at
-/// the first level, its own last result after that.
+/// `expand(next)` runs one level's `¬visited ⊙ (frontier · A)`, writes
+/// the new frontier's indices into `next`, and reports whether it pulled.
+/// The closure owns its frontier and visited set: both are `{source}` at
+/// the first level, and it adds each level's `next` to its visited set.
+/// The caller has checked that `source` is one of the `n` vertices.
 fn traverse(
-    shape: (usize, usize),
+    n: usize,
     source: Idx,
-    mut expand: impl FnMut(&[Idx], &mut Vec<Idx>) -> Result<bool, SparseError>,
+    mut expand: impl FnMut(&mut Vec<Idx>) -> Result<bool, SparseError>,
 ) -> Result<BfsResult, SparseError> {
-    let n = crate::check_sources("bfs", shape, &[source])?;
     let mut levels = vec![-1i64; n];
     levels[source as usize] = 0;
-    let mut visited: Vec<Idx> = vec![source];
     let mut next = Vec::new();
     let mut depth = 0usize;
     let mut directions = Vec::new();
     loop {
-        let pulled = expand(&visited, &mut next)?;
+        let pulled = expand(&mut next)?;
         directions.push(if pulled {
             Direction::Pull
         } else {
@@ -100,7 +104,6 @@ fn traverse(
         for &v in &next {
             levels[v as usize] = depth as i64;
         }
-        visited = union_sorted(&visited, &next);
     }
     Ok(BfsResult {
         levels,
@@ -135,11 +138,12 @@ pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
     let adj_csc = CscMatrix::from_csr(&adj_bool);
     let avg_deg = adj.nnz() as f64 / n as f64;
     let mut frontier = None;
-    traverse(adj.shape(), source, |visited, next| {
-        let mask = unit_vec(n, visited, ());
+    let mut visited: Vec<Idx> = vec![source];
+    traverse(n, source, |next| {
+        let mask = unit_vec(n, &visited, ());
         let current = frontier
             .take()
-            .unwrap_or_else(|| unit_vec(n, visited, true));
+            .unwrap_or_else(|| unit_vec(n, &visited, true));
         let pull = match policy {
             Direction::Push => false,
             Direction::Pull => true,
@@ -152,6 +156,7 @@ pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
         };
         next.clear();
         next.extend_from_slice(expanded.indices());
+        visited = union_sorted(&visited, next);
         frontier = Some(expanded);
         Ok(pull)
     })
@@ -161,11 +166,16 @@ pub fn bfs(adj: &CsrMatrix<f64>, source: Idx, policy: Direction) -> BfsResult {
 /// Engine-planned direction-optimized BFS on the `bool` lane.
 ///
 /// Every level is one [`engine::Operands::VecMat`] descriptor —
-/// `next = ¬visited ⊙ (frontier · A)` on [`SemiringKind::BoolAndOr`] —
-/// planned and executed by the [`Context`]: the frontier and visited sets
-/// live in the context as [`engine::VectorHandle`]s, the boolean adjacency view and
-/// its CSC form come from the aux cache (built once, reused across levels
-/// *and* traversals), and with [`Direction::Auto`] each level runs the
+/// `next = ¬visited ⊙ (frontier · A)` on [`SemiringKind::BoolAndOr`],
+/// accumulated into `visited` ([`engine::OpBuilder::accumulate_into_vec`])
+/// — planned and executed by the [`Context`]. The product is disjoint from
+/// the visited set it is masked by, so the entries the merge changed, which
+/// the op delivers, are exactly `next`, and the engine leaves `visited` as
+/// the union: the glue around a level does no work over the visited set.
+/// The frontier and visited sets live in the context as
+/// [`engine::VectorHandle`]s, the boolean adjacency view and its CSC form
+/// come from the aux cache (built once, reused across levels *and*
+/// traversals), and with [`Direction::Auto`] each level runs the
 /// family the planner picks for its one row — Beamer's direction choice as
 /// a plan decision rather than hand-rolled caller logic, widened to every
 /// family: MSA, MCA (never under this complemented mask), the heap, or the
@@ -196,28 +206,20 @@ pub fn bfs_auto_with_value(
     policy: Direction,
     value: ValueKind,
 ) -> Result<BfsResult, SparseError> {
-    let shape = ctx.stats(adj).shape;
+    let n = crate::check_sources("bfs", ctx.stats(adj).shape, &[source])?;
     let semiring = match value {
         ValueKind::Bool => SemiringKind::BoolAndOr,
         _ => SemiringKind::PlusPair,
     };
-    let (mut frontier, mut visited) = (None, None);
-    let result = traverse(shape, source, |visited_idx, next| {
-        let unit = lane_unit_vec(shape.0, visited_idx, value);
-        let vis = match visited {
-            Some(h) => {
-                ctx.update_vec(h, unit);
-                h
-            }
-            None => *visited.insert(ctx.insert_vec(unit)),
-        };
-        let front = *frontier
-            .get_or_insert_with(|| ctx.insert_vec(lane_unit_vec(shape.0, visited_idx, value)));
+    let start = lane_unit_vec(n, &[source], value);
+    let (visited, frontier) = (ctx.insert_vec(start.clone()), ctx.insert_vec(start));
+    let result = traverse(n, source, |next| {
         let op = ctx
-            .vec_op(vis, front, adj)
+            .vec_op(visited, frontier, adj)
             .complemented(true)
             .semiring(semiring)
-            .value(value);
+            .value(value)
+            .accumulate_into_vec(visited);
         // One plan resolution per level: forced policies know their
         // algorithm outright, and Auto consults the planner once, then
         // pins its choice so execution does not re-resolve (cache hits
@@ -240,13 +242,12 @@ pub fn bfs_auto_with_value(
         next.clear();
         next.extend_from_slice(expanded.indices());
         if !next.is_empty() {
-            ctx.update_vec(front, expanded);
+            ctx.update_vec(frontier, expanded);
         }
         Ok(algorithm == Algorithm::Inner)
     });
-    for h in [frontier, visited].into_iter().flatten() {
-        ctx.remove_vec(h);
-    }
+    ctx.remove_vec(visited);
+    ctx.remove_vec(frontier);
     result
 }
 

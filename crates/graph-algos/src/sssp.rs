@@ -13,7 +13,10 @@ use sparse::{Idx, SparseError, SparseVec};
 /// **min-merged into the registered distance vector** by the engine's
 /// accumulation monoid ([`engine::OpBuilder::min_into_vec`]) — accumulation chosen
 /// independently of the multiply semiring, end to end on the integer lane.
-/// The next frontier is the set of strictly-improved vertices.
+/// The op delivers only the entries the merge changed, which are the
+/// strictly improved vertices: that is the next frontier, as is. A round
+/// costs the product and the merge; the distance vector is read once, at
+/// the end.
 ///
 /// Returns one distance per vertex, `-1` = unreachable; agrees with
 /// [`crate::reference::sssp_reference`]. A non-square adjacency or an
@@ -40,37 +43,20 @@ pub fn sssp_auto(ctx: &Context, adj: MatrixHandle, source: Idx) -> Result<Vec<i6
                  cycle detected: distances kept improving after n rounds)",
             ));
         }
-        let ValueVec::I64(old) = ctx.vector(dist) else {
-            unreachable!("dist stays on the i64 lane");
-        };
-        let merged = ctx
+        let improved = ctx
             .vec_op(mask, frontier, adj)
             .complemented(true)
             .semiring(SemiringKind::MinPlus)
             .min_into_vec(dist)
-            .run_out()
-            .and_then(|out| out.into_typed::<SparseVec<i64>>());
-        let merged = match merged {
-            Ok(m) => m,
+            .run_out();
+        let improved = match improved {
+            Ok(out) => out.into_vec().expect("vector op yields a vector"),
             Err(e) => break Err(e),
         };
-        // Strictly-improved vertices form the next frontier (merged is a
-        // superset of old, so one pass over it finds every change).
-        let mut imp_idx = Vec::new();
-        let mut imp_val = Vec::new();
-        for (j, &d) in merged.iter() {
-            if old.get(j).is_none_or(|&o| d < o) {
-                imp_idx.push(j);
-                imp_val.push(d);
-            }
-        }
-        if imp_idx.is_empty() {
+        if improved.nnz() == 0 {
             break Ok(());
         }
-        ctx.update_vec(
-            frontier,
-            SparseVec::try_new(n, imp_idx, imp_val).expect("ascending subset"),
-        );
+        ctx.update_vec(frontier, improved);
     };
 
     let out = result.map(|()| {

@@ -3,12 +3,16 @@
 //! `ewise_mult` (pattern intersection) implements the `M ⊙ X` masking step
 //! of the strawman "compute-then-mask" baseline and the k-truss edge
 //! pruning; `ewise_union` implements pattern union (used by `symmetrize`).
-//! Both are rayon-parallel over rows with two-pointer sorted merges per row.
+//! These are rayon-parallel over rows with two-pointer sorted merges per
+//! row. `ewise_merge_changes`, the union that also reports the entries it
+//! changed (the engine's matrix accumulation), is one serial pass that
+//! reuses its second operand's storage.
 
 use rayon::prelude::*;
 
 use crate::csr::CsrMatrix;
 use crate::index::Idx;
+use crate::spvec::merge_sorted_into;
 
 /// Element-wise "multiply" (intersection): the output contains entries at
 /// positions present in **both** `a` and `b`, with value `f(&a_v, &b_v)`.
@@ -94,6 +98,45 @@ where
         })
         .collect();
     assemble_rows(nrows, a.ncols(), rows)
+}
+
+/// [`SparseVec::merge_changes`](crate::SparseVec::merge_changes) row by
+/// row: merges `b` into `a` and returns `(merged, changed)`, where `merged`
+/// is `a ∪ b` (combined with `both` where both hold an entry) and `changed`
+/// holds the entries of `merged` that `a` lacks, or whose merged value
+/// `same(old, new)` does not accept as the stored one. `changed` is built
+/// in `b`'s storage. One serial pass: each row is merged straight into
+/// `merged`'s arrays and compacted in place in `b`'s.
+pub fn ewise_merge_changes<T: Copy>(
+    a: &CsrMatrix<T>,
+    b: CsrMatrix<T>,
+    both: impl Fn(T, T) -> T,
+    same: impl Fn(T, T) -> bool,
+) -> (CsrMatrix<T>, CsrMatrix<T>) {
+    assert_eq!(a.shape(), b.shape(), "ewise_merge_changes shape mismatch");
+    let (nrows, ncols, mut rowptr, mut colidx, mut values) = b.into_parts();
+    let cap = a.nnz() + colidx.len();
+    let mut merged = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+    let mut merged_ptr = Vec::with_capacity(nrows + 1);
+    merged_ptr.push(0);
+    let mut kept = 0usize;
+    for i in 0..nrows {
+        let (start, end) = (rowptr[i], rowptr[i + 1]);
+        let row = (&mut colidx[start..end], &mut values[start..end]);
+        let k = merge_sorted_into(a.row(i), row, &both, &same, &mut merged);
+        colidx.copy_within(start..start + k, kept);
+        values.copy_within(start..start + k, kept);
+        rowptr[i] = kept;
+        kept += k;
+        merged_ptr.push(merged.0.len());
+    }
+    rowptr[nrows] = kept;
+    colidx.truncate(kept);
+    values.truncate(kept);
+    (
+        CsrMatrix::from_parts_unchecked(nrows, ncols, merged_ptr, merged.0, merged.1),
+        CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, colidx, values),
+    )
 }
 
 /// Keep entries of `a` at positions **not** present in `b` (set difference).
@@ -195,6 +238,19 @@ mod tests {
         let e = CsrMatrix::<i32>::empty(2, 4);
         assert_eq!(ewise_mult(&a(), &e, |x, y| x * y).nnz(), 0);
         assert_eq!(ewise_difference(&a(), &e), a());
+    }
+
+    #[test]
+    fn merge_changes_is_union_plus_changed_rows() {
+        let min = |x: &i32, y: &i32| *x.min(y);
+        let (merged, changed) = ewise_merge_changes(&a(), b(), |x, y| min(&x, &y), |x, y| x == y);
+        assert_eq!(merged, ewise_union(&a(), &b(), min, |x| *x, |y| *y));
+        // Row 0 gains (0, 2); row 1 gains (1, 0); min(2, 5) and min(3, 3)
+        // keep the stored values.
+        let got: Vec<(usize, Idx, i32)> = changed.iter().map(|(i, j, &v)| (i, j, v)).collect();
+        assert_eq!(got, vec![(0, 2, 6), (1, 0, 7)]);
+        let (_, none) = ewise_merge_changes(&a(), a(), |x, _| x, |x, y| x == y);
+        assert_eq!((none.shape(), none.nnz()), ((2, 4), 0));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Typed value lanes and vector operands: engine-planned BFS equivalence
 //! (push/pull/auto × every lane) against the reference BFS on random and
 //! R-MAT graphs, mixed-lane heterogeneous batches through one streamed
-//! sink, `MinInto` accumulation against serial oracles, the calibratable
+//! sink, accumulation (merged values and the changed entries an op
+//! delivers) against serial oracles, the calibratable
 //! serial cutoff, and the uniform lane/polarity error surface.
 
 use engine::{
@@ -12,8 +13,9 @@ use graph_algos::bfs::bfs_reference;
 use graph_algos::reference::sssp_reference;
 use graph_algos::{bfs_auto_with_value, sssp_auto, Direction};
 use masked_spgemm::hybrid::{cheapest, RowChoice};
-use masked_spgemm::{masked_spgemm, masked_spgevm, masked_spgevm_csc, Phases};
+use masked_spgemm::{masked_spgemm, masked_spgevm, masked_spgevm_csc, LaneValue, Phases};
 use proptest::prelude::*;
+use sparse::ewise::ewise_union;
 use sparse::{BoolAndOr, CscMatrix, CsrMatrix, Idx, MinPlus, PlusTimes, SparseError, SparseVec};
 
 /// Small undirected test graphs: Erdős–Rényi and R-MAT, parameterized by
@@ -139,7 +141,8 @@ fn min_into_matrix_accumulation_matches_serial_oracle() {
     let target = ctx.insert(shifted.clone());
 
     // MinInto: the monoid is `min` even though the multiply is plus_times.
-    let merged = ctx.op(hm, ha, ha).min_into(target).run().unwrap();
+    let changed = ctx.op(hm, ha, ha).min_into(target).run().unwrap();
+    let merged = ctx.matrix(target);
 
     // Serial oracle: union of patterns, min where both present.
     for i in 0..merged.nrows() {
@@ -159,8 +162,8 @@ fn min_into_matrix_accumulation_matches_serial_oracle() {
             .count();
         assert_eq!(cols.len(), expected_count, "row {i} pattern");
     }
-    // The handle was updated with the merged matrix.
-    assert_eq!(*ctx.matrix(target), merged);
+    // The min lowered every shifted entry, so the op delivers them all.
+    assert_eq!(changed, *merged);
 }
 
 #[test]
@@ -176,7 +179,7 @@ fn min_into_vec_accumulation_matches_serial_oracle() {
     let frontier = ctx.insert_vec(dist0.clone());
     let mask = ctx.insert_vec(SparseVec::<i64>::empty(n));
 
-    let merged: SparseVec<i64> = ctx
+    let changed: SparseVec<i64> = ctx
         .vec_op(mask, frontier, h)
         .complemented(true)
         .semiring(SemiringKind::MinPlus)
@@ -198,9 +201,11 @@ fn min_into_vec_accumulation_matches_serial_oracle() {
     )
     .unwrap();
     let expect = dist0.union_with(&candidates, |x, y| x.min(y));
-    assert_eq!(merged, expect);
     // The registered vector was updated to the merged value.
-    assert_eq!(ctx.vector(dist), ValueVec::from(expect));
+    assert_eq!(ctx.vector(dist), ValueVec::from(expect.clone()));
+    // The op delivers only the strictly improved entries.
+    assert_eq!(changed, changed_entries(&dist0, &expect));
+    assert!(changed.nnz() > 0 && changed.nnz() < expect.nnz());
 }
 
 #[test]
@@ -213,7 +218,8 @@ fn custom_monoid_accumulates_with_caller_function() {
     let target = ctx.insert(product.clone());
 
     // max-merge: a monoid none of the built-ins provide.
-    let merged = ctx
+    let v0 = ctx.aux_status(target).version;
+    let changed = ctx
         .op(hm, ha, ha)
         .merge_into(
             AccumTarget::Mat(target),
@@ -221,7 +227,10 @@ fn custom_monoid_accumulates_with_caller_function() {
         )
         .run()
         .unwrap();
-    assert_eq!(merged, product, "max(x, x) == x everywhere");
+    assert_eq!(*ctx.matrix(target), product, "max(x, x) == x everywhere");
+    // Nothing changed: the op delivers nothing and the target stays put.
+    assert_eq!((changed.shape(), changed.nnz()), (product.shape(), 0));
+    assert_eq!(ctx.aux_status(target).version, v0);
 
     // A custom monoid on the wrong lane is a uniform error.
     let err = ctx
@@ -233,6 +242,168 @@ fn custom_monoid_accumulates_with_caller_function() {
         err,
         SparseError::Unsupported(engine::op_errors::ACCUM_MONOID_LANE_MISMATCH)
     );
+}
+
+/// The oracle for what an accumulating op delivers: the entries of
+/// `merged` (the `union_with` of the old target and the product) that
+/// `old` lacks, or holds with other bits.
+fn changed_entries<T: LaneValue>(old: &SparseVec<T>, merged: &SparseVec<T>) -> SparseVec<T> {
+    let (idx, vals) = merged
+        .iter()
+        .filter(|&(j, &v)| !old.get(j).is_some_and(|&o| T::same_bits(o, v)))
+        .map(|(j, &v)| (j, v))
+        .unzip();
+    SparseVec::try_new(merged.dim(), idx, vals).unwrap()
+}
+
+#[test]
+fn accumulation_returns_exactly_the_changed_entries() {
+    let ctx = Context::with_threads(2);
+    let adj = graphs::to_undirected_simple(&graphs::erdos_renyi(60, 4.0, 250));
+    let n = adj.nrows();
+    let h = ctx.insert(adj.clone());
+
+    // SSSP shape: a `Min` merge delivers the strictly improved distances,
+    // and the same merge repeated (here as a batch entry) changes nothing.
+    let dist0 = SparseVec::try_new(n, vec![0, 1, 2, 5], vec![0i64, 1, 90, 90]).unwrap();
+    let dist = ctx.insert_vec(dist0.clone());
+    let frontier = ctx.insert_vec(dist0.clone());
+    let all = ctx.insert_vec(SparseVec::<i64>::empty(n));
+    let relax = ctx
+        .vec_op(all, frontier, h)
+        .complemented(true)
+        .semiring(SemiringKind::MinPlus)
+        .min_into_vec(dist);
+    let candidates: SparseVec<i64> = ctx
+        .vec_op(all, frontier, h)
+        .complemented(true)
+        .semiring(SemiringKind::MinPlus)
+        .run_out()
+        .unwrap()
+        .into_typed()
+        .unwrap();
+    let changed: SparseVec<i64> = relax.run_out().unwrap().into_typed().unwrap();
+    let merged = dist0.union_with(&candidates, |x, y| x.min(y));
+    assert_eq!(ctx.vector(dist), ValueVec::from(merged.clone()));
+    assert_eq!(changed, changed_entries(&dist0, &merged));
+    assert!(changed.nnz() > 0 && changed.indices().iter().all(|&j| j != 0));
+    let again = ctx.run_batch_outputs(&[relax.build()]);
+    let again: SparseVec<i64> = again[0].clone().unwrap().into_typed().unwrap();
+    assert_eq!((again.dim(), again.nnz()), (n, 0));
+    assert_eq!(ctx.vector(dist), ValueVec::from(merged));
+
+    // BFS shape: accumulating into the op's own complemented mask delivers
+    // `next` itself, and the target becomes the union.
+    let visited0 = SparseVec::try_new(n, vec![0, 3, 7], vec![true; 3]).unwrap();
+    let visited = ctx.insert_vec(visited0.clone());
+    let front = ctx.insert_vec(SparseVec::try_new(n, vec![0], vec![true]).unwrap());
+    let got: SparseVec<bool> = ctx
+        .vec_op(visited, front, h)
+        .complemented(true)
+        .accumulate_into_vec(visited)
+        .run_out()
+        .unwrap()
+        .into_typed()
+        .unwrap();
+    let adj_bool = adj.map(|_| true);
+    let next = masked_spgevm(
+        Algorithm::Msa,
+        true,
+        BoolAndOr,
+        &visited0.pattern(),
+        &SparseVec::try_new(n, vec![0], vec![true]).unwrap(),
+        &adj_bool,
+    )
+    .unwrap();
+    assert!(next.nnz() > 0);
+    assert_eq!(got, next);
+    let union = visited0.union_with(&next, |x, y| x || y);
+    assert_eq!(got, changed_entries(&visited0, &union));
+    assert_eq!(ctx.vector(visited), ValueVec::from(union));
+
+    // Matrix target with overlapping entries: the overlap sums, and every
+    // entry of the union that differs from the old target is delivered.
+    let m = graphs::erdos_renyi(30, 8.0, 251);
+    let a = graphs::erdos_renyi(30, 4.0, 252);
+    let old = graphs::erdos_renyi(30, 6.0, 253);
+    let (hm, ha) = (ctx.insert(m), ctx.insert(a));
+    let target = ctx.insert(old.clone());
+    let product = ctx.op(hm, ha, ha).run().unwrap();
+    let changed = ctx.op(hm, ha, ha).accumulate_into(target).run().unwrap();
+    let merged = ewise_union(&old, &product, |x, y| x + y, |x| *x, |y| *y);
+    assert_eq!(*ctx.matrix(target), merged);
+    let expect = merged.filter(|i, j, &v| old.get(i, j).is_none_or(|o| o.to_bits() != v.to_bits()));
+    assert_eq!(changed, expect);
+    let overlap = product.iter().filter(|&(i, j, _)| old.get(i, j).is_some());
+    assert!(overlap.count() > 0, "the case must overlap");
+
+    // A custom monoid that keeps the stored value, into a target holding
+    // every index: nothing changes, nothing is delivered, and the target's
+    // values (and version) stay exactly as they were.
+    let full = SparseVec::try_new(n, (0..n as Idx).collect(), (0..n as i64).collect()).unwrap();
+    let keep = ctx.insert_vec(full.clone());
+    let v0 = ctx.vec_version(keep);
+    let ValueVec::I64(before) = ctx.vector(keep) else {
+        unreachable!("inserted on the i64 lane")
+    };
+    let got: SparseVec<i64> = ctx
+        .vec_op(all, frontier, h)
+        .complemented(true)
+        .semiring(SemiringKind::MinPlus)
+        .merge_into(AccumTarget::Vec(keep), AccumMonoid::CustomI64(|x, _| x))
+        .run_out()
+        .unwrap()
+        .into_typed()
+        .unwrap();
+    assert_eq!((got.dim(), got.nnz()), (n, 0));
+    let ValueVec::I64(after) = ctx.vector(keep) else {
+        unreachable!("target stays on the i64 lane")
+    };
+    assert!(std::sync::Arc::ptr_eq(&before, &after));
+    assert_eq!((*after).clone(), full);
+    assert_eq!(ctx.vec_version(keep), v0);
+
+    // f64 rule: entries are compared bit for bit. A `-0.0` replacing `0.0`
+    // (and `0.0` replacing `-0.0`) is a change; a NaN merging to the same
+    // NaN bits is not.
+    let row = CsrMatrix::try_new(
+        1,
+        5,
+        vec![0, 5],
+        vec![0, 1, 2, 3, 4],
+        vec![-0.0, f64::NAN, 1.0, 0.0, 5.0],
+    )
+    .unwrap();
+    let hb = ctx.insert(row);
+    let u = ctx.insert_vec(SparseVec::try_new(1, vec![0], vec![1.0f64]).unwrap());
+    let none = ctx.insert_vec(SparseVec::<f64>::empty(5));
+    let stored = SparseVec::try_new(5, vec![0, 1, 2, 3], vec![0.0, f64::NAN, 1.0, -0.0]).unwrap();
+    let tf = ctx.insert_vec(stored.clone());
+    let product: SparseVec<f64> = ctx
+        .vec_op(none, u, hb)
+        .complemented(true)
+        .run_out()
+        .unwrap()
+        .into_typed()
+        .unwrap();
+    let bits = |v: &SparseVec<f64>| v.iter().map(|(j, x)| (j, x.to_bits())).collect::<Vec<_>>();
+    let want = [-0.0, f64::NAN, 1.0, 0.0, 5.0].map(f64::to_bits);
+    assert_eq!(bits(&product), (0..5).zip(want).collect::<Vec<_>>());
+    let got: SparseVec<f64> = ctx
+        .vec_op(none, u, hb)
+        .complemented(true)
+        .merge_into(AccumTarget::Vec(tf), AccumMonoid::CustomF64(|_, y| y))
+        .run_out()
+        .unwrap()
+        .into_typed()
+        .unwrap();
+    let merged = stored.union_with(&product, |_, y| y);
+    assert_eq!(bits(&got), bits(&changed_entries(&stored, &merged)));
+    assert_eq!(got.indices(), &[0, 3, 4]);
+    let ValueVec::F64(now) = ctx.vector(tf) else {
+        unreachable!("target stays on the f64 lane")
+    };
+    assert_eq!(bits(&now), bits(&merged));
 }
 
 #[test]

@@ -520,14 +520,16 @@ fn accumulate_into_merges_and_updates_target() {
     let v0 = ctx.aux_status(target).version;
 
     // Accumulate the same product into it: every shared entry doubles.
-    let merged = ctx.op(hm, ha, ha).accumulate_into(target).run().unwrap();
+    let changed = ctx.op(hm, ha, ha).accumulate_into(target).run().unwrap();
+    // The handle now holds the merged matrix (version advanced).
+    let merged = ctx.matrix(target);
     assert_eq!(merged.pattern(), product.pattern());
     for (got, want) in merged.values().iter().zip(product.values()) {
         assert_eq!(*got, want * 2.0);
     }
-    // The handle now holds the merged matrix (version advanced).
-    assert_eq!(*ctx.matrix(target), merged);
     assert!(ctx.aux_status(target).version > v0);
+    // Every entry changed, so the op delivers all of the merged matrix.
+    assert_eq!(changed, *merged);
 
     // Accumulation with a mismatched target shape is a proper error.
     let wrong = ctx.insert(CsrMatrix::<f64>::empty(5, 5));
@@ -543,7 +545,8 @@ fn accumulate_into_merges_and_updates_target() {
         .accumulate_into(dist_target)
         .build()];
     let results = ctx.run_batch_collect(&ops);
-    let got = results[0].as_ref().unwrap();
+    let changed = results[0].as_ref().unwrap();
+    let got = ctx.matrix(dist_target);
     let min_plus_product = ctx
         .op(hm, ha, ha)
         .semiring(SemiringKind::MinPlus)
@@ -565,6 +568,11 @@ fn accumulate_into_merges_and_updates_target() {
             assert_eq!(v, want, "row {i} col {j}");
         }
     }
+    // The batch entry delivers the merged entries that differ from the
+    // shifted start: those the fresh min-plus product lowered or added.
+    let expect = got.filter(|i, j, &v| product.get(i, j).map(|x| x + 100.0) != Some(v));
+    assert!(expect.nnz() > 0);
+    assert_eq!(*changed, expect);
 }
 
 #[test]

@@ -323,7 +323,7 @@ fn typed_matrix_accumulation_merges_natively() {
         .into_typed()
         .unwrap();
     let target = ctx.insert_typed(product.clone());
-    let merged: CsrMatrix<i64> = ctx
+    let changed: CsrMatrix<i64> = ctx
         .op(hm, ha, ha)
         .semiring(SemiringKind::PlusPair)
         .value(ValueKind::I64)
@@ -333,12 +333,14 @@ fn typed_matrix_accumulation_merges_natively() {
         .into_typed()
         .unwrap();
     // Merging the product into itself doubles every count, natively.
-    assert_eq!(merged, product.map_values(|v| 2 * v));
     assert_eq!(ctx.stats(target).value, ValueKind::I64);
     let ValueMat::I64(stored) = ctx.value_mat(target) else {
         panic!("target must stay on the i64 lane")
     };
-    assert_eq!(*stored, merged);
+    assert_eq!(*stored, product.map_values(|v| 2 * v));
+    // Every count is at least 1, so every entry changed and the op
+    // delivers the whole merged matrix.
+    assert_eq!(changed, *stored);
 }
 
 /// The single-op vector path reuses the context's per-lane kernel scratch:
