@@ -153,8 +153,7 @@ pub(crate) fn one_row<S: Semiring, MT>(
         complemented,
         a,
     })?;
-    let (_, ncols, _, cols, vals) = c.into_parts();
-    SparseVec::try_new(ncols, cols, vals)
+    SparseVec::from_row(c)
 }
 
 /// One product's mask, polarity and left operand, as every row producer

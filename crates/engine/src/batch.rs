@@ -21,9 +21,9 @@
 //!   [`ValueKind`](masked_spgemm::ValueKind), dispatched per op to the
 //!   kernels built for that pair, so one batch mixes `bool` BFS steps,
 //!   exact `i64` counting ops, and `f64` products on the same worker;
-//! * **vector operands** — [`Operands::VecMat`](crate::Operands::VecMat)
-//!   ops run the serial masked SpGEVM kernels, so frontier expansions
-//!   batch alongside matrix products;
+//! * **vector operands** — an [`Operands::VecMat`](crate::Operands::VecMat)
+//!   op runs as the one-row matrix product it is, on the same executor,
+//!   so frontier expansions batch alongside matrix products;
 //! * **streamed delivery** — finished products flow through a channel to
 //!   the calling thread, which hands them to a [`ResultSink`] in
 //!   *completion order*. A sink that consumes-and-drops keeps memory flat
@@ -155,7 +155,7 @@ impl Context {
             },
             |i, result| {
                 let result = result
-                    .and_then(|out| self.apply_accum(&ops[i], out))
+                    .and_then(|out| self.finish(&ops[i], out))
                     .and_then(T::from_output);
                 sink.absorb(i, result);
             },

@@ -13,7 +13,6 @@ use sparse::transpose::transpose;
 use sparse::{CscMatrix, CsrMatrix, Idx, SparseError, SparseVec};
 
 use crate::lane::{on_variant, Lane, ScratchSets};
-use crate::op::Operands;
 use crate::plan::{self, Plan};
 
 /// Handle to a matrix registered in a [`Context`].
@@ -28,14 +27,24 @@ pub struct MatrixHandle(pub(crate) u64);
 /// Handle to a sparse vector registered in a [`Context`] (BFS frontiers,
 /// visited sets, distance vectors). Like [`MatrixHandle`], handles are
 /// cheap copies; the vector lives in the context and stays addressable
-/// across [`Context::update_vec`] calls.
+/// across [`Context::update_vec`] calls. The context stores it as its
+/// `1 × dim` matrix, in the one registry every matrix lives in.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct VectorHandle(pub(crate) u64);
 
-/// A registered sparse vector, tagged with its value lane.
+impl VectorHandle {
+    /// The registry entry of the vector: its `1 × dim` matrix.
+    pub(crate) fn row(self) -> MatrixHandle {
+        MatrixHandle(self.0)
+    }
+}
+
+/// A sparse vector with its value lane: what [`Context::insert_vec`] takes
+/// and [`Context::vector`] returns.
 ///
-/// The variants hold `Arc`s, so a `ValueVec` is a cheap clone — reading a
-/// vector out of the context never copies its entries.
+/// The variants hold `Arc`s, so a `ValueVec` is a cheap clone. The context
+/// stores a registered vector as the one row of a [`ValueMat`], so
+/// [`Context::vector`] copies the entries out of that row.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ValueVec {
     /// Boolean lane (frontiers, reachability).
@@ -80,7 +89,8 @@ impl ValueVec {
 }
 
 /// A registered matrix, stored **natively** on one value lane — the matrix
-/// counterpart of [`ValueVec`] and the storage unit of the registry.
+/// counterpart of [`ValueVec`] and the storage unit of the registry, for
+/// vectors too (a registered vector is its `1 × dim` `ValueMat`).
 ///
 /// This is the inversion of the old `f64`-canonical scheme: a boolean
 /// adjacency matrix registered with [`Context::insert_typed`] keeps its
@@ -170,6 +180,24 @@ impl ValueMat {
         on_variant!(self, ValueMat, m => m.nonempty_rows())
     }
 
+    /// Whether `other` holds the same lane, structure and value bits
+    /// ([`LaneValue::same_bits`]: on `f64`, `-0.0` differs from `0.0` and
+    /// a NaN equals its own bits).
+    fn same_bits(&self, other: &ValueMat) -> bool {
+        fn same<T: Lane>(m: &CsrMatrix<T>, other: &ValueMat) -> bool {
+            T::native_mat(other).is_some_and(|o| {
+                m.shape() == o.shape()
+                    && m.rowptr() == o.rowptr()
+                    && m.colidx() == o.colidx()
+                    && m.values()
+                        .iter()
+                        .zip(o.values())
+                        .all(|(&x, &y)| T::same_bits(x, y))
+            })
+        }
+        on_variant!(self, ValueMat, m => same(m, other))
+    }
+
     /// Native-lane transpose (the lane travels with the structure).
     fn transposed(&self) -> ValueMat {
         on_variant!(self, ValueMat, m => ValueMat::from(transpose(m.as_ref())))
@@ -183,22 +211,14 @@ impl ValueMat {
     }
 }
 
-/// One registered vector: the current value plus a version stamp (bumped on
-/// every [`Context::update_vec`], which is how plan-cache coherence works
-/// for frontier-style vectors that change every level).
-#[derive(Clone)]
-struct VecEntry {
-    vec: ValueVec,
-    version: u64,
-}
-
 /// An evictable auxiliary slot: built on demand, dropped under memory
 /// pressure, rebuilt on the next request. The value is type-erased so one
 /// array holds every [`AuxKind`]; the kind fixes the stored type (see
 /// [`AuxKind`]), and [`Entry::aux`] downcasts back to it.
 type Slot = RwLock<Option<Arc<dyn Any + Send + Sync>>>;
 
-/// One registered matrix plus lazily-computed auxiliaries.
+/// One registered matrix (or vector, as its `1 × dim` matrix) plus
+/// lazily-computed auxiliaries.
 ///
 /// The matrix itself is stored **natively typed** ([`ValueMat`]); the
 /// heavyweight auxiliaries — per-lane cast views and CSC forms, the
@@ -459,9 +479,10 @@ pub struct PlanCacheStats {
 
 /// Orchestration context for masked SpGEMM workloads.
 ///
-/// Owns the worker pool, a registry of matrices with lazily-cached
-/// auxiliaries (CSC form, transpose, degree vectors, row statistics, flop
-/// estimates), and the cost-model configuration used by [`Context::plan`].
+/// Owns the worker pool, one registry of matrices and vectors (a vector is
+/// stored as its `1 × dim` matrix) with lazily-cached auxiliaries (CSC
+/// form, transpose, degree vectors, row statistics), and the cost-model
+/// configuration used by [`Context::plan`].
 /// Operations are described by [`crate::MaskedOp`] descriptors built with
 /// [`Context::op`] and executed one at a time ([`crate::OpBuilder::run`]) or
 /// as heterogeneous streaming batches ([`Context::for_each_result`]).
@@ -486,11 +507,10 @@ pub struct Context {
     pub(crate) pool: rayon::ThreadPool,
     pub(crate) threads: usize,
     pub(crate) cfg: RwLock<HybridConfig>,
+    /// Every registered matrix and vector, by handle id.
     store: RwLock<HashMap<u64, Arc<Entry>>>,
-    vec_store: RwLock<HashMap<u64, VecEntry>>,
     next_id: AtomicU64,
     next_version: AtomicU64,
-    flops_cache: RwLock<HashMap<(u64, u64, u64, u64), u64>>,
     plan_cache: Mutex<PlanCacheState>,
     aux_ledger: Mutex<AuxLedger>,
     /// Flop count below which planned products skip the worker pool and run
@@ -564,10 +584,8 @@ impl Context {
             threads,
             cfg: RwLock::new(HybridConfig::default()),
             store: RwLock::new(HashMap::new()),
-            vec_store: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             next_version: AtomicU64::new(1),
-            flops_cache: RwLock::new(HashMap::new()),
             plan_cache: Mutex::new(PlanCacheState::new()),
             aux_ledger: Mutex::new(AuxLedger::new()),
             serial_cutoff: RwLock::new(0.0),
@@ -687,22 +705,22 @@ impl Context {
 
     /// Replace the matrix behind `handle` (the stored lane may change),
     /// invalidating all cached auxiliaries — every lane's cast and CSC
-    /// slots, the transpose, degrees, superseded flops-cache entries, and
-    /// any derived transpose handle. An update with an identical matrix
-    /// (same lane, structure, and values) keeps the cache warm instead.
+    /// slots, the transpose, degrees, and any derived transpose handle. An
+    /// update with an identical matrix (same lane, structure, and value
+    /// bits: a `0.0` that becomes `-0.0` is a change, a NaN stored again
+    /// is not) keeps the cache warm instead.
     pub fn update_typed(&self, handle: MatrixHandle, matrix: impl Into<ValueMat>) {
         self.store_matrix(handle, matrix.into(), true);
     }
 
-    /// [`Context::update_typed`]; `keep_if_equal: false` skips its
-    /// equality check, for a caller that already knows the bits changed
-    /// (`==` would take a `-0.0` that replaced `0.0` for no change).
-    pub(crate) fn store_matrix(&self, handle: MatrixHandle, matrix: ValueMat, keep_if_equal: bool) {
+    /// [`Context::update_typed`]; `keep_if_same: false` skips its bitwise
+    /// comparison, for a caller that already knows the bits changed.
+    pub(crate) fn store_matrix(&self, handle: MatrixHandle, matrix: ValueMat, keep_if_same: bool) {
         let derived;
         {
             let mut store = self.store.write().expect("store lock");
             let entry = store.get_mut(&handle.0).expect("handle not registered");
-            if keep_if_equal && entry.matrix == matrix {
+            if keep_if_same && entry.matrix.same_bits(&matrix) {
                 return; // no change — cached auxiliaries stay valid
             }
             derived = entry.transpose_handle.get().copied();
@@ -713,7 +731,7 @@ impl Context {
             }
         }
         // Superseded versions can never be queried again; drop their
-        // derived-cache entries so update-in-a-loop workloads stay bounded.
+        // ledger records so update-in-a-loop workloads stay bounded.
         self.purge_caches(handle.0);
         if let Some(d) = derived {
             self.purge_caches(d.0);
@@ -738,24 +756,11 @@ impl Context {
         }
     }
 
-    /// Current sizes of the derived caches, `(flops entries, plan entries)`
-    /// — diagnostics and leak tests.
-    pub fn cache_sizes(&self) -> (usize, usize) {
-        (
-            self.flops_cache.read().expect("flops lock").len(),
-            self.plan_cache.lock().expect("plan lock").map.len(),
-        )
-    }
-
-    /// Drop every flops-cache and ledger record mentioning matrix id `id`.
-    /// (Plan-cache entries are keyed by structural class, not identity, so
-    /// they stay — they remain valid for any future operand of the same
-    /// class and are bounded by the LRU budget.)
+    /// Drop every ledger record of matrix id `id`. (Plan-cache entries are
+    /// keyed by structural class, not identity, so they stay — they remain
+    /// valid for any future operand of the same class and are bounded by
+    /// the LRU budget.)
     fn purge_caches(&self, id: u64) {
-        self.flops_cache
-            .write()
-            .expect("flops lock")
-            .retain(|&(a, _, b, _), _| a != id && b != id);
         let mut ledger = self.aux_ledger.lock().expect("aux ledger lock");
         let AuxLedger {
             records,
@@ -805,8 +810,10 @@ impl Context {
         self.f64_view(handle)
     }
 
-    /// Total heap bytes of all natively-stored registry entries (cast/CSC
-    /// auxiliaries are accounted separately — [`Context::aux_cache_stats`]).
+    /// Total heap bytes of all natively-stored registry entries, registered
+    /// vectors included (each as its `1 × dim` matrix, [`ValueMat::bytes`]).
+    /// Cast/CSC auxiliaries are accounted separately
+    /// ([`Context::aux_cache_stats`]).
     pub fn registry_bytes(&self) -> usize {
         self.store
             .read()
@@ -818,7 +825,9 @@ impl Context {
 
     // ------------------------------------------------------ vector registry
 
-    /// Register a sparse vector (any value lane) and return its handle.
+    /// Register a sparse vector (any value lane) and return its handle. It
+    /// is stored as its `1 × dim` matrix, in the registry every matrix
+    /// lives in.
     ///
     /// ```
     /// use engine::Context;
@@ -829,68 +838,34 @@ impl Context {
     /// assert_eq!(ctx.vector(h).nnz(), 1);
     /// ```
     pub fn insert_vec(&self, vec: impl Into<ValueVec>) -> VectorHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
-        self.vec_store.write().expect("vec store lock").insert(
-            id,
-            VecEntry {
-                vec: vec.into(),
-                version,
-            },
-        );
-        VectorHandle(id)
+        VectorHandle(self.insert_typed(one_row(vec.into())).0)
     }
 
     /// Replace the vector behind `handle` (the lane may change). Frontier
     /// and visited sets evolve every BFS level; the handle identity — and
-    /// therefore the descriptor referencing it — stays stable.
+    /// therefore the descriptor referencing it — stays stable. Every call
+    /// bumps the version.
     pub fn update_vec(&self, handle: VectorHandle, vec: impl Into<ValueVec>) {
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
-        let mut store = self.vec_store.write().expect("vec store lock");
-        let entry = store
-            .get_mut(&handle.0)
-            .expect("vector handle not registered");
-        *entry = VecEntry {
-            vec: vec.into(),
-            version,
-        };
+        self.store_matrix(handle.row(), one_row(vec.into()), false);
     }
 
     /// Drop a registered vector.
     pub fn remove_vec(&self, handle: VectorHandle) {
-        self.vec_store
-            .write()
-            .expect("vec store lock")
-            .remove(&handle.0);
+        self.remove(handle.row());
     }
 
-    /// The vector behind a handle (cheap clone — the entries are shared).
+    /// The vector behind a handle, copied out of its stored row.
     pub fn vector(&self, handle: VectorHandle) -> ValueVec {
-        self.vec_entry(handle).vec
+        on_variant!(&self.entry(handle.row()).matrix, ValueMat, m => {
+            let row = SparseVec::from_row(CsrMatrix::clone(m));
+            ValueVec::from(row.expect("a registered vector is one row"))
+        })
     }
 
     /// Version stamp of the vector behind `handle` (bumped by every
     /// [`Context::update_vec`]) — diagnostics and cache-coherence tests.
     pub fn vec_version(&self, handle: VectorHandle) -> u64 {
-        self.vec_entry(handle).version
-    }
-
-    fn vec_entry(&self, handle: VectorHandle) -> VecEntry {
-        self.try_vec_entry(handle)
-            .expect("vector handle not registered")
-    }
-
-    /// The vector behind `handle`, or [`SparseError::UnknownHandle`].
-    pub(crate) fn try_vector(&self, handle: VectorHandle) -> Result<ValueVec, SparseError> {
-        self.try_vec_entry(handle).map(|e| e.vec)
-    }
-
-    fn try_vec_entry(&self, handle: VectorHandle) -> Result<VecEntry, SparseError> {
-        let store = self.vec_store.read().expect("vec store lock");
-        store
-            .get(&handle.0)
-            .cloned()
-            .ok_or(SparseError::UnknownHandle)
+        self.entry(handle.row()).version
     }
 
     // ------------------------------------------------------- serial cutoff
@@ -1243,19 +1218,12 @@ impl Context {
             .get_or_init(|| plan_class(m.shape(), m.nnz(), m.value_kind()))
     }
 
-    /// `flops(A·B)` with pair-level caching (invalidated by updates to
-    /// either operand, since entry versions key the cache).
+    /// `flops(A·B)`, counted over `A`'s entries from `B`'s cached row
+    /// degrees.
     pub fn flops(&self, a: MatrixHandle, b: MatrixHandle) -> u64 {
-        let (ea, eb) = (self.entry(a), self.entry(b));
-        let key = (a.0, ea.version, b.0, eb.version);
-        if let Some(&f) = self.flops_cache.read().expect("flops lock").get(&key) {
-            return f;
-        }
         let bdeg = self.row_degrees(b);
         // Structure-only: the flop count never touches a value lane.
-        let f = row_flops(ea.matrix.colidx(), |k| bdeg[k] as usize);
-        self.flops_cache.write().expect("flops lock").insert(key, f);
-        f
+        row_flops(self.entry(a).matrix.colidx(), |k| bdeg[k] as usize)
     }
 
     // ----------------------------------------------------------- planning
@@ -1287,6 +1255,11 @@ impl Context {
     /// peel, a re-weighted graph), the cached plan is served without even
     /// one cost-model pass. The cache is a byte-budgeted LRU
     /// ([`Context::set_plan_budget`], [`Context::plan_cache_stats`]).
+    ///
+    /// A vector product is planned here too, its vectors being their
+    /// `1 × dim` registry entries: consecutive BFS levels whose frontiers
+    /// stay in one population regime, and repeated traversals of the same
+    /// graph, are served from cache.
     pub fn plan(
         &self,
         mask: MatrixHandle,
@@ -1294,34 +1267,15 @@ impl Context {
         a: MatrixHandle,
         b: MatrixHandle,
     ) -> Result<Plan, SparseError> {
-        self.plan_operands(Operands::MatMat { mask, a, b }, complemented)
+        plan::validate(self, mask, a, b)?;
+        let key: PlanKey = (
+            self.plan_fingerprint(mask),
+            self.plan_fingerprint(a),
+            self.plan_fingerprint(b),
+            complemented,
+        );
+        Ok(self.cached_plan(key, || plan::plan(self, mask, a, b, complemented)))
     }
-
-    /// [`Context::plan`] for either operand form. A vector's class is that
-    /// of its `1 × dim` pattern, so consecutive BFS levels whose frontiers
-    /// stay in one population regime, and repeated traversals of the same
-    /// graph, are served from cache — and a vector product shares its entry
-    /// with the one-row matrix product it plans the same as.
-    pub(crate) fn plan_operands(
-        &self,
-        operands: Operands,
-        complemented: bool,
-    ) -> Result<Plan, SparseError> {
-        plan::validate(self, operands)?;
-        let vec_class = |h| {
-            let v = self.vector(h);
-            plan_class((1, v.dim()), v.nnz(), v.value_kind())
-        };
-        let (mask, a, b) = match operands {
-            Operands::MatMat { mask, a, b } => {
-                (self.plan_fingerprint(mask), self.plan_fingerprint(a), b)
-            }
-            Operands::VecMat { mask, u, b } => (vec_class(mask), vec_class(u), b),
-        };
-        let key: PlanKey = (mask, a, self.plan_fingerprint(b), complemented);
-        Ok(self.cached_plan(key, || plan::plan(self, operands, complemented)))
-    }
-
     /// The plan cached under `key` (a hit refreshes its LRU stamp), or the
     /// one `compute` makes, cached before it is returned.
     fn cached_plan(&self, key: PlanKey, compute: impl FnOnce() -> Plan) -> Plan {
@@ -1345,4 +1299,10 @@ impl Context {
         Self::enforce_plan_budget(&mut pc);
         plan
     }
+}
+
+/// A vector as the one-row matrix the registry stores it as (the entries
+/// move, uncopied, unless another `Arc` shares them).
+fn one_row(vec: ValueVec) -> ValueMat {
+    on_variant!(vec, ValueVec, v => ValueMat::from(Arc::unwrap_or_clone(v).into_row()))
 }

@@ -132,12 +132,8 @@ pub(crate) trait Lane: LaneValue {
     const BOOL: bool = matches!(Self::KIND, ValueKind::Bool);
     /// The stored matrix, when `m` lives natively on this lane.
     fn native_mat(m: &ValueMat) -> Option<&Arc<CsrMatrix<Self>>>;
-    /// The stored vector, when `v` lives on this lane.
-    fn native_vec(v: &ValueVec) -> Option<&Arc<SparseVec<Self>>>;
     /// A registerable matrix on this lane.
     fn wrap_mat(m: Arc<CsrMatrix<Self>>) -> ValueMat;
-    /// A registerable vector on this lane.
-    fn wrap_vec(v: Arc<SparseVec<Self>>) -> ValueVec;
     /// This lane's matrix output variant.
     fn mat_output(m: CsrMatrix<Self>) -> OpOutput;
     /// This lane's vector output variant.
@@ -159,17 +155,8 @@ macro_rules! impl_lane {
                     _ => None,
                 }
             }
-            fn native_vec(v: &ValueVec) -> Option<&Arc<SparseVec<$t>>> {
-                match v {
-                    ValueVec::$variant(v) => Some(v),
-                    _ => None,
-                }
-            }
             fn wrap_mat(m: Arc<CsrMatrix<$t>>) -> ValueMat {
                 ValueMat::$variant(m)
-            }
-            fn wrap_vec(v: Arc<SparseVec<$t>>) -> ValueVec {
-                ValueVec::$variant(v)
             }
             fn mat_output(m: CsrMatrix<$t>) -> OpOutput {
                 OpOutput::$mat(m)

@@ -21,9 +21,15 @@
 //!   `f64` case), so a boolean adjacency costs 1 byte/nnz and is consumed
 //!   zero-copy by `bool`-lane operations, with cross-lane *casts* demoted
 //!   to on-demand, byte-budgeted auxiliaries;
+//! * **stores a vector as its one-row matrix** — a vector registered with
+//!   [`Context::insert_vec`] is a `1 × dim` entry of the same registry,
+//!   and a vector op ([`Context::vec_op`]) is the one-row matrix product:
+//!   it is validated, planned, run and merged down the matrix op's one
+//!   path, and only its delivered form ([`OpOutput`]'s vector variants)
+//!   differs;
 //! * **caches auxiliaries per matrix** — per-lane CSC forms and cast views,
-//!   native-lane transposes, degree vectors, row statistics, and pairwise
-//!   flop counts are computed lazily, reused until the matrix changes
+//!   native-lane transposes, degree vectors and row statistics are
+//!   computed lazily, reused until the matrix changes
 //!   ([`Context::insert`] / [`Context::update`] / [`Context::update_typed`],
 //!   which invalidates every lane's slots), and evicted
 //!   least-recently-used under a byte budget ([`Context::set_aux_budget`]);

@@ -105,6 +105,17 @@ pub enum Operands {
     },
 }
 
+impl Operands {
+    /// `(mask, a, b)` as registry entries: a vector operand is its
+    /// `1 × dim` matrix.
+    pub(crate) fn handles(self) -> (MatrixHandle, MatrixHandle, MatrixHandle) {
+        match self {
+            Operands::MatMat { mask, a, b } => (mask, a, b),
+            Operands::VecMat { mask, u, b } => (mask.row(), u.row(), b),
+        }
+    }
+}
+
 /// Where an accumulating operation merges its result.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum AccumTarget {
@@ -113,6 +124,16 @@ pub enum AccumTarget {
     Mat(MatrixHandle),
     /// A registered vector (for vector products; lanes must agree).
     Vec(VectorHandle),
+}
+
+impl AccumTarget {
+    /// The target's registry entry (a vector's is its `1 × dim` matrix).
+    fn handle(self) -> MatrixHandle {
+        match self {
+            AccumTarget::Mat(h) => h,
+            AccumTarget::Vec(h) => h.row(),
+        }
+    }
 }
 
 /// The monoid an accumulating operation folds with — chosen independently
@@ -152,8 +173,9 @@ pub enum AccumMode {
     ///   that merges to the same NaN bits is not.
     ///
     /// The result has the target's shape and holds the merged values. Read
-    /// the whole merged value from the handle, without a copy
-    /// ([`Context::vector`], [`Context::matrix`], [`Context::value_mat`]).
+    /// the whole merged value from the handle: without a copy for a matrix
+    /// ([`Context::matrix`], [`Context::value_mat`]), copied out of its
+    /// stored row for a vector ([`Context::vector`]).
     /// A merge that changes nothing delivers an empty result and leaves the
     /// target, its version and its cached auxiliaries as they were. The
     /// rule is the same for matrix and vector targets, single ops and
@@ -198,11 +220,11 @@ pub struct MaskedOp {
     pub algorithm: Option<Algorithm>,
     /// Force this phase discipline instead of the planner's choice.
     ///
-    /// Every matrix product runs it: row-parallel, serial under the
-    /// cutoff, and as a batch entry. The planner gives any one-row product
-    /// [`Phases::One`]; a vector-operand product always runs the one-phase
-    /// driver on its row, so this setting does not apply to it. Results
-    /// are bit-identical either way.
+    /// Every product with more than one row runs it: row-parallel, serial
+    /// under the cutoff, and as a batch entry. A one-row product (a
+    /// vector-operand product, or a `1 × n` matrix product) always runs
+    /// the one-phase driver serially on its row, so this setting does not
+    /// apply to it. Results are bit-identical either way.
     pub phases: Option<Phases>,
     /// What happens to the result (see [`AccumMode`]).
     pub accum: AccumMode,
@@ -277,7 +299,7 @@ impl OpOutput {
     /// preserved), or `None` for matrix results — the bridge between an
     /// executed frontier step and [`Context::update_vec`].
     pub fn into_vec(self) -> Option<ValueVec> {
-        with_lane!(self.value_kind(), T => T::take_vec(self).map(|v| T::wrap_vec(Arc::new(v))))
+        with_lane!(self.value_kind(), T => T::take_vec(self).map(ValueVec::from))
     }
 }
 
@@ -520,8 +542,8 @@ impl Context {
     pub fn vec_op(&self, mask: VectorHandle, u: VectorHandle, b: MatrixHandle) -> OpBuilder<'_> {
         // An unregistered `u` gets any lane: running the op reports it.
         let value = self
-            .try_vector(u)
-            .map_or(ValueKind::F64, |v| v.value_kind());
+            .try_entry(u.row())
+            .map_or(ValueKind::F64, |e| e.matrix.value_kind());
         let semiring = match value {
             ValueKind::Bool => SemiringKind::BoolAndOr,
             _ => SemiringKind::PlusTimes,
@@ -547,37 +569,23 @@ impl Context {
     /// execution path (single-op, batch) runs this first, so a violation
     /// is the same error value everywhere.
     fn validate_op(&self, op: &MaskedOp) -> Result<(), SparseError> {
-        match op.operands {
-            Operands::MatMat { mask, a, b } => {
-                self.try_entry(mask)?;
-                self.try_entry(a)?;
-                self.try_entry(b)?;
-            }
-            Operands::VecMat { mask, u, b } => {
-                self.try_vector(mask)?;
-                self.try_vector(u)?;
-                self.try_entry(b)?;
-            }
-        }
-        if let AccumMode::MergeInto(target, _) = op.accum {
-            match target {
-                AccumTarget::Mat(h) => {
-                    self.try_entry(h)?;
-                }
-                AccumTarget::Vec(h) => {
-                    self.try_vector(h)?;
-                }
-            }
-        }
+        let kind = |h| self.try_entry(h).map(|e| e.matrix.value_kind());
+        let (mask, a, b) = op.operands.handles();
+        kind(mask)?;
+        let a_kind = kind(a)?;
+        kind(b)?;
+        let accum = match op.accum {
+            AccumMode::MergeInto(target, monoid) => Some((target, monoid, kind(target.handle())?)),
+            AccumMode::Replace => None,
+        };
         if !op.semiring.supports_value(op.value) {
             return Err(SparseError::Unsupported(SEMIRING_LANE_UNSUPPORTED));
         }
-        if let Operands::VecMat { u, .. } = op.operands {
-            if self.vector(u).value_kind() != op.value {
-                return Err(SparseError::Unsupported(OPERAND_LANE_MISMATCH));
-            }
+        let vector = matches!(op.operands, Operands::VecMat { .. });
+        if vector && a_kind != op.value {
+            return Err(SparseError::Unsupported(OPERAND_LANE_MISMATCH));
         }
-        if let AccumMode::MergeInto(target, monoid) = op.accum {
+        if let Some((target, monoid, target_kind)) = accum {
             let monoid_lane = match monoid {
                 AccumMonoid::CustomF64(_) => Some(ValueKind::F64),
                 AccumMonoid::CustomI64(_) => Some(ValueKind::I64),
@@ -587,25 +595,13 @@ impl Context {
             if monoid_lane.is_some_and(|lane| lane != op.value) {
                 return Err(SparseError::Unsupported(ACCUM_MONOID_LANE_MISMATCH));
             }
-            match target {
-                AccumTarget::Mat(tm) => {
-                    // The registry stores matrices natively typed: a matrix
-                    // product merges back into a target stored on the same
-                    // lane (zero-cast merge), any other combination is a
-                    // uniform mismatch.
-                    let ok = matches!(op.operands, Operands::MatMat { .. })
-                        && self.matrix_kind(tm) == op.value;
-                    if !ok {
-                        return Err(SparseError::Unsupported(ACCUM_TARGET_MISMATCH));
-                    }
-                }
-                AccumTarget::Vec(tv) => {
-                    let ok = matches!(op.operands, Operands::VecMat { .. })
-                        && self.vector(tv).value_kind() == op.value;
-                    if !ok {
-                        return Err(SparseError::Unsupported(ACCUM_TARGET_MISMATCH));
-                    }
-                }
+            // The registry stores targets natively typed: a product merges
+            // back into a target of its own form (matrix or vector) stored
+            // on its own lane (zero-cast merge); any other combination is a
+            // uniform mismatch.
+            let same_form = matches!(target, AccumTarget::Vec(_)) == vector;
+            if !same_form || target_kind != op.value {
+                return Err(SparseError::Unsupported(ACCUM_TARGET_MISMATCH));
             }
         }
         Ok(())
@@ -617,44 +613,37 @@ impl Context {
     /// is a uniform [`SparseError::Unsupported`].
     pub(crate) fn resolve_plan(&self, op: &MaskedOp) -> Result<Plan, SparseError> {
         self.validate_op(op)?;
-        match op.operands {
-            Operands::MatMat { mask, a, b } => {
-                if let Some(alg) = op.algorithm {
-                    alg.check_complement_support(op.complemented)?;
-                    plan::validate(self, op.operands)?;
-                    // A fully-overridden op skips the cost model entirely —
-                    // but still honors the calibrated serial cutoff (the
-                    // pair-cached flop count is the only quantity needed).
-                    if let Some(ph) = op.phases {
-                        let mut fixed = Plan::fixed(alg, ph, op.complemented);
-                        let cutoff = self.serial_cutoff_flops();
-                        if cutoff > 0.0 {
-                            fixed.serial = (self.flops(a, b) as f64) < cutoff;
-                        }
-                        return Ok(fixed);
-                    }
-                    let planned = self.plan(mask, op.complemented, a, b)?;
-                    return Ok(Plan {
-                        choice: Choice::Fixed(alg),
-                        ..planned
-                    });
-                }
+        if let Some(alg) = op.algorithm {
+            alg.check_complement_support(op.complemented)?;
+        }
+        let (mask, a, b) = op.operands.handles();
+        // One row runs serially at one phase, whatever the op asks.
+        let one_row = self.try_entry(a)?.matrix.nrows() == 1;
+        let phases = if one_row {
+            Some(Phases::One)
+        } else {
+            op.phases
+        };
+        match (op.algorithm, phases) {
+            // A fully-overridden op skips the cost model entirely — but
+            // still honors the calibrated serial cutoff (the flop count is
+            // the only quantity needed).
+            (Some(alg), Some(ph)) => {
+                plan::validate(self, mask, a, b)?;
+                let mut fixed = Plan::fixed(alg, ph, op.complemented);
+                let cutoff = self.serial_cutoff_flops();
+                fixed.serial = one_row || (cutoff > 0.0 && (self.flops(a, b) as f64) < cutoff);
+                Ok(fixed)
+            }
+            (algorithm, phases) => {
                 let mut planned = self.plan(mask, op.complemented, a, b)?;
-                if let Some(ph) = op.phases {
+                if let Some(alg) = algorithm {
+                    planned.choice = Choice::Fixed(alg);
+                }
+                if let Some(ph) = phases {
                     planned.phases = ph;
                 }
                 Ok(planned)
-            }
-            Operands::VecMat { .. } => {
-                if let Some(alg) = op.algorithm {
-                    alg.check_complement_support(op.complemented)?;
-                    plan::validate(self, op.operands)?;
-                    // One row runs serially at one phase, whatever the op asks.
-                    let mut fixed = Plan::fixed(alg, Phases::One, op.complemented);
-                    fixed.serial = true;
-                    return Ok(fixed);
-                }
-                self.plan_operands(op.operands, op.complemented)
             }
         }
     }
@@ -667,7 +656,7 @@ impl Context {
     /// come from the aux cache. The product runs on kernels monomorphized
     /// for its lane and semiring (bit-identical to [`DynLane`] and the
     /// typed semirings): row-parallel on the context's pool, or — for a
-    /// plan under the calibrated serial cutoff, and for every vector
+    /// plan under the calibrated serial cutoff, and for every one-row
     /// product — on the calling thread with the context's reused kernel
     /// scratch.
     pub fn run_op_out(&self, op: &MaskedOp) -> Result<OpOutput, SparseError> {
@@ -680,7 +669,7 @@ impl Context {
                 None => self.execute(r, &mut ScratchSets::default()),
             }
         })?;
-        self.apply_accum(op, out)
+        self.finish(op, out)
     }
 
     /// Execute one descriptor now and return the `f64` matrix product (the
@@ -706,38 +695,24 @@ impl Context {
         op: &MaskedOp,
         plan: Plan,
     ) -> Result<ResolvedOp<T>, SparseError> {
-        let pull = plan.pulls();
-        let inputs = match op.operands {
-            Operands::MatMat { mask, a, b } => Inputs::Mat {
-                mask: self.value_mat(mask),
-                a: self.view(a),
-                b: self.view(b),
-            },
-            Operands::VecMat { mask, u, b } => Inputs::Vec {
-                mask: self.vector(mask),
-                // Lane agreement was validated by `resolve_plan`; a
-                // mismatch here means a concurrent lane change.
-                u: T::native_vec(&self.vector(u))
-                    .cloned()
-                    .ok_or(SparseError::Unsupported(OPERAND_LANE_MISMATCH))?,
-                b: self.view(b),
-            },
-        };
-        let (Operands::MatMat { b, .. } | Operands::VecMat { b, .. }) = op.operands;
+        let (mask, a, b) = op.operands.handles();
         Ok(ResolvedOp {
-            plan,
             kind: op.semiring,
-            inputs,
-            b_csc: pull.then(|| self.lane_csc(b)),
+            mask: self.value_mat(mask),
+            a: self.view(a),
+            b: self.view(b),
+            b_csc: plan.pulls().then(|| self.lane_csc(b)),
+            plan,
         })
     }
 
-    /// Run a resolved op — the one path behind single matrix ops, vector
-    /// ops, and batch entries. The op's semiring kind is dispatched here,
-    /// once, to the kernels monomorphized for it ([`Fixed`]), and the plan
-    /// runs through the core executor ([`ScratchSet::run`]): a serial plan
-    /// on the calling thread with the kind's reused kernels from `scratch`,
-    /// any other plan row-parallel on the pool.
+    /// Run a resolved op — the one path behind single ops, matrix and
+    /// vector alike, and batch entries. The op's semiring kind is
+    /// dispatched here, once, to the kernels monomorphized for it
+    /// ([`Fixed`]), and the plan runs through the core executor
+    /// ([`ScratchSet::run`]): a serial plan on the calling thread with the
+    /// kind's reused kernels from `scratch`, any other plan row-parallel on
+    /// the pool. The product is a matrix until [`Context::finish`].
     ///
     /// [`ScratchSet::run`]: masked_spgemm::ScratchSet::run
     pub(crate) fn execute<T: Lane>(
@@ -775,59 +750,55 @@ impl Context {
         S: Semiring<A = T, B = T, C = T> + 'static,
     {
         let (plan, csc, set) = (&r.plan, r.b_csc.as_deref(), scratch.get::<S>());
-        match &r.inputs {
-            Inputs::Mat { mask, a, b } => on_variant!(mask, ValueMat, m => {
-                let (m, cfg) = (m.as_ref(), self.config());
-                let mut run = || {
-                    let (choice, phases, compl) = (plan.choice, plan.phases, plan.complemented);
-                    set.run(choice, phases, plan.serial, compl, sr, cfg, m, a, b, csc)
-                };
-                if plan.serial { run() } else { self.pool.install(run) }
-            })
-            .map(T::mat_output),
-            Inputs::Vec { mask, u, b } => on_variant!(mask, ValueVec, m => {
-                let Choice::Fixed(alg) = plan.choice else {
-                    unreachable!("a vector plan names one family")
-                };
-                set.run_vec(alg, plan.complemented, sr, m.as_ref(), u, b, csc)
-            })
-            .map(T::vec_output),
-        }
+        let (a, b, cfg) = (&r.a, &r.b, self.config());
+        on_variant!(&r.mask, ValueMat, m => {
+            let m = m.as_ref();
+            let mut run = || {
+                let (choice, phases, compl) = (plan.choice, plan.phases, plan.complemented);
+                set.run(choice, phases, plan.serial, compl, sr, cfg, m, a, b, csc)
+            };
+            if plan.serial { run() } else { self.pool.install(run) }
+        })
+        .map(T::mat_output)
     }
 
-    /// Apply a descriptor's [`AccumMode`] to its freshly-computed product.
-    pub(crate) fn apply_accum(
-        &self,
-        op: &MaskedOp,
-        out: OpOutput,
-    ) -> Result<OpOutput, SparseError> {
-        let AccumMode::MergeInto(target, monoid) = op.accum else {
-            return Ok(out);
-        };
-        with_lane!(out.value_kind(), T => match target {
-            AccumTarget::Mat(handle) => self.merge_mat::<T>(op, handle, monoid, out),
-            AccumTarget::Vec(handle) => self.merge_vec::<T>(op, handle, monoid, out),
+    /// Finish a freshly-computed product: apply the descriptor's
+    /// [`AccumMode`], then deliver a vector-operand product as a vector.
+    pub(crate) fn finish(&self, op: &MaskedOp, out: OpOutput) -> Result<OpOutput, SparseError> {
+        with_lane!(out.value_kind(), T => {
+            let mut c = T::take_mat(out).expect("a product is a matrix until delivered");
+            if let AccumMode::MergeInto(target, monoid) = op.accum {
+                c = self.merge::<T>(op, target, monoid, c)?;
+            }
+            match op.operands {
+                Operands::MatMat { .. } => Ok(T::mat_output(c)),
+                Operands::VecMat { .. } => SparseVec::from_row(c).map(T::vec_output),
+            }
         })
     }
 
-    /// Merge a lane-`T` matrix product into the matrix behind `handle`,
+    /// Merge a lane-`T` product into the matrix or vector behind `target`,
     /// returning the entries the merge changed.
-    fn merge_mat<T: Lane>(
+    fn merge<T: Lane>(
         &self,
         op: &MaskedOp,
-        handle: MatrixHandle,
+        target: AccumTarget,
         monoid: AccumMonoid,
-        out: OpOutput,
-    ) -> Result<OpOutput, SparseError> {
+        c: CsrMatrix<T>,
+    ) -> Result<CsrMatrix<T>, SparseError> {
         // Validation pinned the target's stored lane to the op's lane;
         // reaching a mismatch means a concurrent lane change.
-        let mismatch = SparseError::Unsupported(ACCUM_TARGET_MISMATCH);
-        let c = T::take_mat(out).ok_or(mismatch.clone())?;
-        let target = self.value_mat(handle);
-        let existing = T::native_mat(&target).ok_or(mismatch)?;
+        let handle = target.handle();
+        let stored = self.value_mat(handle);
+        let existing =
+            T::native_mat(&stored).ok_or(SparseError::Unsupported(ACCUM_TARGET_MISMATCH))?;
         if existing.shape() != c.shape() {
+            let op = match target {
+                AccumTarget::Mat(_) => "accumulate_into",
+                AccumTarget::Vec(_) => "accumulate_into_vec",
+            };
             return Err(SparseError::DimMismatch {
-                op: "accumulate_into",
+                op,
                 lhs: existing.shape(),
                 rhs: c.shape(),
             });
@@ -842,72 +813,25 @@ impl Context {
         if changed.nnz() > 0 {
             self.store_matrix(handle, T::wrap_mat(Arc::new(merged)), false);
         }
-        Ok(T::mat_output(changed))
-    }
-
-    /// Merge a lane-`T` vector product into the vector behind `handle`,
-    /// returning the entries the merge changed.
-    fn merge_vec<T: Lane>(
-        &self,
-        op: &MaskedOp,
-        handle: VectorHandle,
-        monoid: AccumMonoid,
-        out: OpOutput,
-    ) -> Result<OpOutput, SparseError> {
-        let mismatch = SparseError::Unsupported(ACCUM_TARGET_MISMATCH);
-        let v = T::take_vec(out).ok_or(mismatch.clone())?;
-        let target = self.vector(handle);
-        let existing = T::native_vec(&target).ok_or(mismatch)?;
-        if existing.dim() != v.dim() {
-            return Err(SparseError::DimMismatch {
-                op: "accumulate_into_vec",
-                lhs: (1, existing.dim()),
-                rhs: (1, v.dim()),
-            });
-        }
-        let custom = T::custom_monoid(monoid);
-        let (merged, changed) = existing.merge_changes(
-            v,
-            |x, y| apply_monoid(monoid, op.semiring, custom, x, y),
-            T::same_bits,
-        );
-        if !changed.is_empty() {
-            self.update_vec(handle, T::wrap_vec(Arc::new(merged)));
-        }
-        Ok(T::vec_output(changed))
+        Ok(changed)
     }
 }
 
 /// A descriptor resolved on the calling thread into everything its run
 /// reads: the plan, the semiring kind, and the operands as snapshotted at
-/// resolve time.
+/// resolve time — a vector operand as its `1 × dim` matrix.
 pub(crate) struct ResolvedOp<T> {
     plan: Plan,
     kind: SemiringKind,
-    inputs: Inputs<T>,
+    /// The mask in its **native** stored lane (the kernels read only its
+    /// pattern, so no cast is built for it).
+    mask: ValueMat,
+    /// The lane views of `A` and `B`: the stored matrices themselves when
+    /// they live on this lane.
+    a: Arc<CsrMatrix<T>>,
+    b: Arc<CsrMatrix<T>>,
     /// `B`'s lane CSC, built only when the plan pulls.
     b_csc: Option<Arc<CscMatrix<T>>>,
-}
-
-/// The operands of a [`ResolvedOp`] on lane `T`.
-enum Inputs<T> {
-    /// `M ⊙ (A·B)`: the mask in its **native** stored lane (the kernels
-    /// read only its pattern, so no cast is built for it) and the lane
-    /// views of `A` and `B` — the stored matrices themselves when they live
-    /// on this lane.
-    Mat {
-        mask: ValueMat,
-        a: Arc<CsrMatrix<T>>,
-        b: Arc<CsrMatrix<T>>,
-    },
-    /// `m ⊙ (u·B)`: the mask in its **native** stored lane (an `Arc`
-    /// clone; the kernels read only its pattern), the operand vector, and
-    /// `B`'s lane CSR view (a pull reads only its shape).
-    Vec {
-        mask: ValueVec,
-        u: Arc<SparseVec<T>>,
-        b: Arc<CsrMatrix<T>>,
-    },
 }
 
 /// A [`ResolvedOp`] on whichever lane its descriptor runs.

@@ -26,10 +26,8 @@ use masked_spgemm::hybrid::{
 pub use masked_spgemm::Choice;
 use masked_spgemm::{Algorithm, Phases};
 use sparse::{Idx, SparseError};
-use std::iter;
 
 use crate::context::{Context, MatrixHandle};
-use crate::op::Operands;
 
 /// Estimated unit costs per algorithm family (the planner's working),
 /// summed over the product's rows with work: a vector product's one row
@@ -137,49 +135,35 @@ fn algorithm(family: RowChoice) -> Algorithm {
 const COMPLEMENTED_TWO_PHASE_FLOPS: u64 = 1 << 22;
 
 /// Validate that the operands are registered and form a well-shaped
-/// masked multiply, a vector being the `1 × dim` matrix (shared by the
-/// planner, the cache lookup, and the descriptor path). Shape checks are
-/// structure-only: no lane view is materialized here.
-pub(crate) fn validate(ctx: &Context, operands: Operands) -> Result<(), SparseError> {
-    let (mask, a, b) = match operands {
-        Operands::MatMat { mask, a, b } => (
-            ctx.try_entry(mask)?.matrix.shape(),
-            ctx.try_entry(a)?.matrix.shape(),
-            b,
-        ),
-        Operands::VecMat { mask, u, b } => (
-            (1, ctx.try_vector(mask)?.dim()),
-            (1, ctx.try_vector(u)?.dim()),
-            b,
-        ),
-    };
-    check_shapes(mask, a, ctx.try_entry(b)?.matrix.shape())
+/// masked multiply (shared by the planner, the cache lookup, and the
+/// descriptor path; a vector operand is its `1 × dim` entry). Shape checks
+/// are structure-only: no lane view is materialized here.
+pub(crate) fn validate(
+    ctx: &Context,
+    mask: MatrixHandle,
+    a: MatrixHandle,
+    b: MatrixHandle,
+) -> Result<(), SparseError> {
+    let shape = |h| ctx.try_entry(h).map(|e| e.matrix.shape());
+    check_shapes(shape(mask)?, shape(a)?, shape(b)?)
 }
 
 /// Cost-model planning proper. Operand shapes are the caller's
-/// responsibility (`Context::plan_operands` runs [`validate`] before the
-/// cache lookup, which is the only path here).
+/// responsibility (`Context::plan` runs [`validate`] before the cache
+/// lookup, which is the only path here).
 ///
 /// A vector product is the one-row matrix product: its one row is the
-/// mask's and `u`'s indices, planned by the same body as a matrix's rows.
-pub(crate) fn plan(ctx: &Context, operands: Operands, complemented: bool) -> Plan {
-    match operands {
-        Operands::MatMat { mask, a, b } => {
-            let (em, ea) = (ctx.entry(mask), ctx.entry(a));
-            let rows =
-                (0..ea.matrix.nrows()).map(|i| (em.matrix.row_cols(i), ea.matrix.row_cols(i)));
-            plan_rows(ctx, rows, complemented, b)
-        }
-        Operands::VecMat { mask, u, b } => {
-            let (mv, uv) = (ctx.vector(mask), ctx.vector(u));
-            plan_rows(
-                ctx,
-                iter::once((mv.indices(), uv.indices())),
-                complemented,
-                b,
-            )
-        }
-    }
+/// mask's and `u`'s entries, planned by the same body as a matrix's rows.
+pub(crate) fn plan(
+    ctx: &Context,
+    mask: MatrixHandle,
+    a: MatrixHandle,
+    b: MatrixHandle,
+    complemented: bool,
+) -> Plan {
+    let (em, ea) = (ctx.entry(mask), ctx.entry(a));
+    let rows = (0..ea.matrix.nrows()).map(|i| (em.matrix.row_cols(i), ea.matrix.row_cols(i)));
+    plan_rows(ctx, rows, complemented, b)
 }
 
 /// The one planner body over a product's `(mask row, A row)` column lists.

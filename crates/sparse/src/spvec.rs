@@ -3,6 +3,7 @@
 //! product; `masked_spgemm::spgevm` exposes that operation directly, e.g.
 //! for frontier-based traversals).
 
+use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::index::{Idx, MAX_DIM};
 
@@ -116,6 +117,36 @@ impl<T> SparseVec<T> {
             idx: self.idx.clone(),
             vals: self.vals.iter().map(f).collect(),
         }
+    }
+
+    /// This vector as the one row of a `1 × dim` matrix. The entries move,
+    /// uncopied; [`SparseVec::from_row`] is the inverse.
+    ///
+    /// ```
+    /// use sparse::SparseVec;
+    /// let v = SparseVec::try_new(5, vec![1, 3], vec![2.0, 4.0]).unwrap();
+    /// let row = v.clone().into_row();
+    /// assert_eq!((row.shape(), row.get(0, 3)), ((1, 5), Some(&4.0)));
+    /// assert_eq!(SparseVec::from_row(row).unwrap(), v);
+    /// ```
+    pub fn into_row(self) -> CsrMatrix<T> {
+        let nnz = self.idx.len();
+        CsrMatrix::from_parts_unchecked(1, self.dim, vec![0, nnz], self.idx, self.vals)
+    }
+
+    /// The one row of a `1 × n` matrix as a vector of dimension `n`, its
+    /// entries moved uncopied. A matrix with another row count is a
+    /// [`SparseError::DimMismatch`].
+    pub fn from_row(row: CsrMatrix<T>) -> Result<Self, SparseError> {
+        if row.nrows() != 1 {
+            return Err(SparseError::DimMismatch {
+                op: "SparseVec::from_row",
+                lhs: row.shape(),
+                rhs: (1, row.ncols()),
+            });
+        }
+        let (_, dim, _, idx, vals) = row.into_parts();
+        Ok(SparseVec { dim, idx, vals })
     }
 }
 
@@ -304,6 +335,19 @@ mod tests {
         assert_eq!(v.get(5), None);
         let pairs: Vec<(Idx, f64)> = v.iter().map(|(j, &x)| (j, x)).collect();
         assert_eq!(pairs, vec![(1, 1.0), (4, 2.0), (7, 3.0)]);
+    }
+
+    #[test]
+    fn one_row_conversions_round_trip() {
+        let v = SparseVec::try_new(6, vec![0, 2, 5], vec![1i64, -3, 7]).unwrap();
+        let row = v.clone().into_row();
+        assert_eq!(row.shape(), (1, 6));
+        assert_eq!(row.rowptr(), &[0, 3]);
+        assert_eq!(row.colidx(), v.indices());
+        assert_eq!(SparseVec::from_row(row).unwrap(), v);
+        let empty = SparseVec::<bool>::empty(4).into_row();
+        assert_eq!((empty.shape(), empty.nnz()), ((1, 4), 0));
+        assert!(SparseVec::from_row(CsrMatrix::<f64>::empty(2, 4)).is_err());
     }
 
     #[test]

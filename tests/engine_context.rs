@@ -180,6 +180,50 @@ fn update_invalidates_stale_auxiliaries() {
     );
 }
 
+/// The one-entry matrix `[[x]]`.
+fn scalar(x: f64) -> CsrMatrix<f64> {
+    CsrMatrix::try_new(1, 1, vec![0, 1], vec![0], vec![x]).unwrap()
+}
+
+/// An update that only flips a zero's sign changes the stored bits, so it
+/// is stored (`0.0 == -0.0` must not read as "no change").
+#[test]
+fn update_that_only_flips_a_zero_sign_is_stored() {
+    let ctx = Context::with_threads(1);
+    let h = ctx.insert(scalar(0.0));
+    ctx.csc(h);
+    let before = ctx.aux_status(h).version;
+    ctx.update(h, scalar(-0.0));
+    let stored = ctx.matrix(h).values()[0];
+    assert_eq!(
+        stored.to_bits(),
+        (-0.0f64).to_bits(),
+        "the update was dropped"
+    );
+    assert!(ctx.aux_status(h).version > before);
+    assert!(!ctx.aux_status(h).has_csc, "a stale CSC survived");
+}
+
+/// Storing an identical matrix that holds a NaN is no change, so the
+/// cached auxiliaries stay (`NaN != NaN` must not read as a change).
+#[test]
+fn restoring_an_identical_matrix_with_a_nan_keeps_the_caches() {
+    let ctx = Context::with_threads(1);
+    let h = ctx.insert(scalar(f64::NAN));
+    ctx.csc(h);
+    let before = ctx.aux_status(h);
+    ctx.update(h, scalar(f64::NAN));
+    assert_eq!(
+        ctx.aux_status(h),
+        before,
+        "an identical update purged the caches"
+    );
+    // A NaN with other bits is a change.
+    let other_nan = f64::from_bits(f64::NAN.to_bits() ^ 1);
+    ctx.update(h, scalar(other_nan));
+    assert!(ctx.aux_status(h).version > before.version);
+}
+
 #[test]
 fn flops_cache_invalidates_with_versions() {
     let ctx = Context::with_threads(1);
@@ -188,7 +232,8 @@ fn flops_cache_invalidates_with_versions() {
     let (ha, hb) = (ctx.insert(a1.clone()), ctx.insert(b1.clone()));
     let f1 = ctx.flops(ha, hb);
     assert_eq!(f1, masked_spgemm::flops(&a1, &b1));
-    // Updating B must change the cached answer.
+    // Updating B must change the answer (it counts from B's cached row
+    // degrees, which the update invalidates).
     let b2 = graphs::erdos_renyi(24, 8.0, 5);
     ctx.update(hb, b2.clone());
     let f2 = ctx.flops(ha, hb);
@@ -292,11 +337,10 @@ fn complemented_plans_never_pick_pull_for_sparse_masks() {
 
 #[test]
 fn update_loops_do_not_grow_derived_caches() {
-    // Regression: every update bumps the version; flops entries for
-    // superseded versions must be dropped, or update-in-a-loop workloads
-    // (k-truss) leak cache entries without bound. Plan entries are keyed
-    // by structural class, so same-regime updates land on a handful of
-    // keys (and the byte-budgeted LRU bounds them regardless).
+    // Every update bumps the version. Plan entries are keyed by structural
+    // class, not version, so same-regime updates land on a handful of keys
+    // (and the byte-budgeted LRU bounds them regardless), and the aux
+    // ledger drops a superseded version's records.
     let ctx = Context::with_threads(1);
     let h = ctx.insert(graphs::erdos_renyi(48, 6.0, 40));
     for round in 0..20u64 {
@@ -304,8 +348,8 @@ fn update_loops_do_not_grow_derived_caches() {
         let _ = ctx.plan(h, false, h, h).unwrap();
         ctx.update(h, graphs::erdos_renyi(48, 6.0, 41 + round));
     }
-    let (flops_len, plan_len) = ctx.cache_sizes();
-    assert!(flops_len <= 1, "flops cache grew to {flops_len}");
+    assert_eq!(ctx.aux_cache_stats().bytes, 0);
+    let plan_len = ctx.plan_cache_stats().entries;
     assert!(
         plan_len <= 8,
         "plan cache grew to {plan_len} for one structural regime"

@@ -343,9 +343,6 @@ fn accumulation_returns_exactly_the_changed_entries() {
     let full = SparseVec::try_new(n, (0..n as Idx).collect(), (0..n as i64).collect()).unwrap();
     let keep = ctx.insert_vec(full.clone());
     let v0 = ctx.vec_version(keep);
-    let ValueVec::I64(before) = ctx.vector(keep) else {
-        unreachable!("inserted on the i64 lane")
-    };
     let got: SparseVec<i64> = ctx
         .vec_op(all, frontier, h)
         .complemented(true)
@@ -359,7 +356,6 @@ fn accumulation_returns_exactly_the_changed_entries() {
     let ValueVec::I64(after) = ctx.vector(keep) else {
         unreachable!("target stays on the i64 lane")
     };
-    assert!(std::sync::Arc::ptr_eq(&before, &after));
     assert_eq!((*after).clone(), full);
     assert_eq!(ctx.vec_version(keep), v0);
 
@@ -607,7 +603,9 @@ fn row_matrix(dim: usize, indices: &[Idx]) -> CsrMatrix<f64> {
 
 /// A vector plan is the one-row matrix plan: the same choice, phases,
 /// serial flag and cost bits for `m ⊙ (u·B)` and for `M1 ⊙ (U1·B)` on the
-/// `1 × n` matrices of `m` and `u`. The last BFS levels on a grid (a
+/// `1 × n` matrices of `m` and `u`, and on the `f64` lane the same product
+/// bits, and under `accumulate_into_vec` and `accumulate_into` the same
+/// changed entries and merged targets. The last BFS levels on a grid (a
 /// complemented visited mask holding at least 98% of the vertices and a
 /// frontier of a few) return what the forced MSA and pull return on the
 /// `bool` and `i64` lanes; three levels from the end, with six vertices
@@ -686,6 +684,43 @@ fn vector_plan_is_the_one_row_matrix_plan() {
         if let Some(label) = label {
             assert_eq!(got.label(), label, "{case}: {:?}", got.costs);
         }
+
+        // The products, and the accumulations, on the f64 lane.
+        let vbits = |v: SparseVec<f64>| {
+            let vals: Vec<u64> = v.values().iter().map(|x| x.to_bits()).collect();
+            (v.indices().to_vec(), vals)
+        };
+        let row_bits = |m: &CsrMatrix<f64>| vbits(SparseVec::from_row(m.clone()).unwrap());
+        let vals = u.iter().map(|&j| 0.5 + f64::from(j % 7)).collect();
+        let uf = SparseVec::try_new(n, u.clone(), vals).unwrap();
+        let (hu, hu1) = (ctx.insert_vec(uf.clone()), ctx.insert(uf.into_row()));
+        let vop = ctx.vec_op(m, hu, hb).complemented(compl);
+        let mop = ctx.op(m1, hu1, hb).complemented(compl);
+        let product: SparseVec<f64> = vop.run_out().unwrap().into_typed().unwrap();
+        assert_eq!(vbits(product), row_bits(&mop.run().unwrap()), "{case}");
+        let evens: Vec<Idx> = (0..n as Idx).step_by(2).collect();
+        let target = SparseVec::try_new(n, evens.clone(), vec![1.25; evens.len()]).unwrap();
+        let (tv, tm) = (
+            ctx.insert_vec(target.clone()),
+            ctx.insert(target.into_row()),
+        );
+        let changed: SparseVec<f64> = vop
+            .accumulate_into_vec(tv)
+            .run_out()
+            .unwrap()
+            .into_typed()
+            .unwrap();
+        let changed_row = mop.accumulate_into(tm).run().unwrap();
+        assert_eq!(vbits(changed), row_bits(&changed_row), "{case}");
+        let ValueVec::F64(merged) = ctx.vector(tv) else {
+            unreachable!("the target stays on the f64 lane")
+        };
+        assert_eq!(
+            vbits((*merged).clone()),
+            row_bits(&ctx.matrix(tm)),
+            "{case}"
+        );
+
         if name != "last levels" {
             continue;
         }

@@ -245,6 +245,27 @@ fn insert_bool_bfs_never_materializes_an_f64_canonical() {
     );
 }
 
+/// A registered vector is billed in `registry_bytes()` as its `1 × dim`
+/// matrix: `insert_vec` raises the total by those bytes, `update_vec`
+/// moves it to the new value's, and `remove_vec` restores it.
+#[test]
+fn registered_vectors_count_in_registry_bytes() {
+    let ctx = Context::with_threads(1);
+    ctx.insert(graphs::erdos_renyi(16, 3.0, 7));
+    let base = ctx.registry_bytes();
+    let v = sparse::SparseVec::try_new(100, vec![3, 9, 40], vec![1.5f64, 2.0, -4.0]).unwrap();
+    let row = ValueMat::from(v.clone().into_row());
+    let h = ctx.insert_vec(v);
+    assert!(row.bytes() > 0);
+    assert_eq!(ctx.registry_bytes(), base + row.bytes());
+    let w = sparse::SparseVec::try_new(100, vec![0], vec![true]).unwrap();
+    let w_row = ValueMat::from(w.clone().into_row());
+    ctx.update_vec(h, w);
+    assert_eq!(ctx.registry_bytes(), base + w_row.bytes());
+    ctx.remove_vec(h);
+    assert_eq!(ctx.registry_bytes(), base);
+}
+
 /// `registry_bytes() + aux_cache_stats().bytes` (the pair `bench_bfs`
 /// sums) must count the transpose storage exactly once when
 /// `transpose_handle` promotes the cached transpose to a registry entry.
