@@ -110,6 +110,14 @@ impl<V: Copy + Default> Msa<V> {
 /// Complemented-mask MSA (Section 5.2, last paragraph): the default state is
 /// `ALLOWED`; `set_not_allowed` marks mask entries; an `inserted` list
 /// records SET keys so the gather step visits only them.
+///
+/// Stamping every mask entry costs `O(nnz(m))` per row even when the row
+/// touches a handful of keys. The `*_probe` methods stamp the mask lazily
+/// instead: a key with no state yet this row is looked up in the mask once,
+/// on first touch, and stamped `NOTALLOWED` or `SET`; later touches read the
+/// stamp. A masked key still never evaluates its product, and allowed keys
+/// see the same products in the same order, so both ways give the same
+/// bits.
 #[derive(Debug)]
 pub struct MsaComplement<V> {
     values: Vec<V>,
@@ -159,25 +167,50 @@ impl<V: Copy + Default> MsaComplement<V> {
     /// Insert a product for `key` unless the key is masked out.
     #[inline(always)]
     pub fn insert_with(&mut self, key: Idx, make: impl FnOnce() -> V, add: impl FnOnce(V, V) -> V) {
+        self.insert_with_probe(key, || false, make, add);
+    }
+
+    /// [`MsaComplement::insert_with`] on a lazily stamped row: a key with no
+    /// state yet this row asks `in_mask` once, and is stamped `NOTALLOWED`
+    /// (its product never made) if the mask names it.
+    #[inline(always)]
+    pub fn insert_with_probe(
+        &mut self,
+        key: Idx,
+        in_mask: impl FnOnce() -> bool,
+        make: impl FnOnce() -> V,
+        add: impl FnOnce(V, V) -> V,
+    ) {
         let k = key as usize;
         let s = self.states[k];
         if s == self.set_stamp() {
             self.values[k] = add(self.values[k], make());
         } else if s != self.notallowed_stamp() {
-            self.values[k] = make();
-            self.states[k] = self.set_stamp();
-            self.inserted.push(key);
+            if in_mask() {
+                self.states[k] = self.notallowed_stamp();
+            } else {
+                self.values[k] = make();
+                self.states[k] = self.set_stamp();
+                self.inserted.push(key);
+            }
         }
     }
 
-    /// Pattern-only insert for the symbolic phase (complemented mask).
+    /// Pattern-only insert for the symbolic phase (complemented mask). A
+    /// key with no state yet this row asks `in_mask` once, as in
+    /// [`MsaComplement::insert_with_probe`]; an eagerly stamped row passes
+    /// `|| false`.
     #[inline(always)]
-    pub fn mark_set(&mut self, key: Idx) {
+    pub fn mark_set_probe(&mut self, key: Idx, in_mask: impl FnOnce() -> bool) {
         let k = key as usize;
         let s = self.states[k];
         if s != self.set_stamp() && s != self.notallowed_stamp() {
-            self.states[k] = self.set_stamp();
-            self.inserted.push(key);
+            if in_mask() {
+                self.states[k] = self.notallowed_stamp();
+            } else {
+                self.states[k] = self.set_stamp();
+                self.inserted.push(key);
+            }
         }
     }
 
@@ -272,6 +305,39 @@ mod tests {
         assert_eq!(m.sorted_inserted(), &[0, 5]);
         assert_eq!(m.value(5), 5.0);
         assert_eq!(m.value(0), 4.0);
+    }
+
+    #[test]
+    fn complement_lazy_probe_asks_once_per_key() {
+        let mask = [2u32, 6];
+        let mut asked = Vec::new();
+        let mut m = MsaComplement::<f64>::new(8);
+        m.reset();
+        for (key, v) in [(2, 1.0), (5, 2.0), (2, 4.0), (5, 3.0), (0, 4.0)] {
+            let mut made = false;
+            m.insert_with_probe(
+                key,
+                || {
+                    asked.push(key);
+                    mask.contains(&key)
+                },
+                || {
+                    made = true;
+                    v
+                },
+                |a, b| a + b,
+            );
+            assert_eq!(made, !mask.contains(&key), "key {key}");
+        }
+        assert_eq!(asked, vec![2, 5, 0], "one probe per distinct key");
+        assert_eq!(m.sorted_inserted(), &[0, 5]);
+        assert_eq!((m.value(5), m.value(0)), (5.0, 4.0));
+        // The symbolic pass probes the same way.
+        m.reset();
+        for key in [6, 1, 6, 1] {
+            m.mark_set_probe(key, || mask.contains(&key));
+        }
+        assert_eq!(m.inserted(), &[1]);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! `O(nnz(m) + flops(u·B))` per row.
 //!
 //! Complemented masks use [`HashComplement`]: products are filtered by a
-//! sorted two-pointer merge of each `B(k,:)` against the mask row (both are
-//! sorted), then surviving products accumulate in a grow-on-demand table.
+//! sorted merge of each `B(k,:)` against the mask row (both are sorted),
+//! whose mask cursor gallops ([`skip_below`]) so a short `B` row under a
+//! long mask row costs `O(nnz(B(k,:))·log)`, not `O(nnz(m))`; surviving
+//! products accumulate in a grow-on-demand table.
 
+use sparse::spvec::skip_below;
 use sparse::{CsrMatrix, Idx, Semiring};
 
 use crate::accum::{HashAccum, HashComplement};
@@ -30,6 +33,7 @@ where
     S::C: Default,
 {
     const SUPPORTS_COMPLEMENT: bool = true;
+    const SIZED_BY_MASK: bool = true;
 
     fn new(_ncols: usize, max_mask_row_nnz: usize) -> Self {
         HashKernel {
@@ -115,13 +119,12 @@ where
         accum.reset();
         for (&k, &av) in acols.iter().zip(avals) {
             let (bc, bv) = b.row(k as usize);
-            // Two-pointer set difference B(k,:) \ m over sorted streams.
+            // Set difference B(k,:) \ m over sorted streams, galloping
+            // over the mask entries between products.
             let mut q = 0usize;
             for (&j, &bvj) in bc.iter().zip(bv) {
-                while q < mcols.len() && mcols[q] < j {
-                    q += 1;
-                }
-                if q < mcols.len() && mcols[q] == j {
+                q = skip_below(mcols, q, j);
+                if mcols.get(q) == Some(&j) {
                     continue; // masked out under ¬M
                 }
                 accum.insert(j, sr.mul(av, bvj), |x, y| sr.add(x, y));
@@ -146,10 +149,8 @@ where
             let (bc, _) = b.row(k as usize);
             let mut q = 0usize;
             for &j in bc {
-                while q < mcols.len() && mcols[q] < j {
-                    q += 1;
-                }
-                if q < mcols.len() && mcols[q] == j {
+                q = skip_below(mcols, q, j);
+                if mcols.get(q) == Some(&j) {
                     continue;
                 }
                 accum.insert(j, (), |_, _| ());

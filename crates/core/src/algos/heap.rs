@@ -12,7 +12,13 @@
 //! current mask element (paper scheme **Heap**), `∞` merges until the next
 //! guaranteed intersection (paper scheme **HeapDot**). Inspection trades
 //! heap traffic (the `log₂ nnz(u)` factor) for mask scanning.
+//!
+//! Under a complemented mask the merge's mask cursor gallops
+//! ([`skip_below`]) to each popped column instead of stepping one mask
+//! entry at a time, so a row pays `O(log)` per run of mask entries it
+//! skips, not `O(nnz(m))`.
 
+use sparse::spvec::skip_below;
 use sparse::{CsrMatrix, Idx, Semiring};
 
 use crate::kernel::RowKernel;
@@ -210,8 +216,14 @@ impl<S: Semiring, const NINSPECT: usize> HeapKernel<S, NINSPECT> {
             }
         }
         while let Some(mut min) = heap.pop() {
-            while q < mcols.len() && mcols[q] < min.col {
-                q += 1;
+            if complemented {
+                // The products skip most of a complemented mask row (a
+                // frontier under a visited set): gallop over it.
+                q = skip_below(mcols, q, min.col);
+            } else {
+                while q < mcols.len() && mcols[q] < min.col {
+                    q += 1;
+                }
             }
             let in_mask = q < mcols.len() && mcols[q] == min.col;
             if complemented {
@@ -241,6 +253,7 @@ impl<S: Semiring, const NINSPECT: usize> HeapKernel<S, NINSPECT> {
 
 impl<S: Semiring, const NINSPECT: usize> RowKernel<S> for HeapKernel<S, NINSPECT> {
     const SUPPORTS_COMPLEMENT: bool = true;
+    const SIZED_BY_MASK: bool = false;
 
     fn new(_ncols: usize, _max_mask_row_nnz: usize) -> Self {
         HeapKernel {

@@ -48,6 +48,7 @@ where
     S::C: Default,
 {
     const SUPPORTS_COMPLEMENT: bool = false;
+    const SIZED_BY_MASK: bool = true;
 
     fn new(_ncols: usize, max_mask_row_nnz: usize) -> Self {
         McaKernel {

@@ -19,6 +19,14 @@
 //! | Heap   | `mm + heap_factor·f·(1 + log₂(u+1))` | `O(nnz(m) + log nnz(u)·flops)` |
 //! | Inner  | `inner_factor·(scan + Σ_{dots j} (u + nnz(B(:,j))))` | one dot of length `u + nnz(B(:,j))` per visited column |
 //!
+//! Under a complemented mask the MSA's `mm` term becomes
+//! [`complemented_mask_cost`], `min(mm, f·⌈log₂(mm+1)⌉)`: when a row's
+//! flops are few against its mask, the kernel probes the mask once per key
+//! it touches instead of stamping every mask entry, so a BFS level under a
+//! large visited mask costs what its frontier touches. The heap keeps its
+//! `mm` term; its complemented mask cursor gallops
+//! ([`sparse::spvec::skip_below`]), so `mm` overstates what it walks.
+//!
 //! [`HybridConfig`] holds the three constants; its defaults are the model
 //! every `engine` context plans with unless a caller installs others.
 //! [`cheapest`] picks the family: per row for the hybrid
@@ -102,13 +110,26 @@ pub fn cheapest(costs: FamilyCosts, complemented: bool) -> (RowChoice, f64) {
     best
 }
 
+/// What the MSA pays to apply a complemented mask row of `mm` entries to a
+/// row of `f` flops: the cheaper of stamping all `mm` entries NOTALLOWED up
+/// front, and stamping lazily — one binary search of the mask row, of
+/// `⌈log₂(mm+1)⌉` steps, the first time the row touches a key, so at most
+/// `f` searches. The kernel stamps lazily exactly when this is below `mm`,
+/// and [`row_costs`] charges it, so model and kernel cannot drift apart.
+pub fn complemented_mask_cost(mm: usize, f: u64) -> u64 {
+    let search_steps = u64::from(usize::BITS - mm.leading_zeros());
+    (mm as u64).min(f.saturating_mul(search_steps))
+}
+
 /// The cost model (see the module docs) on one output row.
 /// `mask_col_nnz` is `Σ nnz(B(:,j))` over the mask row's columns `j`.
 /// Under a complemented mask, `complement` holds `B`'s column count and
 /// nonzero count: the pull then scans all `ncols` output positions and dots
 /// the `ncols − mm` columns the mask does not name, which hold
 /// `nnz(B) − mask_col_nnz` entries — so an empty mask row is its costliest
-/// row, not a free one.
+/// row, not a free one. The MSA's mask term under a complement is
+/// [`complemented_mask_cost`]: a frontier of a few flops under a large
+/// visited mask pays `O(f·log mm)`, not `O(mm)`.
 pub fn row_costs(
     cfg: &HybridConfig,
     mm: usize,
@@ -118,16 +139,17 @@ pub fn row_costs(
     complement: Option<(usize, usize)>,
 ) -> FamilyCosts {
     let (mm_f, u_f, f_f) = (mm as f64, u as f64, f as f64);
-    let (scan, dots, dot_col_nnz) = match complement {
-        None => (mm_f, mm_f, mask_col_nnz as f64),
+    let (msa_mask, scan, dots, dot_col_nnz) = match complement {
+        None => (mm_f, mm_f, mm_f, mask_col_nnz as f64),
         Some((ncols, b_nnz)) => (
+            complemented_mask_cost(mm, f) as f64,
             ncols as f64,
             ncols as f64 - mm_f,
             b_nnz as f64 - mask_col_nnz as f64,
         ),
     };
     [
-        mm_f + f_f + cfg.msa_overhead,
+        msa_mask + f_f + cfg.msa_overhead,
         u_f * mm_f + f_f,
         mm_f + cfg.heap_factor * f_f * (1.0 + (u_f + 1.0).log2()),
         cfg.inner_factor * (scan + dots * u_f + dot_col_nnz),

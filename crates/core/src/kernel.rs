@@ -28,6 +28,12 @@ pub trait RowKernel<S: Semiring>: Send {
     /// calling a `*_complemented` method on such a kernel panics.
     const SUPPORTS_COMPLEMENT: bool;
 
+    /// Whether [`RowKernel::new`] sizes the scratch by `max_mask_row_nnz`.
+    /// A kernel that ignores it (MSA's accumulators are `ncols` long, the
+    /// heap's grows per row) serves any mask row, so a reused kernel
+    /// ([`crate::KernelScratch`]) need not be rebuilt when the mask grows.
+    const SIZED_BY_MASK: bool;
+
     /// Create scratch for operands with `ncols` output columns and at most
     /// `max_mask_row_nnz` mask entries per row.
     fn new(ncols: usize, max_mask_row_nnz: usize) -> Self;

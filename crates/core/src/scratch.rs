@@ -96,6 +96,8 @@ pub struct KernelScratch<S: Semiring, K: RowKernel<S>> {
     kernel: Option<K>,
     ncols_cap: usize,
     max_mask_cap: usize,
+    /// How many times the kernel was built.
+    builds: usize,
     _semiring: PhantomData<S>,
 }
 
@@ -112,18 +114,23 @@ impl<S: Semiring, K: RowKernel<S>> KernelScratch<S, K> {
             kernel: None,
             ncols_cap: 0,
             max_mask_cap: 0,
+            builds: 0,
             _semiring: PhantomData,
         }
     }
 
     /// Borrow a kernel valid for `ncols` output columns and mask rows of up
     /// to `max_mask_row_nnz` entries, rebuilding (at the running maximum of
-    /// all requested sizes) only when the current kernel is too small.
+    /// all requested sizes) only when the current kernel is too small: a
+    /// longer mask row outgrows only a kernel [`RowKernel::SIZED_BY_MASK`].
     pub fn acquire(&mut self, ncols: usize, max_mask_row_nnz: usize) -> &mut K {
-        if self.kernel.is_none() || ncols > self.ncols_cap || max_mask_row_nnz > self.max_mask_cap {
-            self.ncols_cap = self.ncols_cap.max(ncols);
-            self.max_mask_cap = self.max_mask_cap.max(max_mask_row_nnz);
+        let outgrown =
+            ncols > self.ncols_cap || (K::SIZED_BY_MASK && max_mask_row_nnz > self.max_mask_cap);
+        self.ncols_cap = self.ncols_cap.max(ncols);
+        self.max_mask_cap = self.max_mask_cap.max(max_mask_row_nnz);
+        if self.kernel.is_none() || outgrown {
             self.kernel = Some(K::new(self.ncols_cap, self.max_mask_cap));
+            self.builds += 1;
         }
         self.kernel.as_mut().expect("kernel built above")
     }
@@ -403,6 +410,62 @@ mod tests {
         assert_eq!((s.ncols_cap, s.max_mask_cap), (100, 10));
         s.acquire(200, 3); // one dimension grows
         assert_eq!((s.ncols_cap, s.max_mask_cap), (200, 10));
+    }
+
+    /// A growing mask row — each level of a BFS on a fresh context —
+    /// rebuilds only the kernels sized by the mask; all rebuild on more
+    /// columns.
+    #[test]
+    fn only_mask_sized_kernels_rebuild_when_the_mask_grows() {
+        type Sr = PlusTimes<f64>;
+        fn builds<K: RowKernel<Sr>>() -> [usize; 3] {
+            let mut s: KernelScratch<Sr, K> = KernelScratch::new();
+            let mut at = |ncols, mask| {
+                s.acquire(ncols, mask);
+                s.builds
+            };
+            [at(100, 1), at(100, 50), at(200, 60)]
+        }
+        for (name, sized, got) in [
+            ("MSA", false, builds::<MsaKernel<Sr>>()),
+            ("Heap", false, builds::<HeapKernel<Sr, { ninspect::ONE }>>()),
+            (
+                "HeapDot",
+                false,
+                builds::<HeapKernel<Sr, { ninspect::INF }>>(),
+            ),
+            ("Hash", true, builds::<HashKernel<Sr>>()),
+            ("MCA", true, builds::<McaKernel<Sr>>()),
+        ] {
+            let expect = if sized { [1, 2, 3] } else { [1, 1, 2] };
+            assert_eq!(got, expect, "{name}");
+        }
+        // A kernel built before the mask grew still computes the longer rows.
+        let (sr, cfg) = (PlusTimes::<f64>::new(), HybridConfig::default());
+        let a = random_csr(6, 40, 11, 30);
+        let b = random_csr(40, 40, 12, 30);
+        let mut set = ScratchSet::new();
+        for density in [5, 95] {
+            let mask = random_csr(6, 40, 13, density).pattern();
+            for (alg, compl) in [(Algorithm::Msa, true), (Algorithm::Heap, false)] {
+                let choice = Choice::Fixed(alg);
+                let got = set.run(
+                    choice,
+                    Phases::One,
+                    true,
+                    compl,
+                    sr,
+                    cfg,
+                    &mask,
+                    &a,
+                    &b,
+                    None,
+                );
+                let expect = masked_spgemm(alg, Phases::One, compl, sr, &mask, &a, &b);
+                assert_eq!(got.unwrap(), expect.unwrap(), "{alg:?} at {density}%");
+            }
+        }
+        assert_eq!((set.msa.builds, set.heap.builds), (1, 1));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! product per unvisited vertex (Inner); the **auto** mode picks per level.
 //! [`bfs`] switches with Beamer's work heuristic; [`bfs_auto`] asks the
 //! engine's planner, which prices every family on the level's one row and
-//! may pick any push family (MSA, or the heap that merges a tiny frontier
-//! without scanning the vertices) or the pull.
+//! may pick any push family or the pull. No push family scans the visited
+//! set on a thin level: the MSA probes the visited mask once per vertex
+//! the frontier reaches instead of stamping all of it, and the heap and
+//! hash gallop their mask cursors over it, so a late level costs about
+//! what its frontier touches. Only the pull visits every vertex.
 //!
 //! One level loop serves both [`bfs`] (direct `masked_spgevm` calls) and
 //! [`bfs_auto`] (engine-planned vector descriptors); they differ in how a

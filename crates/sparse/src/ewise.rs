@@ -12,7 +12,7 @@ use rayon::prelude::*;
 
 use crate::csr::CsrMatrix;
 use crate::index::Idx;
-use crate::spvec::merge_sorted_into;
+use crate::spvec::skip_below;
 
 /// Element-wise "multiply" (intersection): the output contains entries at
 /// positions present in **both** `a` and `b`, with value `f(&a_v, &b_v)`.
@@ -100,13 +100,26 @@ where
     assemble_rows(nrows, a.ncols(), rows)
 }
 
-/// [`SparseVec::merge_changes`](crate::SparseVec::merge_changes) row by
-/// row: merges `b` into `a` and returns `(merged, changed)`, where `merged`
-/// is `a ∪ b` (combined with `both` where both hold an entry) and `changed`
+/// Merges `b` into `a` and returns `(merged, changed)`, where `merged` is
+/// `a ∪ b` (combined with `both` where both hold an entry) and `changed`
 /// holds the entries of `merged` that `a` lacks, or whose merged value
-/// `same(old, new)` does not accept as the stored one. `changed` is built
-/// in `b`'s storage. One serial pass: each row is merged straight into
-/// `merged`'s arrays and compacted in place in `b`'s.
+/// `same(old, new)` does not accept as the stored one. Every changed entry
+/// comes from `b`, so `changed` is built in `b`'s storage. One serial pass:
+/// each row is merged straight into `merged`'s arrays and compacted in
+/// place in `b`'s; the runs of `a` between `b`'s entries are found by a
+/// galloping search ([`skip_below`]) and copied whole. A vector is its
+/// one-row matrix ([`SparseVec::into_row`](crate::SparseVec::into_row)):
+///
+/// ```
+/// use sparse::ewise::ewise_merge_changes;
+/// use sparse::SparseVec;
+/// let dist = SparseVec::try_new(8, vec![0, 3], vec![0, 7]).unwrap().into_row();
+/// let cand = SparseVec::try_new(8, vec![3, 4], vec![9, 2]).unwrap().into_row();
+/// let (merged, changed) = ewise_merge_changes(&dist, cand, |x, y| x.min(y), |x, y| x == y);
+/// assert_eq!(merged.colidx(), &[0, 3, 4]);
+/// assert_eq!(merged.values(), &[0, 7, 2]);
+/// assert_eq!(changed.colidx(), &[4]); // 3 kept its 7
+/// ```
 pub fn ewise_merge_changes<T: Copy>(
     a: &CsrMatrix<T>,
     b: CsrMatrix<T>,
@@ -137,6 +150,51 @@ pub fn ewise_merge_changes<T: Copy>(
         CsrMatrix::from_parts_unchecked(nrows, ncols, merged_ptr, merged.0, merged.1),
         CsrMatrix::from_parts_unchecked(nrows, ncols, rowptr, colidx, values),
     )
+}
+
+/// One ascending index list with its values: a sparse vector or CSR row.
+type Sorted<'a, T> = (&'a [Idx], &'a [T]);
+/// The owned form of [`Sorted`], which a merge appends to.
+type SortedBuf<T> = (Vec<Idx>, Vec<T>);
+
+/// Merge the sorted list `b` into the sorted list `a`, appending `a ∪ b`
+/// (combined with `both` where both hold an index) to `merged`. `b` is
+/// overwritten in place: its first `k` entries become the union entries
+/// that `a` lacks, or whose merged value `same(old, new)` rejects, and `k`
+/// is returned. The one pass of [`ewise_merge_changes`] over a row.
+fn merge_sorted_into<T: Copy>(
+    (ai, av): Sorted<'_, T>,
+    (bi, bv): (&mut [Idx], &mut [T]),
+    both: impl Fn(T, T) -> T,
+    same: impl Fn(T, T) -> bool,
+    merged: &mut SortedBuf<T>,
+) -> usize {
+    let (mut p, mut k) = (0usize, 0usize);
+    for q in 0..bi.len() {
+        let (j, y) = (bi[q], bv[q]);
+        let run = skip_below(ai, p, j);
+        merged.0.extend_from_slice(&ai[p..run]);
+        merged.1.extend_from_slice(&av[p..run]);
+        p = run;
+        let (value, unchanged) = if ai.get(p) == Some(&j) {
+            let x = av[p];
+            p += 1;
+            let value = both(x, y);
+            (value, same(x, value))
+        } else {
+            (y, false)
+        };
+        merged.0.push(j);
+        merged.1.push(value);
+        if !unchanged {
+            bi[k] = j;
+            bv[k] = value;
+            k += 1;
+        }
+    }
+    merged.0.extend_from_slice(&ai[p..]);
+    merged.1.extend_from_slice(&av[p..]);
+    k
 }
 
 /// Keep entries of `a` at positions **not** present in `b` (set difference).
@@ -188,6 +246,7 @@ pub fn assemble_rows<C>(nrows: usize, ncols: usize, rows: Vec<(Vec<Idx>, Vec<C>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SparseVec;
 
     fn a() -> CsrMatrix<i32> {
         // [1 2 0 0]
@@ -251,6 +310,55 @@ mod tests {
         assert_eq!(got, vec![(0, 2, 6), (1, 0, 7)]);
         let (_, none) = ewise_merge_changes(&a(), a(), |x, _| x, |x, y| x == y);
         assert_eq!((none.shape(), none.nnz()), ((2, 4), 0));
+    }
+
+    /// A vector as its one-row matrix.
+    fn row<T>(dim: usize, idx: Vec<Idx>, vals: Vec<T>) -> CsrMatrix<T> {
+        SparseVec::try_new(dim, idx, vals).unwrap().into_row()
+    }
+
+    /// On one row, the merged value equals `union_with`, and the changed
+    /// set is the union filtered to entries the old row lacks or holds
+    /// differently.
+    #[test]
+    fn merge_changes_matches_union_and_filter() {
+        let a = SparseVec::try_new(12, vec![1, 4, 6, 9], vec![5, 2, 3, 8]).unwrap();
+        let b = SparseVec::try_new(12, vec![0, 4, 6, 7, 11], vec![9, 1, 3, 4, 6]).unwrap();
+        let min = |x: i32, y: i32| x.min(y);
+        let (merged, changed) =
+            ewise_merge_changes(&a.clone().into_row(), b.clone().into_row(), min, |x, y| {
+                x == y
+            });
+        let merged = SparseVec::from_row(merged).unwrap();
+        assert_eq!(merged, a.union_with(&b, min));
+        let expect: Vec<(Idx, i32)> = merged
+            .iter()
+            .filter(|&(j, v)| a.get(j) != Some(v))
+            .map(|(j, &v)| (j, v))
+            .collect();
+        let got: Vec<(Idx, i32)> = changed.iter().map(|(_, j, &v)| (j, v)).collect();
+        assert_eq!(got, expect);
+        assert_eq!(changed.colidx(), &[0, 4, 7, 11]);
+        assert_eq!(changed.shape(), (1, 12));
+    }
+
+    #[test]
+    fn merge_changes_edge_cases() {
+        let a = row(6, vec![1, 3], vec![1.0, 2.0]);
+        let empty = CsrMatrix::<f64>::empty(1, 6);
+        let add = |x: f64, y: f64| x + y;
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
+        // Nothing merged in: nothing changes.
+        let (merged, changed) = ewise_merge_changes(&a, empty.clone(), add, same);
+        assert_eq!((merged, changed.nnz()), (a.clone(), 0));
+        // Merged into nothing: everything is gained.
+        let (merged, changed) = ewise_merge_changes(&empty, a.clone(), add, same);
+        assert_eq!((&merged, &changed), (&a, &a));
+        // Disjoint rows: the changed set is exactly the incoming one.
+        let b = row(6, vec![0, 2, 5], vec![7.0, 8.0, 9.0]);
+        let (merged, changed) = ewise_merge_changes(&a, b.clone(), add, same);
+        assert_eq!(merged.colidx(), &[0, 1, 2, 3, 5]);
+        assert_eq!(changed, b);
     }
 
     #[test]

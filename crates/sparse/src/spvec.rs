@@ -191,50 +191,6 @@ impl<T: Copy> SparseVec<T> {
             vals,
         }
     }
-
-    /// [`SparseVec::union_with`] that also reports what the union changed:
-    /// merges `other` into `self` and returns `(merged, changed)`, where
-    /// `changed` holds the entries of `merged` that `self` lacks, or whose
-    /// merged value `same(old, new)` does not accept as the stored one.
-    /// Every changed index comes from `other`, so `changed` is built in
-    /// `other`'s storage, with no allocation. One pass over both index
-    /// lists; the runs of `self` between `other`'s entries are found by a
-    /// galloping search and copied whole.
-    ///
-    /// ```
-    /// use sparse::SparseVec;
-    /// let dist = SparseVec::try_new(8, vec![0, 3], vec![0, 7]).unwrap();
-    /// let cand = SparseVec::try_new(8, vec![3, 4], vec![9, 2]).unwrap();
-    /// let (merged, changed) = dist.merge_changes(cand, |x, y| x.min(y), |x, y| x == y);
-    /// assert_eq!(merged.indices(), &[0, 3, 4]);
-    /// assert_eq!(merged.values(), &[0, 7, 2]);
-    /// assert_eq!(changed.indices(), &[4]); // 3 kept its 7
-    /// ```
-    pub fn merge_changes(
-        &self,
-        mut other: SparseVec<T>,
-        both: impl Fn(T, T) -> T,
-        same: impl Fn(T, T) -> bool,
-    ) -> (SparseVec<T>, SparseVec<T>) {
-        assert_eq!(self.dim, other.dim, "merge_changes dimension mismatch");
-        let cap = self.nnz() + other.nnz();
-        let mut merged = (Vec::with_capacity(cap), Vec::with_capacity(cap));
-        let changed = merge_sorted_into(
-            (&self.idx, &self.vals),
-            (&mut other.idx, &mut other.vals),
-            both,
-            same,
-            &mut merged,
-        );
-        other.idx.truncate(changed);
-        other.vals.truncate(changed);
-        let merged = SparseVec {
-            dim: self.dim,
-            idx: merged.0,
-            vals: merged.1,
-        };
-        (merged, other)
-    }
 }
 
 impl<T: Clone> SparseVec<T> {
@@ -261,57 +217,21 @@ impl<T: Clone> SparseVec<T> {
     }
 }
 
-/// One ascending index list with its values: a sparse vector or CSR row.
-pub(crate) type Sorted<'a, T> = (&'a [Idx], &'a [T]);
-/// The owned form of [`Sorted`], which a merge appends to.
-pub(crate) type SortedBuf<T> = (Vec<Idx>, Vec<T>);
-
-/// Merge the sorted list `b` into the sorted list `a`, appending `a ∪ b`
-/// (combined with `both` where both hold an index) to `merged`. `b` is
-/// overwritten in place: its first `k` entries become the union entries
-/// that `a` lacks, or whose merged value `same(old, new)` rejects, and `k`
-/// is returned. The one pass behind [`SparseVec::merge_changes`] and
-/// [`crate::ewise::ewise_merge_changes`].
-pub(crate) fn merge_sorted_into<T: Copy>(
-    (ai, av): Sorted<'_, T>,
-    (bi, bv): (&mut [Idx], &mut [T]),
-    both: impl Fn(T, T) -> T,
-    same: impl Fn(T, T) -> bool,
-    merged: &mut SortedBuf<T>,
-) -> usize {
-    let (mut p, mut k) = (0usize, 0usize);
-    for q in 0..bi.len() {
-        let (j, y) = (bi[q], bv[q]);
-        let run = skip_below(ai, p, j);
-        merged.0.extend_from_slice(&ai[p..run]);
-        merged.1.extend_from_slice(&av[p..run]);
-        p = run;
-        let (value, unchanged) = if ai.get(p) == Some(&j) {
-            let x = av[p];
-            p += 1;
-            let value = both(x, y);
-            (value, same(x, value))
-        } else {
-            (y, false)
-        };
-        merged.0.push(j);
-        merged.1.push(value);
-        if !unchanged {
-            bi[k] = j;
-            bv[k] = value;
-            k += 1;
-        }
-    }
-    merged.0.extend_from_slice(&ai[p..]);
-    merged.1.extend_from_slice(&av[p..]);
-    k
-}
-
-/// The first position at or after `p` whose index in `ai` is not below
-/// `j`. A galloping search: skipping a run of `r` entries costs
-/// `O(log r)`, so a thin frontier merged into a large visited set does not
-/// compare against every visited entry.
-fn skip_below(ai: &[Idx], p: usize, j: Idx) -> usize {
+/// The first position at or after `p` whose index in the sorted list `ai`
+/// is not below `j`. A galloping search: skipping a run of `r` entries
+/// costs `O(log r)` and finding `j` at `p` itself costs two comparisons,
+/// so a cursor walked up a long sorted list by a few sorted probes (a thin
+/// frontier merged into a large visited set, a product row tested against
+/// a complemented mask row) does not compare against every entry it skips.
+///
+/// ```
+/// use sparse::spvec::skip_below;
+/// let visited = [1, 4, 9, 16, 25, 36];
+/// assert_eq!(skip_below(&visited, 0, 16), 3);
+/// assert_eq!(skip_below(&visited, 3, 17), 4);
+/// assert_eq!(skip_below(&visited, 4, 99), 6);
+/// ```
+pub fn skip_below(ai: &[Idx], p: usize, j: Idx) -> usize {
     let rest = &ai[p..];
     let mut hi = 1;
     while hi < rest.len() && rest[hi] < j {
@@ -378,26 +298,6 @@ mod tests {
         assert_eq!(empty.union_with(&a, |x, _| x), a);
     }
 
-    /// The merged value equals `union_with`, and the changed set is the
-    /// union filtered to entries the old vector lacks or holds differently.
-    #[test]
-    fn merge_changes_matches_union_and_filter() {
-        let a = SparseVec::try_new(12, vec![1, 4, 6, 9], vec![5, 2, 3, 8]).unwrap();
-        let b = SparseVec::try_new(12, vec![0, 4, 6, 7, 11], vec![9, 1, 3, 4, 6]).unwrap();
-        let min = |x: i32, y: i32| x.min(y);
-        let (merged, changed) = a.merge_changes(b.clone(), min, |x, y| x == y);
-        assert_eq!(merged, a.union_with(&b, min));
-        let expect: Vec<(Idx, i32)> = merged
-            .iter()
-            .filter(|&(j, v)| a.get(j) != Some(v))
-            .map(|(j, &v)| (j, v))
-            .collect();
-        let got: Vec<(Idx, i32)> = changed.iter().map(|(j, &v)| (j, v)).collect();
-        assert_eq!(got, expect);
-        assert_eq!(changed.indices(), &[0, 4, 7, 11]);
-        assert_eq!(changed.dim(), 12);
-    }
-
     #[test]
     fn skip_below_matches_a_linear_scan() {
         let ai: Vec<Idx> = (0..40).map(|i| i * 3 + i % 2).collect();
@@ -407,25 +307,6 @@ mod tests {
                 assert_eq!(skip_below(&ai, p, j), linear, "p={p} j={j}");
             }
         }
-    }
-
-    #[test]
-    fn merge_changes_edge_cases() {
-        let a = SparseVec::try_new(6, vec![1, 3], vec![1.0, 2.0]).unwrap();
-        let empty = SparseVec::<f64>::empty(6);
-        let add = |x: f64, y: f64| x + y;
-        let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
-        // Nothing merged in: nothing changes.
-        let (merged, changed) = a.merge_changes(empty.clone(), add, same);
-        assert_eq!((merged, changed.nnz()), (a.clone(), 0));
-        // Merged into nothing: everything is gained.
-        let (merged, changed) = empty.merge_changes(a.clone(), add, same);
-        assert_eq!((&merged, &changed), (&a, &a));
-        // Disjoint lists: the changed set is exactly the incoming one.
-        let b = SparseVec::try_new(6, vec![0, 2, 5], vec![7.0, 8.0, 9.0]).unwrap();
-        let (merged, changed) = a.merge_changes(b.clone(), add, same);
-        assert_eq!(merged.indices(), &[0, 1, 2, 3, 5]);
-        assert_eq!(changed, b);
     }
 
     #[test]

@@ -608,9 +608,12 @@ fn row_matrix(dim: usize, indices: &[Idx]) -> CsrMatrix<f64> {
 /// changed entries and merged targets. The last BFS levels on a grid (a
 /// complemented visited mask holding at least 98% of the vertices and a
 /// frontier of a few) return what the forced MSA and pull return on the
-/// `bool` and `i64` lanes; three levels from the end, with six vertices
-/// left to reach, the plan is the heap, which skips the `O(n)` scan that
-/// MSA and the pull pay. A hub's row under a plain mask plans MCA.
+/// `bool` and `i64` lanes, as do the forced heap and hash. Three levels
+/// from the end, with six vertices left to reach, the plan is the MSA,
+/// which probes the visited mask once per vertex the frontier touches
+/// instead of stamping all of it; no level of the second half plans the
+/// pull, which scans all `n` vertices. A hub's row under a plain mask
+/// plans MCA.
 #[test]
 fn vector_plan_is_the_one_row_matrix_plan() {
     let grid = graphs::grid2d(32, 32);
@@ -643,7 +646,7 @@ fn vector_plan_is_the_one_row_matrix_plan() {
         ),
         ("rmat mca", &rmat, thirds, vec![0], false, Some("MCA-1P")),
     ];
-    for (from_end, label) in [(3, Some("Heap-1P")), (2, None), (1, None)] {
+    for (from_end, label) in [(3, Some("MSA-1P")), (2, None), (1, None)] {
         let (visited, frontier) = step(depth - from_end);
         cases.push(("last levels", &grid, visited, frontier, true, label));
     }
@@ -732,7 +735,12 @@ fn vector_plan_is_the_one_row_matrix_plan() {
         for lane_op in [op, ctx.vec_op(m, ui64, hb).complemented(compl)] {
             let planned = lane_op.run_out().unwrap();
             assert!(planned.nnz() > 0, "{case}");
-            for alg in [Algorithm::Msa, Algorithm::Inner] {
+            for alg in [
+                Algorithm::Msa,
+                Algorithm::Heap,
+                Algorithm::Hash,
+                Algorithm::Inner,
+            ] {
                 let forced = lane_op.algorithm(alg).run_out().unwrap();
                 assert_eq!(
                     planned,
@@ -742,6 +750,22 @@ fn vector_plan_is_the_one_row_matrix_plan() {
                 );
             }
         }
+    }
+
+    // The second half of the traversal: a visited mask of at least half
+    // the vertices, and a frontier that thins out. No level pulls (each
+    // planned on a fresh context, so no plan is served from the cache).
+    for l in depth / 2..depth {
+        let ctx = Context::with_threads(1);
+        let hb = ctx.insert(grid.clone());
+        let (visited, frontier) = step(l);
+        let vec = |idx: Vec<Idx>| {
+            let len = idx.len();
+            ctx.insert_vec(SparseVec::try_new(n, idx, vec![true; len]).unwrap())
+        };
+        let (m, u) = (vec(visited), vec(frontier));
+        let plan = ctx.vec_op(m, u, hb).complemented(true).plan().unwrap();
+        assert_ne!(plan.label(), "Inner-1P", "level {l}: {:?}", plan.costs);
     }
 }
 
