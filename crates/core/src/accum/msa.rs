@@ -112,12 +112,13 @@ impl<V: Copy + Default> Msa<V> {
 /// records SET keys so the gather step visits only them.
 ///
 /// Stamping every mask entry costs `O(nnz(m))` per row even when the row
-/// touches a handful of keys. The `*_probe` methods stamp the mask lazily
-/// instead: a key with no state yet this row is looked up in the mask once,
-/// on first touch, and stamped `NOTALLOWED` or `SET`; later touches read the
-/// stamp. A masked key still never evaluates its product, and allowed keys
-/// see the same products in the same order, so both ways give the same
-/// bits.
+/// touches a handful of keys. The `in_mask` probes of
+/// [`MsaComplement::insert_with`] and [`MsaComplement::mark_set`] stamp the
+/// mask lazily instead: a key with no state yet this row is looked up in
+/// the mask once, on first touch, and stamped `NOTALLOWED` or `SET`; later
+/// touches read the stamp. A masked key still never evaluates its product,
+/// and allowed keys see the same products in the same order, so both ways
+/// give the same bits.
 #[derive(Debug)]
 pub struct MsaComplement<V> {
     values: Vec<V>,
@@ -164,17 +165,12 @@ impl<V: Copy + Default> MsaComplement<V> {
         self.states[key as usize] = self.notallowed_stamp();
     }
 
-    /// Insert a product for `key` unless the key is masked out.
+    /// Insert a product for `key` unless the key is masked out. A key with
+    /// no state yet this row asks `in_mask` once, and is stamped
+    /// `NOTALLOWED` (its product never made) if the mask names it; an
+    /// eagerly stamped row passes `|| false`.
     #[inline(always)]
-    pub fn insert_with(&mut self, key: Idx, make: impl FnOnce() -> V, add: impl FnOnce(V, V) -> V) {
-        self.insert_with_probe(key, || false, make, add);
-    }
-
-    /// [`MsaComplement::insert_with`] on a lazily stamped row: a key with no
-    /// state yet this row asks `in_mask` once, and is stamped `NOTALLOWED`
-    /// (its product never made) if the mask names it.
-    #[inline(always)]
-    pub fn insert_with_probe(
+    pub fn insert_with(
         &mut self,
         key: Idx,
         in_mask: impl FnOnce() -> bool,
@@ -196,12 +192,10 @@ impl<V: Copy + Default> MsaComplement<V> {
         }
     }
 
-    /// Pattern-only insert for the symbolic phase (complemented mask). A
-    /// key with no state yet this row asks `in_mask` once, as in
-    /// [`MsaComplement::insert_with_probe`]; an eagerly stamped row passes
-    /// `|| false`.
+    /// Pattern-only insert for the symbolic phase (complemented mask),
+    /// asking `in_mask` as [`MsaComplement::insert_with`] does.
     #[inline(always)]
-    pub fn mark_set_probe(&mut self, key: Idx, in_mask: impl FnOnce() -> bool) {
+    pub fn mark_set(&mut self, key: Idx, in_mask: impl FnOnce() -> bool) {
         let k = key as usize;
         let s = self.states[k];
         if s != self.set_stamp() && s != self.notallowed_stamp() {
@@ -298,10 +292,10 @@ mod tests {
         let mut m = MsaComplement::<f64>::new(8);
         m.reset();
         m.set_not_allowed(2);
-        m.insert_with(2, || 1.0, |a, b| a + b);
-        m.insert_with(5, || 2.0, |a, b| a + b);
-        m.insert_with(5, || 3.0, |a, b| a + b);
-        m.insert_with(0, || 4.0, |a, b| a + b);
+        m.insert_with(2, || false, || 1.0, |a, b| a + b);
+        m.insert_with(5, || false, || 2.0, |a, b| a + b);
+        m.insert_with(5, || false, || 3.0, |a, b| a + b);
+        m.insert_with(0, || false, || 4.0, |a, b| a + b);
         assert_eq!(m.sorted_inserted(), &[0, 5]);
         assert_eq!(m.value(5), 5.0);
         assert_eq!(m.value(0), 4.0);
@@ -315,7 +309,7 @@ mod tests {
         m.reset();
         for (key, v) in [(2, 1.0), (5, 2.0), (2, 4.0), (5, 3.0), (0, 4.0)] {
             let mut made = false;
-            m.insert_with_probe(
+            m.insert_with(
                 key,
                 || {
                     asked.push(key);
@@ -335,7 +329,7 @@ mod tests {
         // The symbolic pass probes the same way.
         m.reset();
         for key in [6, 1, 6, 1] {
-            m.mark_set_probe(key, || mask.contains(&key));
+            m.mark_set(key, || mask.contains(&key));
         }
         assert_eq!(m.inserted(), &[1]);
     }
@@ -344,12 +338,12 @@ mod tests {
     fn complement_reset_clears_inserted() {
         let mut m = MsaComplement::<i32>::new(4);
         m.reset();
-        m.insert_with(1, || 1, |a, b| a + b);
+        m.insert_with(1, || false, || 1, |a, b| a + b);
         assert_eq!(m.inserted().len(), 1);
         m.reset();
         assert!(m.inserted().is_empty());
         // Stale NOTALLOWED stamps must not leak into the new row.
-        m.insert_with(1, || 2, |a, b| a + b);
+        m.insert_with(1, || false, || 2, |a, b| a + b);
         assert_eq!(m.value(1), 2);
     }
 }

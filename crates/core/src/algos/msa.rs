@@ -166,7 +166,7 @@ fn scatter_complemented<S: Semiring>(
         let (bc, bv) = b.row(k as usize);
         for (&j, &bvj) in bc.iter().zip(bv) {
             let (make, add) = (|| sr.mul(av, bvj), |x, y| sr.add(x, y));
-            accum.insert_with_probe(j, || in_mask(j), make, add);
+            accum.insert_with(j, || in_mask(j), make, add);
         }
     }
 }
@@ -181,7 +181,7 @@ fn mark_complemented<V: Copy + Default, B>(
 ) {
     for &k in acols {
         for &j in b.row(k as usize).0 {
-            accum.mark_set_probe(j, || in_mask(j));
+            accum.mark_set(j, || in_mask(j));
         }
     }
 }

@@ -367,16 +367,18 @@ mod tests {
         let (sr, cfg) = (PlusTimes::<f64>::new(), HybridConfig::default());
         let mut set = ScratchSet::new();
         // Deliberately vary dimensions so the scratch is reused both after
-        // growing and after shrinking requests.
-        for (n, k, m, seed) in [
-            (30usize, 25usize, 35usize, 1u64),
-            (50, 40, 60, 2),
-            (10, 10, 10, 3),
-            (45, 45, 45, 4),
+        // growing and after shrinking requests; the last mask's rows are
+        // longer than any before on no more columns.
+        for (n, k, m, seed, density) in [
+            (30usize, 25usize, 35usize, 1u64, 35),
+            (50, 40, 60, 2, 35),
+            (10, 10, 10, 3, 35),
+            (45, 45, 45, 4, 35),
+            (45, 45, 60, 5, 95),
         ] {
             let a = random_csr(n, k, seed * 13 + 1, 25);
             let b = random_csr(k, m, seed * 13 + 2, 25);
-            let mask = random_csr(n, m, seed * 13 + 3, 35).pattern();
+            let mask = random_csr(n, m, seed * 13 + 3, density).pattern();
             let bc = CscMatrix::from_csr(&b);
             for (compl, alg, ph) in [false, true]
                 .into_iter()
@@ -399,73 +401,39 @@ mod tests {
                 );
             }
         }
+        // The kernels not sized by the mask computed the last, longer mask
+        // rows without a rebuild: one build each for 35 and 60 columns.
+        assert_eq!(
+            (set.msa.builds, set.heap.builds, set.hash.builds),
+            (2, 2, 3)
+        );
     }
 
+    /// Caps only grow. A longer mask row (each level of a BFS on a fresh
+    /// context) rebuilds only the kernels sized by the mask; more columns
+    /// rebuild every kernel.
     #[test]
     fn scratch_regrows_monotonically() {
-        let mut s: KernelScratch<PlusTimes<f64>, MsaKernel<PlusTimes<f64>>> = KernelScratch::new();
-        s.acquire(100, 10);
-        assert_eq!((s.ncols_cap, s.max_mask_cap), (100, 10));
-        s.acquire(50, 5); // smaller: reuse, caps unchanged
-        assert_eq!((s.ncols_cap, s.max_mask_cap), (100, 10));
-        s.acquire(200, 3); // one dimension grows
-        assert_eq!((s.ncols_cap, s.max_mask_cap), (200, 10));
-    }
-
-    /// A growing mask row — each level of a BFS on a fresh context —
-    /// rebuilds only the kernels sized by the mask; all rebuild on more
-    /// columns.
-    #[test]
-    fn only_mask_sized_kernels_rebuild_when_the_mask_grows() {
         type Sr = PlusTimes<f64>;
-        fn builds<K: RowKernel<Sr>>() -> [usize; 3] {
+        fn check<K: RowKernel<Sr>>(name: &str, sized: bool) {
             let mut s: KernelScratch<Sr, K> = KernelScratch::new();
-            let mut at = |ncols, mask| {
+            let grown = usize::from(sized);
+            for (ncols, mask, caps, builds) in [
+                (100, 10, (100, 10), 1),
+                (50, 5, (100, 10), 1), // smaller: reuse, caps unchanged
+                (100, 50, (100, 50), 1 + grown), // a longer mask row
+                (200, 3, (200, 50), 2 + grown), // more columns
+            ] {
                 s.acquire(ncols, mask);
-                s.builds
-            };
-            [at(100, 1), at(100, 50), at(200, 60)]
-        }
-        for (name, sized, got) in [
-            ("MSA", false, builds::<MsaKernel<Sr>>()),
-            ("Heap", false, builds::<HeapKernel<Sr, { ninspect::ONE }>>()),
-            (
-                "HeapDot",
-                false,
-                builds::<HeapKernel<Sr, { ninspect::INF }>>(),
-            ),
-            ("Hash", true, builds::<HashKernel<Sr>>()),
-            ("MCA", true, builds::<McaKernel<Sr>>()),
-        ] {
-            let expect = if sized { [1, 2, 3] } else { [1, 1, 2] };
-            assert_eq!(got, expect, "{name}");
-        }
-        // A kernel built before the mask grew still computes the longer rows.
-        let (sr, cfg) = (PlusTimes::<f64>::new(), HybridConfig::default());
-        let a = random_csr(6, 40, 11, 30);
-        let b = random_csr(40, 40, 12, 30);
-        let mut set = ScratchSet::new();
-        for density in [5, 95] {
-            let mask = random_csr(6, 40, 13, density).pattern();
-            for (alg, compl) in [(Algorithm::Msa, true), (Algorithm::Heap, false)] {
-                let choice = Choice::Fixed(alg);
-                let got = set.run(
-                    choice,
-                    Phases::One,
-                    true,
-                    compl,
-                    sr,
-                    cfg,
-                    &mask,
-                    &a,
-                    &b,
-                    None,
-                );
-                let expect = masked_spgemm(alg, Phases::One, compl, sr, &mask, &a, &b);
-                assert_eq!(got.unwrap(), expect.unwrap(), "{alg:?} at {density}%");
+                let got = ((s.ncols_cap, s.max_mask_cap), s.builds);
+                assert_eq!(got, (caps, builds), "{name}");
             }
         }
-        assert_eq!((set.msa.builds, set.heap.builds), (1, 1));
+        check::<MsaKernel<Sr>>("MSA", false);
+        check::<HeapKernel<Sr, { ninspect::ONE }>>("Heap", false);
+        check::<HeapKernel<Sr, { ninspect::INF }>>("HeapDot", false);
+        check::<HashKernel<Sr>>("Hash", true);
+        check::<McaKernel<Sr>>("MCA", true);
     }
 
     #[test]

@@ -121,24 +121,31 @@ proptest! {
         not_allowed in proptest::collection::btree_set(0u32..24, 0..12),
         inserts in proptest::collection::vec(((0u32..24), -100i64..100), 0..80),
     ) {
-        let mut acc = MsaComplement::<i64>::new(24);
-        acc.reset();
-        for &k in &not_allowed {
-            acc.set_not_allowed(k);
-        }
         // Model: everything except `not_allowed` is insertable.
         let mut model: BTreeMap<u32, i64> = BTreeMap::new();
         for &(k, v) in &inserts {
             if !not_allowed.contains(&k) {
                 *model.entry(k).or_insert(0) += v;
             }
-            acc.insert_with(k, || v, |a, b| a + b);
         }
-        let keys: Vec<u32> = acc.sorted_inserted().to_vec();
         let model_keys: Vec<u32> = model.keys().copied().collect();
-        prop_assert_eq!(&keys, &model_keys);
-        for k in keys {
-            prop_assert_eq!(acc.value(k), model[&k]);
+        // The mask stamped up front, or probed lazily per touched key.
+        let mut acc = MsaComplement::<i64>::new(24);
+        for lazy in [false, true] {
+            acc.reset();
+            if !lazy {
+                for &k in &not_allowed {
+                    acc.set_not_allowed(k);
+                }
+            }
+            for &(k, v) in &inserts {
+                acc.insert_with(k, || lazy && not_allowed.contains(&k), || v, |a, b| a + b);
+            }
+            let keys: Vec<u32> = acc.sorted_inserted().to_vec();
+            prop_assert_eq!(&keys, &model_keys, "lazy {}", lazy);
+            for k in keys {
+                prop_assert_eq!(acc.value(k), model[&k]);
+            }
         }
     }
 
